@@ -321,13 +321,35 @@ class TapProfile:
         return self.lags.index(0)
 
 
-def _passive_window_rate(params: SystemParams, n1: int, n2: int, lag: int, base_offset: float = 0.0) -> float:
+def _response_table(params: SystemParams, points: np.ndarray, lags) -> np.ndarray:
+    """Per-lag channel response at window edge points, shape (len(lags), len(points)).
+
+    Absorbing: the survival r/(d+r) erf(d/sqrt(4Dt)) at t = point + lag*T_s,
+    so a window's tap fraction is a difference of two columns.  Passive:
+    p_{n,lag} at sample n = point, the time floored at 0 so that a release
+    in the future (lag < 0) is only seen by samples taken after it; a
+    window's tap rate is a row sum.
+    """
+    shifts = np.asarray(lags, dtype=float)[:, None] * params.T_s
+    if params.receiver is Receiver.ABSORBING:
+        return _survival(params, points[None, :] + shifts)
     assert params.t_s is not None
-    n = np.arange(n1, n2 + 1, dtype=float)
-    times = n * params.t_s + base_offset + lag * params.T_s
-    # releases in the future (lag < 0) only reach samples taken after them
-    times = np.maximum(times, 0.0)
-    return float(np.sum(passive_probability(params, times)))
+    return passive_probability(params, np.maximum(points[None, :] * params.t_s + shifts, 0.0))
+
+
+def _tap_variance(params: SystemParams, mean: np.ndarray) -> np.ndarray:
+    """Per-release count variance fractions: binomial F(1-F) or Poisson rate."""
+    if params.receiver is Receiver.ABSORBING:
+        return mean * (1.0 - mean)
+    return mean.copy()
+
+
+def _window_means(params: SystemParams, window: DetectionWindow, lags) -> np.ndarray:
+    if isinstance(window, ContinuousWindow):
+        surv = _response_table(params, np.array([window.t1, window.t2]), lags)
+        return surv[:, 0] - surv[:, 1]
+    samples = np.arange(window.n1, window.n2 + 1, dtype=float)
+    return _response_table(params, samples, lags).sum(axis=1)
 
 
 def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
@@ -339,15 +361,8 @@ def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
     """
     check_window(params, window)
     lags = tuple(range(params.L + 1))
-    if isinstance(window, ContinuousWindow):
-        means = np.array([isi_fraction(params, window, k) for k in lags])
-        variances = means * (1.0 - means)
-    else:
-        means = np.array(
-            [_passive_window_rate(params, window.n1, window.n2, k) for k in lags]
-        )
-        variances = means.copy()
-    return TapProfile(lags=lags, mean=means, var=variances)
+    mean = _window_means(params, window, lags)
+    return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))
 
 
 def shift_taps(params: SystemParams, tau: float) -> TapProfile:
@@ -362,26 +377,12 @@ def shift_taps(params: SystemParams, tau: float) -> TapProfile:
         raise ValueError("shift tau must be >= 0")
     lags = tuple(range(params.L + 1)) + (-1,)
     if params.receiver is Receiver.ABSORBING:
-        means = []
-        for lag in lags:
-            if lag >= 0:
-                a = tau + lag * params.T_s
-                b = tau + params.T_s + lag * params.T_s
-            else:
-                # next symbol released at T_s; overhang [T_s, tau+T_s] maps to
-                # [0, tau] after its own release
-                a, b = 0.0, tau
-            means.append(absorbed_fraction(params, a, b))
-        mean_arr = np.array(means)
-        var_arr = mean_arr * (1.0 - mean_arr)
+        # next symbol released at T_s; overhang [T_s, tau+T_s] maps to
+        # [0, tau] after its own release
+        own = _window_means(params, ContinuousWindow(tau, tau + params.T_s), lags[:-1])
+        mean = np.append(own, absorbed_fraction(params, 0.0, tau))
     else:
         assert params.t_s is not None and params.N is not None
         j = int(round(tau / params.t_s))
-        mean_arr = np.array(
-            [
-                _passive_window_rate(params, j, j + params.N, lag)
-                for lag in lags
-            ]
-        )
-        var_arr = mean_arr.copy()
-    return TapProfile(lags=lags, mean=mean_arr, var=var_arr)
+        mean = _window_means(params, SampledWindow(j, j + params.N), lags)
+    return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))

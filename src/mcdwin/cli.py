@@ -29,10 +29,10 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import optimizer as opt
-from .channel import ContinuousWindow, Receiver, SystemParams, shift_taps, window_taps
+from .channel import ContinuousWindow, Receiver, SystemParams
 from .errors import ConfigError, DomainError
 from .montecarlo import SweepRow, TrialConfig, simulate_ber_taps, sweep
-from .optimizer import Method, Scheme
+from .optimizer import Scheme
 from .reception import threshold_from_taps
 
 __all__ = ["ExperimentConfig", "parse_config", "main"]
@@ -169,10 +169,10 @@ def _get_float(entries: dict[str, str], key: str) -> float | None:
         raise ConfigError(f"key {key}: not a number: {entries[key]!r}") from exc
 
 
-def _get_int(entries: dict[str, str], key: str) -> int | None:
+def _get_int(entries: dict[str, str], key: str, default: int | None = None) -> int | None:
     value = _get_float(entries, key)
     if value is None:
-        return None
+        return default
     if value != int(value):
         raise ConfigError(f"key {key}: expected an integer, got {entries[key]!r}")
     return int(value)
@@ -288,8 +288,8 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
             raise ConfigError(f"method: unknown scheme (valid: {valid})") from exc
 
     trial = TrialConfig(
-        trials=_get_int(entries, "trial.trials") or 100_000,
-        seed=_get_int(entries, "trial.seed") or 0,
+        trials=_get_int(entries, "trial.trials", 100_000),
+        seed=_get_int(entries, "trial.seed", 0),
         exact_counts=_get_bool(entries, "trial.exact_counts") in (None, True),
         warmup_symbols=_get_int(entries, "trial.warmup_symbols"),
     )
@@ -305,7 +305,7 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
         trial=trial,
         method=method,
         search_dt=_get_float(entries, "search.dt"),
-        workers=_get_int(entries, "workers"),
+        workers=_positive_workers(_get_int(entries, "workers"), "workers"),
         output_path=entries.get("output.path"),
         output_format=output_format,
     )
@@ -380,17 +380,25 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _positive_workers(value: int | None, source: str) -> int | None:
+    if value is not None and value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value
+
+
 def _resolve_workers(config: ExperimentConfig, args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
+    """--workers, else the workers key, else $MCDWIN_WORKERS, else 1."""
+    if args.workers is not None:
+        return _positive_workers(args.workers, "--workers")
     if config.workers is not None:
         return config.workers
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+        return _positive_workers(value, WORKERS_ENV)
     return 1
 
 
@@ -429,30 +437,21 @@ def cmd_metrics(args) -> int:
     if out is None:
         raise ConfigError("metrics needs an output path (-o or output.path)")
 
-    if params.receiver is Receiver.ABSORBING:
-        step = config.search_dt or opt.default_grid_step(params)
-        edges, i1, i2, mean, var = opt._continuous_grid(params, step)
-        starts, ends = edges[i1], edges[i2]
-    else:
-        i1, i2, mean, var = opt._sampled_grid(params)
-        starts, ends = i1, i2
+    edges, i1, i2, mean, var = opt._window_grid(params, config.search_dt or None)
     columns = {
         metric: metrics_mod.metric_values_from_taps(metric, float(params.Q), mean, var)
         for metric in metrics_mod.Metric
     }
 
     def rows():
-        for w in range(len(starts)):
-            if params.receiver is Receiver.ABSORBING:
-                place = (starts[w], ends[w], None, None)
-            else:
-                place = (None, None, int(starts[w]), int(ends[w]))
+        for w in range(i1.size):
+            place = _window_cells(opt._grid_window(edges, i1, i2, w))
             yield (METRICS_SCHEMA, *place) + tuple(
                 columns[metric][w] for metric in metrics_mod.Metric
             )
 
     _write_csv(out, METRICS_HEADER, rows())
-    print(f"wrote {len(starts)} windows to {out}")
+    print(f"wrote {i1.size} windows to {out}")
     return 0
 
 
@@ -536,10 +535,7 @@ def cmd_simulate(args) -> int:
     params = config.system
     workers = _resolve_workers(config, args)
     result = opt.select_window(params, config.method, config.search_dt)
-    if result.method is Method.SHIFT_TAU:
-        taps = shift_taps(params, result.tau)
-    else:
-        taps = window_taps(params, result.window)
+    taps = opt.result_taps(params, result)
     threshold, analytic = threshold_from_taps(params, taps)
     mc = simulate_ber_taps(params, taps, threshold, config.trial, workers)
     t1, t2, n1, n2 = _window_cells(result.window)
@@ -624,7 +620,7 @@ def cmd_reproduce(args) -> int:
         raise OSError(f"cannot create {outdir}: {exc}") from exc
     out = outdir / f"{figure}.csv"
     trial = TrialConfig(trials=args.trials, seed=args.seed)
-    workers = args.workers or 1
+    workers = 1 if args.workers is None else _positive_workers(args.workers, "--workers")
 
     rows: list[tuple] = []
     if family == "conv":

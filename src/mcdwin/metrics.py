@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .channel import (
     DetectionWindow,
     Receiver,
     SystemParams,
-    absorbed_fraction,
+    full_window,
     sample_probability,
     window_taps,
 )
@@ -75,62 +75,63 @@ def _require_q(params: SystemParams) -> None:
         raise ValueError("noise-aware metrics need Q >= 1")
 
 
-def _components(params: SystemParams, window: DetectionWindow):
-    """(signal fraction, interference fraction sum, noise amplitude sum)."""
+def _tap_sums(mean: np.ndarray, var: np.ndarray):
+    """(signal fraction, interference fraction sum, noise amplitude sum) per column."""
+    return mean[0], mean[1:].sum(axis=0), np.sqrt(var).sum(axis=0)
+
+
+def _components(params: SystemParams, window: DetectionWindow) -> tuple[float, float, float]:
+    # a one-column table sums exactly like the 1-D tap vector
     taps = window_taps(params, window)
-    f0 = float(taps.mean[0])
-    interference = float(np.sum(taps.mean[1:]))
-    noise_amp = float(np.sum(np.sqrt(taps.var)))
-    return f0, interference, noise_amp
+    return tuple(float(x[0]) for x in _tap_sums(taps.mean[:, None], taps.var[:, None]))
+
+
+# metric -> (numerator, denominator) in terms of (q, f0, interference,
+# noise_amp); the difference metrics have denominator 1
+_FORMULAS = {
+    Metric.SIR: lambda q, f0, i, n: (f0, i),
+    Metric.SID: lambda q, f0, i, n: (q * (f0 - i), 1.0),
+    Metric.SINAR: lambda q, f0, i, n: (q * f0, q * i + math.sqrt(q) * n),
+    Metric.MSINAR: lambda q, f0, i, n: (0.5 * f0, 0.5 * i + n / math.sqrt(2.0 * q)),
+    Metric.MSID: lambda q, f0, i, n: (f0 - i - math.sqrt(2.0 / q) * n, 1.0),
+}
+
+
+def _metric(metric: Metric, params: SystemParams, window: DetectionWindow) -> float:
+    _require_isi(params)
+    if metric is not Metric.SIR and metric is not Metric.SID:
+        _require_q(params)
+    num, den = _FORMULAS[metric](float(params.Q), *_components(params, window))
+    if den == 0.0:
+        if metric is Metric.SIR:
+            raise InfiniteSir("all interference fractions are zero")
+        raise InfiniteSinar("zero interference and noise amplitude")
+    return num / den
 
 
 def sir(params: SystemParams, window: DetectionWindow) -> float:
     """Signal-to-interference ratio; independent of Q."""
-    _require_isi(params)
-    f0, interference, _ = _components(params, window)
-    if interference == 0.0:
-        raise InfiniteSir("all interference fractions are zero")
-    return f0 / interference
+    return _metric(Metric.SIR, params, window)
 
 
 def sid(params: SystemParams, window: DetectionWindow) -> float:
     """Signal-to-interference difference in molecules; linear in Q."""
-    _require_isi(params)
-    f0, interference, _ = _components(params, window)
-    return params.Q * (f0 - interference)
+    return _metric(Metric.SID, params, window)
 
 
 def sinar(params: SystemParams, window: DetectionWindow) -> float:
     """Signal over interference-plus-noise amplitude."""
-    _require_isi(params)
-    _require_q(params)
-    q = float(params.Q)
-    f0, interference, noise_amp = _components(params, window)
-    denom = q * interference + math.sqrt(q) * noise_amp
-    if denom == 0.0:
-        raise InfiniteSinar("zero interference and noise amplitude")
-    return q * f0 / denom
+    return _metric(Metric.SINAR, params, window)
 
 
 def msinar(params: SystemParams, window: DetectionWindow) -> float:
     """Modified SINAR: equal-prior weighting, sqrt(2/Q)-inflated noise."""
-    _require_isi(params)
-    _require_q(params)
-    q = float(params.Q)
-    f0, interference, noise_amp = _components(params, window)
-    denom = 0.5 * interference + noise_amp / math.sqrt(2.0 * q)
-    if denom == 0.0:
-        raise InfiniteSinar("zero interference and noise amplitude")
-    return 0.5 * f0 / denom
+    return _metric(Metric.MSINAR, params, window)
 
 
 def msid(params: SystemParams, window: DetectionWindow) -> float:
     """Modified SID: signal minus interference minus sqrt(2/Q) noise amplitude."""
-    _require_isi(params)
-    _require_q(params)
-    q = float(params.Q)
-    f0, interference, noise_amp = _components(params, window)
-    return f0 - interference - math.sqrt(2.0 / q) * noise_amp
+    return _metric(Metric.MSID, params, window)
 
 
 def q_hat(params: SystemParams, window: DetectionWindow) -> int:
@@ -153,18 +154,16 @@ def alphas(params: SystemParams) -> tuple[float, float]:
     reciprocal root of the whole-symbol observation-rate sums.
     """
     if params.receiver is Receiver.ABSORBING:
-        f_now = absorbed_fraction(params, 0.0, params.T_s)
-        f_prev = absorbed_fraction(params, params.T_s, 2.0 * params.T_s)
-        a1 = math.sqrt((1.0 - f_now) / f_now)
-        a2 = math.sqrt((1.0 - f_prev) / f_prev)
-    else:
-        assert params.N is not None
-        ns = np.arange(0, params.N + 1)
-        rate0 = float(np.sum([sample_probability(params, int(n), 0) for n in ns]))
-        rate1 = float(np.sum([sample_probability(params, int(n), 1) for n in ns]))
-        a1 = 1.0 / math.sqrt(rate0)
-        a2 = 1.0 / math.sqrt(rate1)
-    return a1, a2
+        f_now, f_prev = window_taps(replace(params, L=1), full_window(params)).mean.tolist()
+        return math.sqrt((1.0 - f_now) / f_now), math.sqrt((1.0 - f_prev) / f_prev)
+    # Sample by sample on purpose: numpy may round the array power in
+    # passive_probability differently from the scalar one, and g(Q) moves
+    # every high-count passive closed form.
+    assert params.N is not None
+    ns = range(params.N + 1)
+    rate0 = float(np.sum([sample_probability(params, n, 0) for n in ns]))
+    rate1 = float(np.sum([sample_probability(params, n, 1) for n in ns]))
+    return 1.0 / math.sqrt(rate0), 1.0 / math.sqrt(rate1)
 
 
 def g_factor(params: SystemParams, q: float) -> float:
@@ -220,18 +219,8 @@ def metric_values_from_taps(
     (tap 0 = signal).  Windows where the metric is undefined (0/0) come back
     as NaN; unbounded ratios as +inf.
     """
-    f0 = mean[0]
-    interference = mean[1:].sum(axis=0)
-    noise_amp = np.sqrt(var).sum(axis=0)
+    if metric not in _FORMULAS:
+        raise ValueError(f"unknown metric {metric!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        if metric is Metric.SIR:
-            return f0 / interference
-        if metric is Metric.SID:
-            return q * (f0 - interference)
-        if metric is Metric.SINAR:
-            return q * f0 / (q * interference + math.sqrt(q) * noise_amp)
-        if metric is Metric.MSINAR:
-            return 0.5 * f0 / (0.5 * interference + noise_amp / math.sqrt(2.0 * q))
-        if metric is Metric.MSID:
-            return f0 - interference - math.sqrt(2.0 / q) * noise_amp
-    raise ValueError(f"unknown metric {metric!r}")
+        num, den = _FORMULAS[metric](q, *_tap_sums(mean, var))
+        return num / den

@@ -14,15 +14,16 @@ Gaussian-approximate draws are available behind ``exact_counts=False``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channel import Receiver, SystemParams, TapProfile, shift_taps, window_taps, DetectionWindow
+from .channel import Receiver, SystemParams, TapProfile, window_taps, DetectionWindow
 from .errors import ConfigError
-from .optimizer import Method, OptimizationResult, Scheme, select_window
+from .optimizer import OptimizationResult, Scheme, result_taps, select_window
 from .reception import BerEstimate, BerSource, threshold_from_taps
 
 __all__ = [
@@ -67,6 +68,13 @@ def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
     p = errors / n
     denom = 1.0 + z * z / n
     return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+
+
+def _pool_workers(workers: int, n_chunks: int) -> int:
+    """Worker processes to start: no more than there are chunks or CPUs."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_chunks, os.cpu_count() or 1)
 
 
 def _chunk_errors(
@@ -132,8 +140,9 @@ def simulate_ber_taps(
         (params, taps, threshold, size, warmup, cfg.exact_counts, stream)
         for size, stream in zip(sizes, streams)
     ]
-    if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = _pool_workers(workers, n_chunks)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             errors = sum(pool.map(_chunk_errors_job, jobs))
     else:
         errors = sum(_chunk_errors_job(job) for job in jobs)
@@ -202,11 +211,7 @@ def sweep(
         params_q = replace(params, Q=int(q))
         for scheme in schemes:
             result = select_window(params_q, scheme, dt)
-            if result.method is Method.SHIFT_TAU:
-                assert result.tau is not None
-                taps = shift_taps(params_q, result.tau)
-            else:
-                taps = window_taps(params_q, result.window)
+            taps = result_taps(params_q, result)
             threshold, analytic = threshold_from_taps(params_q, taps)
             row_cfg = replace(trial, seed=int(row_seeds[index]))
             mc = simulate_ber_taps(params_q, taps, threshold, row_cfg, workers)

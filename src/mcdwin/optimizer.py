@@ -14,10 +14,18 @@ L = 1).  The end time solves a cubic in t2/T_s whose discriminant selects
 between a Cardano branch, a quadratic root, or the quadratic vertex; when
 the first-tap ISI at T_s stays below the signal the window simply ends at
 T_s.  In the high-count regime every ISI ratio is inflated by the noise
-factor g(Q) evaluated at Q = g(q_hat) * q_hat.
+factor g(Q) evaluated at Q = g(q_hat) * q_hat, and the ratios are anchored
+on the low-count window; below q_hat the inflation is the identity.
 
-The passive receiver follows the same structure with m -> m_hat =
-(d+r)/sqrt(4D), sample-rate ratios, and ceilinged sample indices.
+Props 1-4 are one solver (``_closed_form``) over a small receiver adapter
+(``_ClosedFormReceiver``).  The adapter supplies what differs between the
+receivers: m^2 (absorbing) or m_hat^2 = (d+r)^2/4D (passive); the ratio sum
+of first-hitting densities or of observation probabilities; the quantizers
+that turn a start time and an end root into window units (seconds as they
+are, or ceil(t/t_s) and ceil(x N) sample indices); and the units the
+anchors are measured in.  Prop 1/2 (absorbing, L = 1 / L > 1) and the
+low-count half of Prop 4 run it with g = 1; Prop 3 and the high-count half
+of Prop 4 run it with g(Q).
 
 Closed-form outputs falling outside [0, T_s] (or [0, N]) are clamped and
 flagged; an empty window after clamping raises DegenerateWindow.
@@ -34,7 +42,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -46,12 +55,14 @@ from .channel import (
     SampledWindow,
     SystemParams,
     TapProfile,
-    _survival,
+    _response_table,
+    _tap_variance,
     derived,
     full_window,
     hitting_density,
     passive_probability,
     shift_taps,
+    window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
 from .reception import ber_floor_from_taps, threshold_from_taps
@@ -74,6 +85,7 @@ __all__ = [
     "shift_tau_search",
     "full_window_result",
     "select_window",
+    "result_taps",
     "default_grid_step",
 ]
 
@@ -174,21 +186,6 @@ def _end_cond_sum(m2: float, T_s: float, L: int) -> float:
     return float(np.sum((1.0 + k) ** -1.5 * np.exp(k / (1.0 + k) * m2 / T_s)))
 
 
-def _ratio_sum_absorbing(params: SystemParams, anchor: float) -> float:
-    """sum_k h(k T_s + anchor) / h(T_s + anchor) for k = 1..L."""
-    k = np.arange(1, params.L + 1, dtype=float)
-    values = hitting_density(params, k * params.T_s + anchor)
-    return float(np.sum(values) / values[0])
-
-
-def _ratio_sum_passive(params: SystemParams, n_anchor: float) -> float:
-    """sum_k p_{n,k} / p_{n,1} at the (possibly fractional) anchor sample."""
-    assert params.t_s is not None
-    k = np.arange(1, params.L + 1, dtype=float)
-    values = passive_probability(params, n_anchor * params.t_s + k * params.T_s)
-    return float(np.sum(values) / values[0])
-
-
 def _cbrt(z: complex) -> complex:
     """Principal cube root; sign-preserving on the real axis."""
     if z.imag == 0.0:
@@ -275,22 +272,142 @@ def _require_receiver(params: SystemParams, kind: Receiver, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _ClosedFormReceiver:
+    """What the closed-form solver varies between the two receivers.
+
+    Windows are in seconds (absorbing) or sample indices (passive): a time
+    t starts a window at ``rounding(t / unit)``, an end root x = t2/T_s
+    ends it at ``rounding(x * span)``, and ``clamp`` fits it to [0, span].
+    ``names`` label the start/end ratio sums and their anchors.
+    """
+
+    m2: float
+    t_max: float
+    density: Callable
+    unit: float
+    span: float
+    rounding: Callable
+    clamp: Callable
+    names: tuple[str, str, str, str]
+
+    def start(self, t: float):
+        return self.rounding(t / self.unit)
+
+    def end(self, fraction: float):
+        return self.rounding(fraction * self.span)
+
+    def ratio_sum(self, params: SystemParams, anchor: float) -> float:
+        """sum_k density(k T_s + t) / density(T_s + t), k = 1..L, t the anchor time."""
+        k = np.arange(1, params.L + 1, dtype=float)
+        values = self.density(params, k * params.T_s + anchor * self.unit)
+        return float(np.sum(values) / values[0])
+
+
+def _closed_form_receiver(params: SystemParams) -> _ClosedFormReceiver:
+    consts = derived(params)
+    if params.receiver is Receiver.ABSORBING:
+        return _ClosedFormReceiver(
+            consts.m**2, consts.t_max, hitting_density, 1.0, params.T_s, lambda t: t,
+            _clamp_continuous, ("i_ratio", "v_ratio", "t1_anchor", "t2_anchor"),
+        )
+    assert params.N is not None and params.t_s is not None
+    return _ClosedFormReceiver(
+        consts.m_hat**2, consts.t_max, passive_probability, params.t_s, params.N, math.ceil,
+        _clamp_sampled, ("w_ratio", "a_ratio", "n1_anchor", "n2_anchor"),
+    )
+
+
+def _closed_form(
+    params: SystemParams,
+    method: Method,
+    below: DetectionWindow | None = None,
+    q_hat: int | None = None,
+) -> OptimizationResult:
+    """The one closed-form solver: the Pade start root, then T_s or the end cubic.
+
+    Low-count regime (``below`` None): g = 1, and the ISI ratios are
+    anchored at the unit-ratio start and midway between t_max and T_s.
+    High-count regime: the ratios are anchored on the low-count window
+    ``below`` and inflated by g evaluated at Q = g(q_hat) * q_hat.
+    """
+    rx = _closed_form_receiver(params)
+    start_name, end_name, start_anchor_name, end_anchor_name = rx.names
+    if below is None:
+        regime, g, q_eff = Regime.BELOW_QHAT, 1.0, params.Q
+        start_anchor = float(rx.start(_start_time(rx.m2, params.T_s, 0.0)))
+    else:
+        assert q_hat is not None
+        regime, q_eff = Regime.ABOVE_QHAT, q_hat
+        g = metrics.g_factor(params, metrics.g_factor(params, float(q_hat)) * q_hat)
+        first, last = astuple(below)
+        start_anchor = float(first)
+    found: dict = {}
+    ratio = 1.0
+    if params.L > 1:
+        ratio = rx.ratio_sum(params, start_anchor)
+        found = {start_name: ratio, start_anchor_name: start_anchor}
+    elif below is not None:
+        found = {start_anchor_name: start_anchor}
+    start = rx.start(_start_time(rx.m2, params.T_s, math.log(ratio * g)))
+
+    if params.L == 1 or g * _end_cond_sum(rx.m2, params.T_s, params.L) <= 1.0:
+        window, clamped = rx.clamp(start, rx.end(1.0), rx.span)
+        inter = ClosedFormIntermediates(regime, Branch.COND_TS, **found)
+    else:
+        if below is None:
+            end_anchor = float(rx.start(0.5 * (rx.t_max + params.T_s)))
+        else:
+            end_anchor = 0.5 * (last * rx.unit + rx.t_max) / rx.unit
+        end_ratio = rx.ratio_sum(params, end_anchor)
+        sol = _solve_end_fraction(rx.m2, params.T_s, math.log(end_ratio * g))
+        window, clamped = rx.clamp(start, rx.end(sol.fraction), rx.span)
+        inter = ClosedFormIntermediates(
+            regime,
+            sol.branch,
+            gamma=sol.gamma,
+            delta1=sol.delta1,
+            delta2=sol.delta2,
+            s1=sol.s1,
+            s2=sol.s2,
+            **found,
+            **{end_name: end_ratio, end_anchor_name: end_anchor},
+        )
+    return OptimizationResult(
+        window=window,
+        method=method,
+        intermediates=inter,
+        objective_value=_msinar_objective(params, window, q_eff),
+        clamped=clamped,
+    )
+
+
+def _low_count(params: SystemParams) -> OptimizationResult:
+    if params.receiver is Receiver.PASSIVE:
+        return _closed_form(params, Method.PROP4)
+    return _closed_form(params, Method.PROP1 if params.L == 1 else Method.PROP2)
+
+
+def _regime_dispatch(params: SystemParams, q_hat: int | None) -> OptimizationResult:
+    """Low-count window unless Q reaches q_hat (computed there when None)."""
+    below = _low_count(params)
+    if q_hat is None:
+        try:
+            q_hat = metrics.q_hat(params, below.window)
+        except NoFiniteQhat:
+            return below
+    if params.Q < q_hat:
+        return below
+    above = Method.PROP4 if params.receiver is Receiver.PASSIVE else Method.PROP3
+    return _closed_form(params, above, below.window, q_hat)
+
+
 def prop1_interval(params: SystemParams) -> OptimizationResult:
     """Low-count closed form for the absorbing receiver with L = 1."""
     _require_receiver(params, Receiver.ABSORBING, "prop1_interval")
     if params.L != 1:
         raise ValueError("prop1_interval needs L = 1")
-    consts = derived(params)
-    t1 = _start_time(consts.m**2, params.T_s, 0.0)
-    window, clamped = _clamp_continuous(t1, params.T_s, params.T_s)
-    inter = ClosedFormIntermediates(regime=Regime.BELOW_QHAT, branch=Branch.COND_TS)
-    return OptimizationResult(
-        window=window,
-        method=Method.PROP1,
-        intermediates=inter,
-        objective_value=_msinar_objective(params, window, params.Q),
-        clamped=clamped,
-    )
+    return _low_count(params)
 
 
 def prop2_interval(params: SystemParams) -> OptimizationResult:
@@ -298,45 +415,7 @@ def prop2_interval(params: SystemParams) -> OptimizationResult:
     _require_receiver(params, Receiver.ABSORBING, "prop2_interval")
     if params.L <= 1:
         raise ValueError("prop2_interval needs L > 1")
-    consts = derived(params)
-    m2 = consts.m**2
-    t1_anchor = _start_time(m2, params.T_s, 0.0)
-    i_ratio = _ratio_sum_absorbing(params, t1_anchor)
-    t1 = _start_time(m2, params.T_s, math.log(i_ratio))
-
-    if _end_cond_sum(m2, params.T_s, params.L) <= 1.0:
-        window, clamped = _clamp_continuous(t1, params.T_s, params.T_s)
-        inter = ClosedFormIntermediates(
-            regime=Regime.BELOW_QHAT,
-            branch=Branch.COND_TS,
-            i_ratio=i_ratio,
-            t1_anchor=t1_anchor,
-        )
-    else:
-        t2_anchor = 0.5 * (consts.t_max + params.T_s)
-        v_ratio = _ratio_sum_absorbing(params, t2_anchor)
-        sol = _solve_end_fraction(m2, params.T_s, math.log(v_ratio))
-        window, clamped = _clamp_continuous(t1, sol.fraction * params.T_s, params.T_s)
-        inter = ClosedFormIntermediates(
-            regime=Regime.BELOW_QHAT,
-            branch=sol.branch,
-            i_ratio=i_ratio,
-            v_ratio=v_ratio,
-            gamma=sol.gamma,
-            delta1=sol.delta1,
-            delta2=sol.delta2,
-            s1=sol.s1,
-            s2=sol.s2,
-            t1_anchor=t1_anchor,
-            t2_anchor=t2_anchor,
-        )
-    return OptimizationResult(
-        window=window,
-        method=Method.PROP2,
-        intermediates=inter,
-        objective_value=_msinar_objective(params, window, params.Q),
-        clamped=clamped,
-    )
+    return _low_count(params)
 
 
 def prop3_interval(params: SystemParams, q_hat: int | None = None) -> OptimizationResult:
@@ -349,7 +428,7 @@ def prop3_interval(params: SystemParams, q_hat: int | None = None) -> Optimizati
     _require_receiver(params, Receiver.ABSORBING, "prop3_interval")
     if params.L < 1:
         raise ValueError("prop3_interval needs L >= 1")
-    below = prop1_interval(params) if params.L == 1 else prop2_interval(params)
+    below = _low_count(params)
     if q_hat is None:
         q_hat = metrics.q_hat(params, below.window)
     if params.Q < q_hat:
@@ -357,101 +436,7 @@ def prop3_interval(params: SystemParams, q_hat: int | None = None) -> Optimizati
             f"prop3_interval needs Q >= q_hat ({params.Q} < {q_hat}); "
             "use prop1/prop2 in the low-count regime"
         )
-    g1 = metrics.g_factor(params, float(q_hat))
-    g = metrics.g_factor(params, g1 * q_hat)
-    consts = derived(params)
-    m2 = consts.m**2
-    assert isinstance(below.window, ContinuousWindow)
-
-    if params.L == 1:
-        t1 = _start_time(m2, params.T_s, math.log(g))
-        window, clamped = _clamp_continuous(t1, params.T_s, params.T_s)
-        inter = ClosedFormIntermediates(
-            regime=Regime.ABOVE_QHAT,
-            branch=Branch.COND_TS,
-            t1_anchor=below.window.t1,
-        )
-    else:
-        t1_anchor = below.window.t1
-        t2_anchor = 0.5 * (below.window.t2 + consts.t_max)
-        i_ratio = _ratio_sum_absorbing(params, t1_anchor)
-        t1 = _start_time(m2, params.T_s, math.log(i_ratio * g))
-        if g * _end_cond_sum(m2, params.T_s, params.L) <= 1.0:
-            window, clamped = _clamp_continuous(t1, params.T_s, params.T_s)
-            inter = ClosedFormIntermediates(
-                regime=Regime.ABOVE_QHAT,
-                branch=Branch.COND_TS,
-                i_ratio=i_ratio,
-                t1_anchor=t1_anchor,
-            )
-        else:
-            v_ratio = _ratio_sum_absorbing(params, t2_anchor)
-            sol = _solve_end_fraction(m2, params.T_s, math.log(v_ratio * g))
-            window, clamped = _clamp_continuous(t1, sol.fraction * params.T_s, params.T_s)
-            inter = ClosedFormIntermediates(
-                regime=Regime.ABOVE_QHAT,
-                branch=sol.branch,
-                i_ratio=i_ratio,
-                v_ratio=v_ratio,
-                gamma=sol.gamma,
-                delta1=sol.delta1,
-                delta2=sol.delta2,
-                s1=sol.s1,
-                s2=sol.s2,
-                t1_anchor=t1_anchor,
-                t2_anchor=t2_anchor,
-            )
-    return OptimizationResult(
-        window=window,
-        method=Method.PROP3,
-        intermediates=inter,
-        objective_value=_msinar_objective(params, window, q_hat),
-        clamped=clamped,
-    )
-
-
-def _prop4_below(params: SystemParams) -> tuple[SampledWindow, ClosedFormIntermediates, bool]:
-    assert params.N is not None and params.t_s is not None
-    consts = derived(params)
-    m2 = consts.m_hat**2
-    n1_anchor = math.ceil(_start_time(m2, params.T_s, 0.0) / params.t_s)
-
-    if params.L == 1:
-        window, clamped = _clamp_sampled(n1_anchor, params.N, params.N)
-        inter = ClosedFormIntermediates(regime=Regime.BELOW_QHAT, branch=Branch.COND_TS)
-        return window, inter, clamped
-
-    w_ratio = _ratio_sum_passive(params, float(n1_anchor))
-    n1 = math.ceil(_start_time(m2, params.T_s, math.log(w_ratio)) / params.t_s)
-    if _end_cond_sum(m2, params.T_s, params.L) <= 1.0:
-        window, clamped = _clamp_sampled(n1, params.N, params.N)
-        inter = ClosedFormIntermediates(
-            regime=Regime.BELOW_QHAT,
-            branch=Branch.COND_TS,
-            w_ratio=w_ratio,
-            n1_anchor=float(n1_anchor),
-        )
-        return window, inter, clamped
-
-    n2_anchor = math.ceil((consts.t_max + params.T_s) / (2.0 * params.t_s))
-    a_ratio = _ratio_sum_passive(params, float(n2_anchor))
-    sol = _solve_end_fraction(m2, params.T_s, math.log(a_ratio))
-    n2 = math.ceil(sol.fraction * params.N)
-    window, clamped = _clamp_sampled(n1, n2, params.N)
-    inter = ClosedFormIntermediates(
-        regime=Regime.BELOW_QHAT,
-        branch=sol.branch,
-        w_ratio=w_ratio,
-        a_ratio=a_ratio,
-        gamma=sol.gamma,
-        delta1=sol.delta1,
-        delta2=sol.delta2,
-        s1=sol.s1,
-        s2=sol.s2,
-        n1_anchor=float(n1_anchor),
-        n2_anchor=float(n2_anchor),
-    )
-    return window, inter, clamped
+    return _closed_form(params, Method.PROP3, below.window, q_hat)
 
 
 def prop4_interval(params: SystemParams, q_hat: int | None = None) -> OptimizationResult:
@@ -459,73 +444,7 @@ def prop4_interval(params: SystemParams, q_hat: int | None = None) -> Optimizati
     _require_receiver(params, Receiver.PASSIVE, "prop4_interval")
     if params.L < 1:
         raise ValueError("prop4_interval needs L >= 1")
-    assert params.N is not None and params.t_s is not None
-    below_window, below_inter, below_clamped = _prop4_below(params)
-    if q_hat is None:
-        try:
-            q_hat = metrics.q_hat(params, below_window)
-        except NoFiniteQhat:
-            q_hat = None
-    if q_hat is None or params.Q < q_hat:
-        return OptimizationResult(
-            window=below_window,
-            method=Method.PROP4,
-            intermediates=below_inter,
-            objective_value=_msinar_objective(params, below_window, params.Q),
-            clamped=below_clamped,
-        )
-
-    g1 = metrics.g_factor(params, float(q_hat))
-    g = metrics.g_factor(params, g1 * q_hat)
-    consts = derived(params)
-    m2 = consts.m_hat**2
-
-    if params.L == 1:
-        n1 = math.ceil(_start_time(m2, params.T_s, math.log(g)) / params.t_s)
-        window, clamped = _clamp_sampled(n1, params.N, params.N)
-        inter = ClosedFormIntermediates(
-            regime=Regime.ABOVE_QHAT,
-            branch=Branch.COND_TS,
-            n1_anchor=float(below_window.n1),
-        )
-    else:
-        n1_anchor = float(below_window.n1)
-        n2_anchor = (below_window.n2 * params.t_s + consts.t_max) / (2.0 * params.t_s)
-        w_ratio = _ratio_sum_passive(params, n1_anchor)
-        n1 = math.ceil(_start_time(m2, params.T_s, math.log(w_ratio * g)) / params.t_s)
-        if g * _end_cond_sum(m2, params.T_s, params.L) <= 1.0:
-            window, clamped = _clamp_sampled(n1, params.N, params.N)
-            inter = ClosedFormIntermediates(
-                regime=Regime.ABOVE_QHAT,
-                branch=Branch.COND_TS,
-                w_ratio=w_ratio,
-                n1_anchor=n1_anchor,
-            )
-        else:
-            a_ratio = _ratio_sum_passive(params, n2_anchor)
-            sol = _solve_end_fraction(m2, params.T_s, math.log(a_ratio * g))
-            n2 = math.ceil(sol.fraction * params.N)
-            window, clamped = _clamp_sampled(n1, n2, params.N)
-            inter = ClosedFormIntermediates(
-                regime=Regime.ABOVE_QHAT,
-                branch=sol.branch,
-                w_ratio=w_ratio,
-                a_ratio=a_ratio,
-                gamma=sol.gamma,
-                delta1=sol.delta1,
-                delta2=sol.delta2,
-                s1=sol.s1,
-                s2=sol.s2,
-                n1_anchor=n1_anchor,
-                n2_anchor=n2_anchor,
-            )
-    return OptimizationResult(
-        window=window,
-        method=Method.PROP4,
-        intermediates=inter,
-        objective_value=_msinar_objective(params, window, q_hat),
-        clamped=clamped,
-    )
+    return _regime_dispatch(params, q_hat)
 
 
 def regime_q_hat(params: SystemParams) -> int | None:
@@ -537,12 +456,7 @@ def regime_q_hat(params: SystemParams) -> int | None:
     if params.L < 1:
         return None
     try:
-        if params.receiver is Receiver.ABSORBING:
-            below = prop1_interval(params) if params.L == 1 else prop2_interval(params)
-            window = below.window
-        else:
-            window, _, _ = _prop4_below(params)
-        return metrics.q_hat(params, window)
+        return metrics.q_hat(params, _low_count(params).window)
     except DomainError:
         return None
 
@@ -551,16 +465,7 @@ def closed_form_interval(params: SystemParams) -> OptimizationResult:
     """Regime-dispatched closed form (Prop 1/2/3 absorbing, Prop 4 passive)."""
     if params.L < 1:
         raise ValueError("closed forms need L >= 1")
-    if params.receiver is Receiver.PASSIVE:
-        return prop4_interval(params)
-    below = prop1_interval(params) if params.L == 1 else prop2_interval(params)
-    try:
-        qh = metrics.q_hat(params, below.window)
-    except NoFiniteQhat:
-        return below
-    if params.Q < qh:
-        return below
-    return prop3_interval(params, q_hat=qh)
+    return _regime_dispatch(params, None)
 
 
 # ---------------------------------------------------------------------------
@@ -574,29 +479,34 @@ def _continuous_grid(params: SystemParams, dt: float):
         raise DegenerateWindow(f"grid step {dt} leaves no window inside T_s={params.T_s}")
     edges = np.linspace(0.0, params.T_s, steps + 1)
     i1, i2 = np.triu_indices(steps + 1, k=1)
-    surv = np.stack(
-        [_survival(params, edges + k * params.T_s) for k in range(params.L + 1)]
-    )
+    surv = _response_table(params, edges, range(params.L + 1))
     mean = surv[:, i1] - surv[:, i2]
-    var = mean * (1.0 - mean)
-    return edges, i1, i2, mean, var
+    return edges, i1, i2, mean, _tap_variance(params, mean)
 
 
 def _sampled_grid(params: SystemParams):
     assert params.N is not None and params.t_s is not None
-    n = np.arange(0, params.N + 1, dtype=float)
-    rates = np.stack(
-        [
-            passive_probability(params, n * params.t_s + k * params.T_s)
-            for k in range(params.L + 1)
-        ]
-    )
+    rates = _response_table(params, np.arange(0, params.N + 1, dtype=float), range(params.L + 1))
     prefix = np.concatenate(
         [np.zeros((params.L + 1, 1)), np.cumsum(rates, axis=1)], axis=1
     )
     n1, n2 = np.triu_indices(params.N + 1, k=0)
     mean = prefix[:, n2 + 1] - prefix[:, n1]
-    return n1, n2, mean, mean.copy()
+    return n1, n2, mean, _tap_variance(params, mean)
+
+
+def _window_grid(params: SystemParams, dt: float | None):
+    """Candidate windows of the grid searches: (edges or None, i1, i2, mean, var)."""
+    if params.receiver is Receiver.ABSORBING:
+        return _continuous_grid(params, default_grid_step(params) if dt is None else dt)
+    return (None, *_sampled_grid(params))
+
+
+def _grid_window(edges: np.ndarray | None, i1: np.ndarray, i2: np.ndarray, w: int) -> DetectionWindow:
+    """Grid window w: sample indices when there are no edges, else edge times."""
+    if edges is None:
+        return SampledWindow(int(i1[w]), int(i2[w]))
+    return ContinuousWindow(float(edges[i1[w]]), float(edges[i2[w]]))
 
 
 def _argbest(values: np.ndarray, i1: np.ndarray, i2: np.ndarray, maximize: bool) -> int:
@@ -625,16 +535,9 @@ def numeric_metric_search(
         if params.Q < 1:
             raise ValueError("metric search needs Q >= 1")
         if metric is metrics.Metric.MSINAR:
-            qh = regime_q_hat(params)
-            if qh is not None:
-                q_eff = min(params.Q, qh)
+            q_eff = _msinar_q(params)
 
-    if params.receiver is Receiver.ABSORBING:
-        step = default_grid_step(params) if dt is None else dt
-        edges, i1, i2, mean, var = _continuous_grid(params, step)
-    else:
-        i1, i2, mean, var = _sampled_grid(params)
-
+    edges, i1, i2, mean, var = _window_grid(params, dt)
     values = metric_values_masked(metric, float(q_eff), mean, var)
     idx = _argbest(values, i1, i2, maximize=True)
 
@@ -642,20 +545,14 @@ def numeric_metric_search(
     # signal at every candidate window); fall back to a one-step window at
     # the response peak so downstream BER evaluation stays well-defined
     if metric in (metrics.Metric.SID, metrics.Metric.MSID) and values[idx] <= 0.0:
-        window = _peak_fallback_window(params, edges if params.receiver is Receiver.ABSORBING else None)
         return OptimizationResult(
-            window=window,
+            window=_peak_fallback_window(params, edges),
             method=Method.NUMERIC_METRIC,
             objective_value=float(values[idx]),
             degenerate=True,
         )
-
-    if params.receiver is Receiver.ABSORBING:
-        window: DetectionWindow = ContinuousWindow(float(edges[i1[idx]]), float(edges[i2[idx]]))
-    else:
-        window = SampledWindow(int(i1[idx]), int(i2[idx]))
     return OptimizationResult(
-        window=window,
+        window=_grid_window(edges, i1, i2, idx),
         method=Method.NUMERIC_METRIC,
         objective_value=float(values[idx]),
     )
@@ -679,12 +576,16 @@ def metric_values_masked(
     return np.where(np.isnan(values), -np.inf, values)
 
 
+def _msinar_q(params: SystemParams) -> int:
+    """The count mSINAR is evaluated at: Q, capped at the regime q_hat."""
+    qh = regime_q_hat(params)
+    return params.Q if qh is None else min(params.Q, qh)
+
+
 def _msinar_seed_index(params: SystemParams, mean: np.ndarray, var: np.ndarray) -> int | None:
     if params.L < 1 or params.Q < 1:
         return None
-    qh = regime_q_hat(params)
-    q_eff = min(params.Q, qh) if qh is not None else params.Q
-    values = metric_values_masked(metrics.Metric.MSINAR, float(q_eff), mean, var)
+    values = metric_values_masked(metrics.Metric.MSINAR, float(_msinar_q(params)), mean, var)
     if not np.isfinite(values).any():
         return None
     return int(np.argmax(values))
@@ -700,12 +601,7 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
         raise EnumerationTooLarge(
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
-    if params.receiver is Receiver.ABSORBING:
-        step = default_grid_step(params) if dt is None else dt
-        edges, i1, i2, mean, var = _continuous_grid(params, step)
-    else:
-        i1, i2, mean, var = _sampled_grid(params)
-
+    edges, i1, i2, mean, var = _window_grid(params, dt)
     lags = tuple(range(params.L + 1))
     best_pe = math.inf
     best_idx = -1
@@ -739,14 +635,10 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
             consider(w)
     if best_idx < 0:
         raise DegenerateWindow("no candidate window")
-    if params.receiver is Receiver.ABSORBING:
-        window: DetectionWindow = ContinuousWindow(
-            float(edges[i1[best_idx]]), float(edges[i2[best_idx]])
-        )
-    else:
-        window = SampledWindow(int(i1[best_idx]), int(i2[best_idx]))
     return OptimizationResult(
-        window=window, method=Method.EXHAUSTIVE_BER, objective_value=best_pe
+        window=_grid_window(edges, i1, i2, best_idx),
+        method=Method.EXHAUSTIVE_BER,
+        objective_value=best_pe,
     )
 
 
@@ -786,6 +678,14 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
         objective_value=best_pe,
         tau=best_tau,
     )
+
+
+def result_taps(params: SystemParams, result: OptimizationResult) -> TapProfile:
+    """The taps a selected window is scored on (shifted taps for shift-tau)."""
+    if result.method is Method.SHIFT_TAU:
+        assert result.tau is not None
+        return shift_taps(params, result.tau)
+    return window_taps(params, result.window)
 
 
 def full_window_result(params: SystemParams) -> OptimizationResult:

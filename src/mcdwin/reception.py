@@ -67,9 +67,17 @@ class BerEstimate:
     trials: int | None = None
 
 
+def _gaussian_tail(z: np.ndarray) -> np.ndarray:
+    """Q(z) = P(N(0,1) > z), computed in place in the float array ``z``."""
+    z /= math.sqrt(2.0)
+    erfc(z, out=z)
+    z *= 0.5
+    return z
+
+
 def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return _gaussian_tail(np.array(x, dtype=float))[()]
 
 
 def _validate_isi(isi: IsiSequence, L: int) -> tuple[int, ...]:
@@ -139,11 +147,14 @@ def _hypothesis_stats(
     return mu0, var0, mu1, var1
 
 
-def _tail_prob(xi: float, mu: float, sd: float) -> float:
-    """P(count > xi) for one Gaussian component, indicator when sd = 0."""
-    if sd == 0.0:
-        return 1.0 if xi < mu else 0.0
-    return float(q_function((xi - mu) / sd))
+def _upper_tail(x, mu, sd):
+    """P(count > x) for Gaussian counts N(mu, sd^2), broadcast over arrays.
+
+    Where sd = 0 the tail is its indicator limit 1{x < mu}.
+    """
+    spread = sd != 0.0
+    z = (x - mu) / np.where(spread, sd, 1.0)
+    return np.where(spread, _gaussian_tail(z), (x < mu).astype(float))
 
 
 def ber_from_stats(
@@ -163,13 +174,9 @@ def ber_from_stats(
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
     sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
-    n = mu0.size
-    terms = []
-    for s in range(n):
-        p_err0 = _tail_prob(threshold, mu0[s], sigma0[s])
-        p_err1 = 1.0 - _tail_prob(threshold, mu1[s], sigma1[s])
-        terms.append(0.5 * (p_err0 + p_err1))
-    return math.fsum(terms) / n
+    p_err0 = _upper_tail(threshold, mu0, sigma0)
+    p_err1 = 1.0 - _upper_tail(threshold, mu1, sigma1)
+    return math.fsum(0.5 * (p_err0 + p_err1)) / mu0.size
 
 
 def ber_from_taps(params: SystemParams, taps: TapProfile, threshold: float) -> BerEstimate:
@@ -186,10 +193,6 @@ def analytic_ber(params: SystemParams, window: DetectionWindow, threshold: float
 
     Enumerates all 2^L ISI sequences; refuses L > 24.
     """
-    if params.L > MAX_ENUMERATION_L:
-        raise EnumerationTooLarge(
-            f"L={params.L} exceeds the exact-enumeration cap ({MAX_ENUMERATION_L})"
-        )
     return ber_from_taps(params, window_taps(params, window), threshold)
 
 
@@ -214,16 +217,8 @@ def _pe_curve(
     out = np.empty(xis.size)
     for start in range(0, xis.size, _CURVE_CHUNK):
         x = xis[start : start + _CURVE_CHUNK, None]
-        err0 = np.where(
-            sd0 > 0.0,
-            0.5 * erfc((x - mu0) / np.where(sd0 > 0.0, sd0, 1.0) / math.sqrt(2.0)),
-            (x < mu0).astype(float),
-        )
-        err1 = np.where(
-            sd1 > 0.0,
-            0.5 * erfc((x - mu1) / np.where(sd1 > 0.0, sd1, 1.0) / math.sqrt(2.0)),
-            (x < mu1).astype(float),
-        )
+        err0 = _upper_tail(x, mu0, sd0)
+        err1 = _upper_tail(x, mu1, sd1)
         out[start : start + x.shape[0]] = (
             0.5 * (err0.sum(axis=1) + n - err1.sum(axis=1)) / n
         )
@@ -250,7 +245,7 @@ def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
         spread = sd0[order0] + sd1[order1]
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(spread > 0.0, gap / spread, np.where(gap > 0.0, np.inf, 0.0))
-        return float(np.mean(0.5 * 0.5 * erfc(d / math.sqrt(2.0))))
+        return float(np.mean(0.5 * _gaussian_tail(d)))
 
     identity = np.arange(mu0.size)
     same = matched(identity, identity)
@@ -280,8 +275,4 @@ def threshold_from_taps(params: SystemParams, taps: TapProfile) -> tuple[int, Be
 
 def optimal_threshold(params: SystemParams, window: DetectionWindow) -> tuple[int, BerEstimate]:
     """BER-minimizing integer threshold for a window (exhaustive scan)."""
-    if params.L > MAX_ENUMERATION_L:
-        raise EnumerationTooLarge(
-            f"L={params.L} exceeds the exact-enumeration cap ({MAX_ENUMERATION_L})"
-        )
     return threshold_from_taps(params, window_taps(params, window))

@@ -291,6 +291,26 @@ class TestSimulateAndSweep:
         assert main(["sweep", "-c", ab_cfg_file, "-o", str(out)]) == 0
 
 
+class TestInputValidation:
+    def test_zero_trials_rejected(self, ab_cfg_file, capsys):
+        assert main(["optimize", "-c", ab_cfg_file, "-s", "trial.trials=0"]) == 2
+        assert "trials" in capsys.readouterr().err
+
+    def test_absent_trials_uses_default(self):
+        config = parse_config(AB_CONFIG.replace("trial.trials = 5000\n", ""))
+        assert config.trial.trials == 100_000
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_workers_below_one_rejected(self, ab_cfg_file, tmp_path, monkeypatch, value):
+        out = str(tmp_path / "sweep.csv")
+        sweep_args = ["sweep", "-c", ab_cfg_file, "-o", out]
+        assert main(sweep_args + ["--workers", value]) == 2
+        assert main(sweep_args + ["-s", f"workers={value}"]) == 2
+        monkeypatch.setenv("MCDWIN_WORKERS", value)
+        assert main(sweep_args) == 2
+        assert main(["reproduce", "conv-pa", "-o", str(tmp_path), "--workers", value]) == 2
+
+
 class TestReproduce:
     def test_conv_schema(self, tmp_path):
         out = tmp_path / "rep"

@@ -24,7 +24,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin.metrics import metric_values_from_taps
-from mcdwin.optimizer import numeric_metric_search, prop2_interval
+from mcdwin.optimizer import _continuous_grid, numeric_metric_search, prop2_interval
 from conftest import absorbing_params, assert_rel
 
 WINDOW = ContinuousWindow(0.03, 0.2)
@@ -240,3 +240,23 @@ def test_metric_report_handles_no_qhat():
     report = metric_report(p, ContinuousWindow(0.0, 0.01))
     assert report.q_hat is None
     assert report.sid < 0
+
+
+class TestSinglePath:
+    """Scalar taps and metrics agree exactly with the window-grid tables."""
+
+    @pytest.mark.parametrize("L", [1, 4, 9])
+    def test_grid_column_equals_window_taps_and_scalar_metrics(self, L):
+        params = absorbing_params(T_s=0.2, L=L, Q=700)
+        edges, i1, i2, mean, var = _continuous_grid(params, params.T_s / 16)
+        scalar = {
+            Metric.SIR: sir, Metric.SID: sid, Metric.SINAR: sinar, Metric.MSINAR: msinar, Metric.MSID: msid
+        }
+        for w in range(0, i1.size, 7):
+            window = ContinuousWindow(float(edges[i1[w]]), float(edges[i2[w]]))
+            taps = window_taps(params, window)
+            assert np.array_equal(taps.mean, mean[:, w])
+            assert np.array_equal(taps.var, var[:, w])
+            for metric, fn in scalar.items():
+                column = metric_values_from_taps(metric, float(params.Q), mean[:, [w]], var[:, [w]])
+                assert fn(params, window) == column[0]

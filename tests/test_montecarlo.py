@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from mcdwin import (
@@ -9,7 +11,7 @@ from mcdwin import (
     simulate_ber,
     sweep,
 )
-from mcdwin.montecarlo import wilson_halfwidth
+from mcdwin.montecarlo import _pool_workers, wilson_halfwidth
 from mcdwin.reception import BerSource
 from conftest import absorbing_params
 
@@ -23,6 +25,20 @@ class TestTrialConfig:
         cfg = TrialConfig(trials=100, seed=1, warmup_symbols=2)
         with pytest.raises(ConfigError):
             simulate_ber(table1_absorbing, full_window(table1_absorbing), 10.0, cfg)
+
+
+class TestPoolWorkers:
+    def test_clamped_to_chunks_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        # only the returned count is checked; no pool is started
+        assert _pool_workers(10**6, 3) == min(3, cpus)
+        assert _pool_workers(10**6, 10**6) == cpus
+        assert _pool_workers(1, 50) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one(self, workers):
+        with pytest.raises(ConfigError):
+            _pool_workers(workers, 4)
 
 
 class TestWilson:

@@ -505,6 +505,73 @@ class TestBranchFuzz:
         assert 0 <= res.window.n1 <= res.window.n2 <= N
 
 
+# One case per reachable closed-form cell: receiver x regime x (L = 1, L > 1)
+# x end branch.  Windows recorded from the four separate Prop 1-4 bodies the
+# single solver replaced.  Rows with a q_hat call prop3/prop4 with it (the
+# high-count cubic and quadratic-vertex branches need a supplied q_hat);
+# the others go through closed_form_interval.
+# (receiver, d, r, D, T_s, L, Q, q_hat, method, regime, branch, window)
+CLOSED_FORM_PINS = [
+    ("ab", 7.86e-06, 1.71e-05, 3.05e-12, 8.08, 2, 1229854, None, "prop3", "above-qhat", "cond-ts", (2.551445084686609, 8.08)),
+    ("ab", 1.14e-05, 6.35e-06, 7.27e-10, 0.0895, 20, 1000000, 28, "prop3", "above-qhat", "cubic-neg-disc", (0.03549059103414998, 0.04191865822415382)),
+    ("ab", 5.62e-06, 9.9e-06, 2.9e-11, 0.479, 8, 1000000, 240845, "prop3", "above-qhat", "quad-neg-disc", (0.14897330392006658, 0.27573632141119875)),
+    ("ab", 1.9e-05, 6.92e-06, 2.71e-12, 110.0, 5, 41549945, None, "prop3", "above-qhat", "quad-pos-disc", (13.24822944630491, 92.52237749179827)),
+    ("ab", 1.75e-05, 1.3e-05, 1.97e-11, 451.0, 1, 216156, None, "prop3", "above-qhat", "cond-ts", (1.1514320765154187, 451.0)),
+    ("ab", 1.97e-05, 1.05e-06, 2.59e-12, 72.5, 2, 84, None, "prop2", "below-qhat", "cond-ts", (14.842620660391285, 72.5)),
+    ("ab", 9.22e-06, 6.19e-06, 3.85e-10, 0.0869, 30, 26, None, "prop2", "below-qhat", "cubic-neg-disc", (0.03883366654437312, 0.04266506690485037)),
+    ("ab", 1.93e-05, 1.53e-05, 1.9e-12, 73.4, 8, 5, None, "prop2", "below-qhat", "quad-neg-disc", (31.41851750636504, 36.770532294212686)),
+    ("ab", 1.13e-05, 1.57e-05, 7.74e-10, 0.357, 20, 7, None, "prop2", "below-qhat", "quad-pos-disc", (0.013117194934332103, 0.357)),
+    ("ab", 1.66e-05, 1.81e-06, 4.59e-10, 1.55, 1, 4, None, "prop1", "below-qhat", "cond-ts", (0.037244267101034005, 1.55)),
+    ("pa", 2.5e-05, 2.06e-06, 1.01e-12, 333.0, 2, 137036, None, "prop4", "above-qhat", "cond-ts", (5, 16)),
+    ("pa", 2.74e-05, 7.69e-07, 1.89e-12, 311.0, 12, 1000000, 28868, "prop4", "above-qhat", "cubic-neg-disc", (5, 9)),
+    ("pa", 6.96e-05, 2.03e-06, 2.06e-11, 290.0, 20, 1000000, 243090, "prop4", "above-qhat", "quad-neg-disc", (4, 12)),
+    ("pa", 1.3e-05, 1.87e-06, 1.69e-11, 59.2, 8, 4713136, None, "prop4", "above-qhat", "quad-pos-disc", (4, 91)),
+    ("pa", 1.44e-05, 2.02e-06, 8.95e-11, 2.45, 1, 1012213, None, "prop4", "above-qhat", "cond-ts", (4, 29)),
+    ("pa", 1.78e-05, 1.79e-06, 8.12e-10, 1.07, 5, 34, None, "prop4", "below-qhat", "cond-ts", (3, 81)),
+    ("pa", 2.102e-05, 2.374e-06, 3.191e-12, 75.03, 30, 3, None, "prop4", "below-qhat", "cubic-neg-disc", (6, 6)),
+    ("pa", 3.64e-05, 1.16e-06, 4.08e-12, 128.0, 8, 2534, None, "prop4", "below-qhat", "quad-neg-disc", (6, 7)),
+    ("pa", 2.11e-05, 7.65e-07, 1.83e-11, 16.3, 5, 209, None, "prop4", "below-qhat", "quad-pos-disc", (4, 22)),
+    ("pa", 7.91e-05, 2.3e-06, 8.65e-11, 28.5, 1, 2, None, "prop4", "below-qhat", "cond-ts", (4, 13)),
+]
+
+
+def _pin_params(kind, d, r, diffusion, T_s, L, Q):
+    if kind == "ab":
+        return SystemParams(d=d, r=r, D=diffusion, T_s=T_s, L=L, Q=Q, receiver=Receiver.ABSORBING)
+    t_s = (d + r) ** 2 / (6 * diffusion) / 6
+    return SystemParams(
+        d=d, r=r, D=diffusion, T_s=T_s, L=L, Q=Q,
+        receiver=Receiver.PASSIVE, N=int(T_s / t_s), t_s=t_s,
+    )
+
+
+class TestClosedFormPins:
+    def test_every_cell_is_pinned(self):
+        cells = {(row[0], row[9], row[5] == 1, row[10]) for row in CLOSED_FORM_PINS}
+        assert len(cells) == len(CLOSED_FORM_PINS) == 2 * (2 + 2 * len(Branch))
+
+    @pytest.mark.parametrize(
+        "row", CLOSED_FORM_PINS, ids=[f"{r[0]}-{r[9]}-{r[10]}-L{r[5]}" for r in CLOSED_FORM_PINS]
+    )
+    def test_window_branch_and_regime(self, row):
+        kind, d, r, diffusion, T_s, L, Q, qh, method, regime, branch, window = row
+        params = _pin_params(kind, d, r, diffusion, T_s, L, Q)
+        if qh is None:
+            res = closed_form_interval(params)
+        elif kind == "ab":
+            res = prop3_interval(params, q_hat=qh)
+        else:
+            res = prop4_interval(params, q_hat=qh)
+        assert res.method.value == method
+        assert res.intermediates.regime.value == regime
+        assert res.intermediates.branch.value == branch
+        if kind == "ab":
+            assert res.window.t1 == pytest.approx(window[0], rel=1e-12)
+            assert res.window.t2 == pytest.approx(window[1], rel=1e-12)
+        else:
+            assert (res.window.n1, res.window.n2) == window
+
+
 class TestNumericMetricSearch:
     def test_sid_window_is_q_independent(self):
         p_small = absorbing_params(T_s=0.2, L=4, Q=10)
