@@ -65,7 +65,7 @@ from .channel import (
     window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
-from .reception import ber_floor_from_taps, threshold_from_taps
+from .reception import ber_floors, threshold_from_taps
 
 __all__ = [
     "Regime",
@@ -603,14 +603,15 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
         )
     edges, i1, i2, mean, var = _window_grid(params, dt)
     lags = tuple(range(params.L + 1))
+    floors = ber_floors(float(params.Q), mean, var)
     best_pe = math.inf
     best_idx = -1
 
     def consider(w: int) -> None:
         nonlocal best_pe, best_idx
-        taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
-        if best_idx >= 0 and ber_floor_from_taps(params, taps) > best_pe:
+        if best_idx >= 0 and floors[w] > best_pe:
             return
+        taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
         _, estimate = threshold_from_taps(params, taps)
         pe = estimate.value
         better = pe < best_pe or (

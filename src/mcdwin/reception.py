@@ -7,8 +7,10 @@ passive receiver observes Poisson(Q * rate) at its samples.  Bits are
 equiprobable; the error probability averages the two hypotheses over all
 2^L ISI sequences.
 
+Both error terms are Gaussian tails evaluated directly, never as one minus
+the other tail, so BERs far below 1e-16 keep their relative accuracy.
 Degenerate zero-variance branches use the indicator limit of the Gaussian
-tail: P(count > xi) -> 1{xi < mu}.
+tail: P(count > xi) -> 1{xi < mu} and P(count <= xi) -> 1{xi >= mu}.
 """
 from __future__ import annotations
 
@@ -113,6 +115,14 @@ def count_stats(params: SystemParams, window: DetectionWindow, isi: IsiSequence)
 # ---------------------------------------------------------------------------
 
 
+def _check_enumeration(k: int) -> None:
+    if k > MAX_ENUMERATION_L:
+        raise EnumerationTooLarge(
+            f"2^{k} ISI sequences exceed the exact-enumeration cap "
+            f"(L <= {MAX_ENUMERATION_L}); use Monte Carlo"
+        )
+
+
 def _interference_sums(q: float, taps: TapProfile) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of the interference count for every on/off pattern.
 
@@ -120,12 +130,7 @@ def _interference_sums(q: float, taps: TapProfile) -> tuple[np.ndarray, np.ndarr
     (every tap except lag 0).  Element order follows the fixed tap order, so
     repeated calls are bit-identical.
     """
-    k = len(taps.lags) - 1
-    if k > MAX_ENUMERATION_L:
-        raise EnumerationTooLarge(
-            f"2^{k} ISI sequences exceed the exact-enumeration cap "
-            f"(L <= {MAX_ENUMERATION_L}); use Monte Carlo"
-        )
+    _check_enumeration(len(taps.lags) - 1)
     mu = np.zeros(1)
     var = np.zeros(1)
     sig = taps.signal_index
@@ -157,6 +162,16 @@ def _upper_tail(x, mu, sd):
     return np.where(spread, _gaussian_tail(z), (x < mu).astype(float))
 
 
+def _lower_tail(x, mu, sd):
+    """P(count <= x) = Q((mu - x) / sd), broadcast like ``_upper_tail``.
+
+    Where sd = 0 the tail is its indicator limit 1{x >= mu}.
+    """
+    spread = sd != 0.0
+    z = (mu - x) / np.where(spread, sd, 1.0)
+    return np.where(spread, _gaussian_tail(z), (x >= mu).astype(float))
+
+
 def ber_from_stats(
     mu0: np.ndarray,
     sigma0: np.ndarray,
@@ -166,16 +181,18 @@ def ber_from_stats(
 ) -> float:
     """Equal-prior error probability for explicit per-sequence statistics.
 
-    Averages P(miss "0") and P(miss "1") over the supplied sequences.  The
-    per-term sum is compensated (math.fsum), so the result does not depend
-    on the enumeration order.
+    Averages P(miss "0") = P(count > threshold) and P(miss "1") =
+    P(count <= threshold) over the supplied sequences.  Each is its own
+    Gaussian tail, so a BER far below 1e-16 keeps its relative accuracy.
+    The per-term sum is compensated (math.fsum), so the result does not
+    depend on the enumeration order.
     """
     mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
     sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
     p_err0 = _upper_tail(threshold, mu0, sigma0)
-    p_err1 = 1.0 - _upper_tail(threshold, mu1, sigma1)
+    p_err1 = _lower_tail(threshold, mu1, sigma1)
     return math.fsum(0.5 * (p_err0 + p_err1)) / mu0.size
 
 
@@ -201,6 +218,33 @@ def analytic_ber(params: SystemParams, window: DetectionWindow, threshold: float
 # ---------------------------------------------------------------------------
 
 _CURVE_CHUNK = 4096
+# threshold ranges shorter than this are scanned in full
+_PLAIN_SCAN = 64
+# relative slack on the block bounds, against erfc rounding breaking monotonicity
+_BOUND_SLACK = 1e-9
+# windows x sequences elements per block of the batched floor
+_FLOOR_BLOCK = 1 << 14
+
+
+def _tail_sums(
+    xis: np.ndarray,
+    mu0: np.ndarray,
+    sd0: np.ndarray,
+    mu1: np.ndarray,
+    sd1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per threshold, the "0" and "1" error tails summed over all sequences.
+
+    The first sum falls and the second rises with the threshold.
+    """
+    s0 = np.empty(xis.size)
+    s1 = np.empty(xis.size)
+    for start in range(0, xis.size, _CURVE_CHUNK):
+        x = xis[start : start + _CURVE_CHUNK, None]
+        stop = start + x.shape[0]
+        s0[start:stop] = _upper_tail(x, mu0, sd0).sum(axis=1)
+        s1[start:stop] = _lower_tail(x, mu1, sd1).sum(axis=1)
+    return s0, s1
 
 
 def _pe_curve(
@@ -211,18 +255,90 @@ def _pe_curve(
     var1: np.ndarray,
 ) -> np.ndarray:
     """P_e at each candidate threshold (vectorized, fixed summation order)."""
+    s0, s1 = _tail_sums(xis, mu0, np.sqrt(var0), mu1, np.sqrt(var1))
+    return 0.5 * (s0 + s1) / mu0.size
+
+
+def _best_threshold(
+    hi: int, mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray
+) -> int:
+    """Smallest minimizer over the integers 0..hi of the ``_pe_curve`` values.
+
+    Exactly np.argmin of the full curve, at a cost of O(sqrt(hi)) thresholds
+    near a sharp minimum: the curve is evaluated at ~sqrt(hi) edges, and
+    between edges e < e' every threshold has P_e >= (S0(e') + S1(e)) / (2n),
+    since S0 falls and S1 rises.  Only blocks whose bound does not exceed
+    the best edge value (plus a rounding slack) are scanned in full.
+    """
+    n = mu0.size
+
+    def curve(xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s0, s1 = _tail_sums(xis.astype(float), mu0, sd0, mu1, sd1)
+        return 0.5 * (s0 + s1) / n, s0, s1
+
+    if hi < _PLAIN_SCAN:
+        return int(np.argmin(curve(np.arange(hi + 1))[0]))
+    edges = np.append(np.arange(0, hi, math.isqrt(hi)), hi)
+    edge_pe, s0, s1 = curve(edges)
+    values = np.full(hi + 1, np.inf)
+    values[edges] = edge_pe
+    bound = 0.5 * (s0[1:] + s1[:-1]) / n
+    wanted = bound <= edge_pe.min() * (1.0 + _BOUND_SLACK)
+    inner = np.repeat(wanted, np.diff(edges))  # per threshold 0..hi-1
+    inner[edges[:-1]] = False
+    xis = np.flatnonzero(inner)
+    values[xis] = curve(xis)[0]
+    return int(np.argmin(values))  # first occurrence = smallest threshold
+
+
+def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """``ber_floor_from_taps`` of every column of an (L+1, W) tap table.
+
+    Row 0 is the signal tap, the other rows the interference taps in
+    enumeration order.  The sequences and sort orders are built as for a
+    single profile, so each value is bit-identical to the scalar floor.
+    Windows go in blocks of at most _FLOOR_BLOCK windows x sequences.
+    """
+    k = mean.shape[0] - 1
+    _check_enumeration(k)
+    step = max(1, _FLOOR_BLOCK >> k)
+    out = np.empty(mean.shape[1])
+    for start in range(0, mean.shape[1], step):
+        cols = slice(start, start + step)
+        out[cols] = _floor_block(q, mean[:, cols], var[:, cols])
+    return out
+
+
+def _floor_block(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    # (windows, sequences) arrays, so each window's mean is a contiguous row
+    # sum in the same pairwise order as a one-window call
+    mu0 = np.zeros((mean.shape[1], 1))
+    var0 = np.zeros((mean.shape[1], 1))
+    for j in range(1, mean.shape[0]):
+        mu0 = np.concatenate([mu0, mu0 + q * mean[j, :, None]], axis=1)
+        var0 = np.concatenate([var0, var0 + q * var[j, :, None]], axis=1)
+    mu1 = mu0 + q * mean[0, :, None]
+    var1 = var0 + q * var[0, :, None]
     sd0 = np.sqrt(var0)
     sd1 = np.sqrt(var1)
-    n = mu0.size
-    out = np.empty(xis.size)
-    for start in range(0, xis.size, _CURVE_CHUNK):
-        x = xis[start : start + _CURVE_CHUNK, None]
-        err0 = _upper_tail(x, mu0, sd0)
-        err1 = _upper_tail(x, mu1, sd1)
-        out[start : start + x.shape[0]] = (
-            0.5 * (err0.sum(axis=1) + n - err1.sum(axis=1)) / n
-        )
-    return out
+
+    def matched(m0: np.ndarray, s0: np.ndarray, m1: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        gap = m1 - m0
+        spread = s0 + s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(spread > 0.0, gap / spread, np.where(gap > 0.0, np.inf, 0.0))
+        return np.mean(0.5 * _gaussian_tail(d), axis=1)
+
+    same = matched(mu0, sd0, mu1, sd1)
+    # pairing the heaviest-ISI zeros against the cleanest ones exposes the
+    # shared-threshold conflict much earlier
+    order0 = np.argsort(-mu0, axis=1, kind="stable")
+    order1 = np.argsort(mu1, axis=1, kind="stable")
+    take = np.take_along_axis
+    crossed = matched(
+        take(mu0, order0, 1), take(sd0, order0, 1), take(mu1, order1, 1), take(sd1, order1, 1)
+    )
+    return np.maximum(same, crossed)
 
 
 def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
@@ -234,45 +350,36 @@ def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
       - for the worst cross pair (heaviest-ISI "0" vs cleanest "1"), the
         shared threshold leaves Q((mu1_min - mu0_max) / (sd0 + sd1)) spread
         over one of its two terms.
-    Lets window searches skip provably worse candidates.
+    Lets window searches skip provably worse candidates.  A one-column call
+    of ``ber_floors``.
     """
-    mu0, var0, mu1, var1 = _hypothesis_stats(float(params.Q), taps)
-    sd0 = np.sqrt(var0)
-    sd1 = np.sqrt(var1)
-
-    def matched(order0: np.ndarray, order1: np.ndarray) -> float:
-        gap = mu1[order1] - mu0[order0]
-        spread = sd0[order0] + sd1[order1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(spread > 0.0, gap / spread, np.where(gap > 0.0, np.inf, 0.0))
-        return float(np.mean(0.5 * _gaussian_tail(d)))
-
-    identity = np.arange(mu0.size)
-    same = matched(identity, identity)
-    # pairing the heaviest-ISI zeros against the cleanest ones exposes the
-    # shared-threshold conflict much earlier
-    crossed = matched(np.argsort(-mu0, kind="stable"), np.argsort(mu1, kind="stable"))
-    return max(same, crossed)
+    sig = taps.signal_index
+    order = [sig] + [j for j in range(len(taps.lags)) if j != sig]
+    mean = np.asarray(taps.mean, dtype=float)[order, None]
+    var = np.asarray(taps.var, dtype=float)[order, None]
+    return float(ber_floors(float(params.Q), mean, var)[0])
 
 
 def threshold_from_taps(params: SystemParams, taps: TapProfile) -> tuple[int, BerEstimate]:
-    """Exhaustive integer-threshold scan for an arbitrary tap profile.
+    """BER-minimizing integer threshold for an arbitrary tap profile.
 
-    Scans xi in [0, ceil(mu1_max) + 6*sigma_max] and returns the smallest
-    minimizing threshold with its (exactly re-summed) BER.
+    The range is xi in [0, ceil(mu1_max) + 6*sigma_max]; a block-bounded
+    scan (``_best_threshold``) returns exactly the smallest minimizer of the
+    full-range ``_pe_curve`` without evaluating every integer.  The BER is
+    re-summed exactly (``ber_from_stats``) at that threshold.
     """
     q = float(params.Q)
     mu0, var0, mu1, var1 = _hypothesis_stats(q, taps)
+    sd0 = np.sqrt(var0)
+    sd1 = np.sqrt(var1)
     sigma_max = math.sqrt(max(var0.max(), var1.max()))
     hi = int(math.ceil(mu1.max()) + math.ceil(6.0 * sigma_max))
-    xis = np.arange(0, hi + 1, dtype=float)
-    curve = _pe_curve(xis, mu0, var0, mu1, var1)
-    best = int(np.argmin(curve))  # first occurrence = smallest threshold
-    value = ber_from_stats(mu0, np.sqrt(var0), mu1, np.sqrt(var1), float(best))
+    best = _best_threshold(hi, mu0, sd0, mu1, sd1)
+    value = ber_from_stats(mu0, sd0, mu1, sd1, float(best))
     estimate = BerEstimate(value=value, threshold=float(best), source=BerSource.ANALYTICAL)
     return best, estimate
 
 
 def optimal_threshold(params: SystemParams, window: DetectionWindow) -> tuple[int, BerEstimate]:
-    """BER-minimizing integer threshold for a window (exhaustive scan)."""
+    """BER-minimizing integer threshold for a window (see ``threshold_from_taps``)."""
     return threshold_from_taps(params, window_taps(params, window))

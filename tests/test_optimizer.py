@@ -693,6 +693,16 @@ class TestExhaustiveBerSearch:
         with pytest.raises(EnumerationTooLarge):
             exhaustive_ber_search(absorbing_params(L=13))
 
+    def test_high_q_window_converges(self):
+        # at Q = 1e5 the BERs lie far below 1e-16; the window must stay the
+        # Q = 1e4 one instead of being picked on rounding noise
+        dt = 0.2 / 80
+        low = exhaustive_ber_search(absorbing_params(L=4, Q=10_000), dt=dt)
+        high = exhaustive_ber_search(absorbing_params(L=4, Q=100_000), dt=dt)
+        assert low.window == ContinuousWindow(0.03, 0.1575)
+        assert high.window == low.window
+        assert high.objective_value < 1e-100
+
 
 class TestShiftTau:
     def test_never_worse_than_zero_shift(self, table1_absorbing):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,16 @@ from mcdwin import (
     threshold_from_taps,
     window_taps,
 )
-from mcdwin.reception import BerSource, _pe_curve, ber_floor_from_taps, q_function
+from mcdwin import reception
+from mcdwin.optimizer import _continuous_grid, _sampled_grid
+from mcdwin.reception import (
+    BerSource,
+    _hypothesis_stats,
+    _pe_curve,
+    ber_floor_from_taps,
+    ber_floors,
+    q_function,
+)
 from conftest import absorbing_params, passive_params
 
 
@@ -256,11 +266,135 @@ class TestBerFloor:
         _, est = threshold_from_taps(params, taps)
         assert floor <= est.value + 1e-12
 
+    @pytest.mark.parametrize("L", [0, 1, 4, 10])
+    @pytest.mark.parametrize("receiver", ["absorbing", "passive"])
+    def test_batched_floor_is_bit_identical(self, receiver, L):
+        if receiver == "absorbing":
+            params = absorbing_params(L=L, Q=2000)
+            mean, var = _continuous_grid(params, 0.2 / 40)[3:]
+        else:
+            params = passive_params(L=L, Q=2000)
+            mean, var = _sampled_grid(params)[2:]
+        floors = ber_floors(float(params.Q), mean, var)
+        lags = tuple(range(L + 1))
+        for w in range(mean.shape[1]):
+            taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
+            assert floors[w] == ber_floor_from_taps(params, taps)
+
     def test_floor_passive(self, table1_passive):
         taps = window_taps(table1_passive, SampledWindow(0, table1_passive.N))
         floor = ber_floor_from_taps(table1_passive, taps)
         _, est = threshold_from_taps(table1_passive, taps)
         assert floor <= est.value + 1e-12
+
+
+def _scan_range(q: float, taps: TapProfile):
+    mu0, var0, mu1, var1 = _hypothesis_stats(q, taps)
+    hi = math.ceil(mu1.max()) + math.ceil(6 * math.sqrt(max(var0.max(), var1.max())))
+    return hi, mu0, var0, mu1, var1
+
+
+def _full_scan(params, taps: TapProfile) -> tuple[int, float]:
+    """Reference: argmin of the curve at every integer of the scan range."""
+    hi, mu0, var0, mu1, var1 = _scan_range(float(params.Q), taps)
+    xi = int(np.argmin(_pe_curve(np.arange(0, hi + 1), mu0, var0, mu1, var1)))
+    return xi, ber_from_stats(mu0, np.sqrt(var0), mu1, np.sqrt(var1), float(xi))
+
+
+DEEP_TAIL_WINDOW = ContinuousWindow(0.03, 0.16)
+
+
+class TestDeepTail:
+    """Q = 1e5: the optimum lies far below 1e-16, where 1 - tail is noise."""
+
+    @staticmethod
+    def _mp_ber(mu0, var0, mu1, var1, xi: int):
+        x = mpmath.mpf(xi)
+        total = mpmath.mpf(0)
+
+        def twice_tail(gap, var, limit: bool):
+            # 2 Q(gap / sd), or twice its indicator limit where sd = 0
+            if var == 0.0:
+                return 2 * int(limit)
+            return mpmath.erfc(gap / mpmath.sqrt(2 * mpmath.mpf(var)))
+
+        for m0, v0, m1, v1 in zip(mu0, var0, mu1, var1):
+            # both tails directly, in 50-digit arithmetic
+            total += twice_tail(x - mpmath.mpf(m0), v0, xi < m0)
+            total += twice_tail(mpmath.mpf(m1) - x, v1, xi >= m1)
+        return total / (4 * len(mu0))
+
+    @pytest.mark.parametrize("L, expected_xi", [(4, 12486), (8, 13862)])
+    def test_matches_mpmath_oracle(self, L, expected_xi):
+        params = absorbing_params(L=L, Q=100_000)
+        xi, est = optimal_threshold(params, DEEP_TAIL_WINDOW)
+        assert xi == expected_xi
+        taps = window_taps(params, DEEP_TAIL_WINDOW)
+        stats = _hypothesis_stats(float(params.Q), taps)
+        with mpmath.workdps(50):
+            exact = self._mp_ber(*stats, xi)
+            assert est.value == pytest.approx(float(exact), rel=1e-12)
+            assert exact < self._mp_ber(*stats, xi - 1)
+            assert exact < self._mp_ber(*stats, xi + 1)
+        if L == 4:
+            assert est.value == pytest.approx(1.157e-113, rel=1e-3)
+
+    def test_scan_width_is_far_below_the_range(self, monkeypatch):
+        # count the thresholds the scan evaluates (work, not time)
+        params = absorbing_params(L=4, Q=100_000)
+        taps = window_taps(params, DEEP_TAIL_WINDOW)
+        evaluated = []
+        tail_sums = reception._tail_sums
+
+        def counting(xis, *args):
+            evaluated.append(xis.size)
+            return tail_sums(xis, *args)
+
+        monkeypatch.setattr(reception, "_tail_sums", counting)
+        xi, est = threshold_from_taps(params, taps)
+        monkeypatch.undo()
+        hi = _scan_range(float(params.Q), taps)[0]
+        assert sum(evaluated) <= 0.1 * (hi + 1)
+        assert (xi, est.value) == _full_scan(params, taps)
+
+
+@st.composite
+def _tap_profiles(draw):
+    """Absorbing or passive window taps, some taps zeroed or made noiseless.
+
+    The profile comes from a drawn seed, so Q spreads log-uniformly over
+    [1, 1e5] (plus Q = 0) and windows over the whole symbol.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = int(rng.integers(0, 9))
+    Q = 0 if rng.random() < 0.1 else round(10.0 ** rng.uniform(0.0, 5.0))
+    if rng.random() < 0.5:
+        params = absorbing_params(L=L, Q=Q)
+        lo = rng.uniform(0.0, 0.19)
+        window = ContinuousWindow(lo, rng.uniform(lo + 0.005, 0.2))
+    else:
+        params = passive_params(L=L, Q=Q)
+        n1, n2 = sorted(int(n) for n in rng.integers(0, params.N + 1, size=2))
+        window = SampledWindow(n1, n2)
+    taps = window_taps(params, window)
+    mean = taps.mean.copy()
+    var = taps.var.copy()
+    modes = rng.choice(["keep", "zero", "noiseless"], size=L + 1, p=[0.6, 0.2, 0.2])
+    for j, mode in enumerate(modes):
+        if mode != "keep":
+            var[j] = 0.0
+        if mode == "zero":
+            mean[j] = 0.0
+    return params, TapProfile(lags=taps.lags, mean=mean, var=var)
+
+
+class TestBoundedScan:
+    @given(case=_tap_profiles())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_full_range_scan(self, case):
+        params, taps = case
+        xi, est = threshold_from_taps(params, taps)
+        assert (xi, est.value) == _full_scan(params, taps)
 
 
 def test_q_function_basics():
