@@ -70,14 +70,14 @@ class SystemParams:
     t_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.d <= 0 or self.r <= 0 or self.D <= 0 or self.T_s <= 0:
-            raise ValueError("d, r, D and T_s must all be positive")
-        if self.L < 0:
-            raise ValueError("ISI length L must be >= 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.d, self.r, self.D, self.T_s)):
+            raise ValueError("d, r, D and T_s must all be finite and positive")
+        if not (math.isfinite(self.L) and self.L >= 0):
+            raise ValueError("ISI length L must be finite and >= 0")
         # Q = 0 is accepted so that no-signal edge cases (coin-flip BER) stay
         # representable; every released-molecule count must be integral.
-        if self.Q < 0:
-            raise ValueError("molecule count Q must be >= 0")
+        if not (math.isfinite(self.Q) and self.Q >= 0):
+            raise ValueError("molecule count Q must be finite and >= 0")
         if self.receiver is Receiver.PASSIVE:
             ratio = self.r / (self.r + self.d)
             if ratio >= PASSIVE_RATIO_LIMIT:
@@ -87,10 +87,10 @@ class SystemParams:
                 )
             if self.N is None or self.t_s is None:
                 raise ValueError("passive receiver requires N and t_s")
-            if self.N < 1:
-                raise ValueError("samples per symbol N must be >= 1")
-            if self.t_s <= 0:
-                raise ValueError("sampling interval t_s must be positive")
+            if not (math.isfinite(self.N) and self.N >= 1):
+                raise ValueError("samples per symbol N must be finite and >= 1")
+            if not (math.isfinite(self.t_s) and self.t_s > 0):
+                raise ValueError("sampling interval t_s must be finite and positive")
             if self.N * self.t_s > self.T_s * (1 + 1e-12):
                 raise ValueError("sampling must fit the symbol: N*t_s <= T_s")
         else:

@@ -164,9 +164,12 @@ def _get_float(entries: dict[str, str], key: str) -> float | None:
     if key not in entries or entries[key] == "":
         return None
     try:
-        return float(entries[key])
+        value = float(entries[key])
     except ValueError as exc:
         raise ConfigError(f"key {key}: not a number: {entries[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key}: must be a finite number, got {entries[key]!r}")
+    return value
 
 
 def _get_int(entries: dict[str, str], key: str, default: int | None = None) -> int | None:
@@ -267,7 +270,7 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
         tokens = entries["sweep.q_values"].replace(",", " ").split()
         try:
             q_values = tuple(int(float(tok)) for tok in tokens)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep.q_values: bad value in {entries['sweep.q_values']!r}") from exc
 
     schemes = _DEFAULT_SCHEMES
@@ -294,6 +297,10 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
         warmup_symbols=_get_int(entries, "trial.warmup_symbols"),
     )
 
+    search_dt = _get_float(entries, "search.dt")
+    if search_dt is not None and not 0.0 < search_dt <= t_sym:
+        raise ConfigError(f"search.dt must be in (0, T_s = {t_sym}], got {entries['search.dt']!r}")
+
     output_format = entries.get("output.format", "csv")
     if output_format != "csv":
         raise ConfigError(f"output.format: only csv is supported, got {output_format!r}")
@@ -304,7 +311,7 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
         schemes=schemes,
         trial=trial,
         method=method,
-        search_dt=_get_float(entries, "search.dt"),
+        search_dt=search_dt,
         workers=_positive_workers(_get_int(entries, "workers"), "workers"),
         output_path=entries.get("output.path"),
         output_format=output_format,
@@ -437,7 +444,7 @@ def cmd_metrics(args) -> int:
     if out is None:
         raise ConfigError("metrics needs an output path (-o or output.path)")
 
-    edges, i1, i2, mean, var = opt._window_grid(params, config.search_dt or None)
+    edges, i1, i2, mean, var = opt._window_grid(params, config.search_dt)
     columns = {
         metric: metrics_mod.metric_values_from_taps(metric, float(params.Q), mean, var)
         for metric in metrics_mod.Metric

@@ -65,7 +65,7 @@ from .channel import (
     window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
-from .reception import ber_floors, threshold_from_taps
+from .reception import _BOUND_SLACK, ber_floors, threshold_from_taps
 
 __all__ = [
     "Regime",
@@ -595,7 +595,11 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
     """Grid argmin of the threshold-optimized analytical BER.
 
     This is the reference the closed forms and metric windows are judged
-    against; cost grows as (T_s/dt)^2 * 2^L, so L is capped at 12.
+    against; cost grows as (T_s/dt)^2 * 2^L, so L is capped at 12.  A
+    branch-and-bound against the incumbent BER: a window is skipped when
+    its BER floor exceeds the incumbent, or when its threshold scan, given
+    the incumbent as ``beat``, proves it cannot reach it.  Both tests
+    allow a rounding slack, so a tie still reaches the tie-break.
     """
     if params.L > MAX_BER_SEARCH_L:
         raise EnumerationTooLarge(
@@ -609,11 +613,13 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
 
     def consider(w: int) -> None:
         nonlocal best_pe, best_idx
-        if best_idx >= 0 and floors[w] > best_pe:
+        if floors[w] > best_pe * (1.0 + _BOUND_SLACK):
             return
         taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
-        _, estimate = threshold_from_taps(params, taps)
-        pe = estimate.value
+        found = threshold_from_taps(params, taps, beat=best_pe)
+        if found is None:
+            return
+        pe = found[1].value
         better = pe < best_pe or (
             best_idx >= 0
             and pe == best_pe
@@ -647,7 +653,8 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     """Best full-length window delayed by tau in [0, t_max] (BER argmin).
 
     The delayed window overhangs into the next symbol; that symbol's leakage
-    is counted as interference alongside the L past taps.
+    is counted as interference alongside the L past taps.  Each scan gets
+    the incumbent BER as ``beat``; ties keep the first tau.
     """
     consts = derived(params)
     if params.receiver is Receiver.ABSORBING:
@@ -662,10 +669,9 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     best_pe = math.inf
     best_tau = 0.0
     for tau in taus:
-        taps = shift_taps(params, float(tau))
-        _, estimate = threshold_from_taps(params, taps)
-        if estimate.value < best_pe:
-            best_pe = estimate.value
+        found = threshold_from_taps(params, shift_taps(params, float(tau)), beat=best_pe)
+        if found is not None and found[1].value < best_pe:
+            best_pe = found[1].value
             best_tau = float(tau)
     if params.receiver is Receiver.ABSORBING:
         window: DetectionWindow = ContinuousWindow(best_tau, best_tau + params.T_s)

@@ -123,33 +123,37 @@ def _check_enumeration(k: int) -> None:
         )
 
 
-def _interference_sums(q: float, taps: TapProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of the interference count for every on/off pattern.
+def _sequence_stats(q: float, mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Count mean/variance under "0" and "1" for every ISI pattern.
 
-    Returns arrays of length 2^K where K is the number of interference taps
-    (every tap except lag 0).  Element order follows the fixed tap order, so
-    repeated calls are bit-identical.
+    ``mean`` and ``var`` are tap tables of shape (K+1,) or (K+1, W): row 0
+    the signal tap, the K other rows the interference taps in enumeration
+    order.  Returns mu0, var0, mu1, var1 with the 2^K patterns on the last
+    axis, built, and later summed, the same way for one window as for W,
+    so batched results are bit-identical to one-profile ones.  Pattern k's
+    complement is 2^K-1-k.
     """
-    _check_enumeration(len(taps.lags) - 1)
-    mu = np.zeros(1)
-    var = np.zeros(1)
-    sig = taps.signal_index
-    for j in range(len(taps.lags)):
-        if j == sig:
-            continue
-        mu = np.concatenate([mu, mu + q * taps.mean[j]])
-        var = np.concatenate([var, var + q * taps.var[j]])
-    return mu, var
+    _check_enumeration(mean.shape[0] - 1)
+    q_mean = q * mean[..., None]
+    q_var = q * var[..., None]
+    mu0 = np.zeros(q_mean.shape[1:])
+    var0 = np.zeros(q_mean.shape[1:])
+    for j in range(1, mean.shape[0]):
+        mu0 = np.concatenate((mu0, mu0 + q_mean[j]), axis=-1)
+        var0 = np.concatenate((var0, var0 + q_var[j]), axis=-1)
+    return mu0, var0, mu0 + q_mean[0], var0 + q_var[0]
 
 
-def _hypothesis_stats(
-    q: float, taps: TapProfile
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    mu0, var0 = _interference_sums(q, taps)
+def _tap_table(taps: TapProfile) -> tuple[np.ndarray, np.ndarray]:
+    """One profile as a (K+1,) tap table for ``_sequence_stats``."""
     sig = taps.signal_index
-    mu1 = mu0 + q * taps.mean[sig]
-    var1 = var0 + q * taps.var[sig]
-    return mu0, var0, mu1, var1
+    order = [sig] + [j for j in range(len(taps.lags)) if j != sig]
+    return tuple(np.asarray(a, dtype=float)[order] for a in (taps.mean, taps.var))
+
+
+def _hypothesis_stats(q: float, taps: TapProfile) -> tuple[np.ndarray, ...]:
+    """mu0, var0, mu1, var1 over every ISI sequence of one profile."""
+    return _sequence_stats(q, *_tap_table(taps))
 
 
 def _upper_tail(x, mu, sd):
@@ -157,6 +161,8 @@ def _upper_tail(x, mu, sd):
 
     Where sd = 0 the tail is its indicator limit 1{x < mu}.
     """
+    if sd.all():
+        return _gaussian_tail((x - mu) / sd)
     spread = sd != 0.0
     z = (x - mu) / np.where(spread, sd, 1.0)
     return np.where(spread, _gaussian_tail(z), (x < mu).astype(float))
@@ -167,17 +173,15 @@ def _lower_tail(x, mu, sd):
 
     Where sd = 0 the tail is its indicator limit 1{x >= mu}.
     """
+    if sd.all():
+        return _gaussian_tail((mu - x) / sd)
     spread = sd != 0.0
     z = (mu - x) / np.where(spread, sd, 1.0)
     return np.where(spread, _gaussian_tail(z), (x >= mu).astype(float))
 
 
 def ber_from_stats(
-    mu0: np.ndarray,
-    sigma0: np.ndarray,
-    mu1: np.ndarray,
-    sigma1: np.ndarray,
-    threshold: float,
+    mu0: np.ndarray, sigma0: np.ndarray, mu1: np.ndarray, sigma1: np.ndarray, threshold: float
 ) -> float:
     """Equal-prior error probability for explicit per-sequence statistics.
 
@@ -187,10 +191,8 @@ def ber_from_stats(
     The per-term sum is compensated (math.fsum), so the result does not
     depend on the enumeration order.
     """
-    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
-    sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
+    arrays = (np.asarray(a, dtype=float) for a in (mu0, sigma0, mu1, sigma1))
+    mu0, sigma0, mu1, sigma1 = np.atleast_1d(*arrays)
     p_err0 = _upper_tail(threshold, mu0, sigma0)
     p_err1 = _lower_tail(threshold, mu1, sigma1)
     return math.fsum(0.5 * (p_err0 + p_err1)) / mu0.size
@@ -218,20 +220,16 @@ def analytic_ber(params: SystemParams, window: DetectionWindow, threshold: float
 # ---------------------------------------------------------------------------
 
 _CURVE_CHUNK = 4096
-# threshold ranges shorter than this are scanned in full
-_PLAIN_SCAN = 64
 # relative slack on the block bounds, against erfc rounding breaking monotonicity
 _BOUND_SLACK = 1e-9
+# threshold gaps at most this wide are filled, wider ones bisected
+_FILL_WIDTH = 8
 # windows x sequences elements per block of the batched floor
 _FLOOR_BLOCK = 1 << 14
 
 
 def _tail_sums(
-    xis: np.ndarray,
-    mu0: np.ndarray,
-    sd0: np.ndarray,
-    mu1: np.ndarray,
-    sd1: np.ndarray,
+    xis: np.ndarray, mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per threshold, the "0" and "1" error tails summed over all sequences.
 
@@ -248,11 +246,7 @@ def _tail_sums(
 
 
 def _pe_curve(
-    xis: np.ndarray,
-    mu0: np.ndarray,
-    var0: np.ndarray,
-    mu1: np.ndarray,
-    var1: np.ndarray,
+    xis: np.ndarray, mu0: np.ndarray, var0: np.ndarray, mu1: np.ndarray, var1: np.ndarray
 ) -> np.ndarray:
     """P_e at each candidate threshold (vectorized, fixed summation order)."""
     s0, s1 = _tail_sums(xis, mu0, np.sqrt(var0), mu1, np.sqrt(var1))
@@ -260,48 +254,61 @@ def _pe_curve(
 
 
 def _best_threshold(
-    hi: int, mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray
-) -> int:
+    hi: int, mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray, beat: float
+) -> int | None:
     """Smallest minimizer over the integers 0..hi of the ``_pe_curve`` values.
 
-    Exactly np.argmin of the full curve, at a cost of O(sqrt(hi)) thresholds
-    near a sharp minimum: the curve is evaluated at ~sqrt(hi) edges, and
-    between edges e < e' every threshold has P_e >= (S0(e') + S1(e)) / (2n),
-    since S0 falls and S1 rises.  Only blocks whose bound does not exceed
-    the best edge value (plus a rounding slack) are scanned in full.
+    Between evaluated thresholds e < e' every threshold has
+    P_e >= (S0(e') + S1(e)) / (2n), since S0 falls and S1 rises.  The scan
+    evaluates 0, hi and a ladder g, g +- 1, 2, 4, ... around the balance
+    point g of the heaviest-ISI "0" and the cleanest "1" (the last and first
+    sequences), then bisects (or, when at most _FILL_WIDTH wide, fills) only
+    the gaps whose bound does not exceed min(best value, beat) plus a
+    rounding slack.  So the result is exactly np.argmin of the full curve,
+    or None when every value exceeds beat (plus the slack); a window that
+    cannot win costs O(log hi) thresholds.
     """
     n = mu0.size
-
-    def curve(xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s0, s1 = _tail_sums(xis.astype(float), mu0, sd0, mu1, sd1)
-        return 0.5 * (s0 + s1) / n, s0, s1
-
-    if hi < _PLAIN_SCAN:
-        return int(np.argmin(curve(np.arange(hi + 1))[0]))
-    edges = np.append(np.arange(0, hi, math.isqrt(hi)), hi)
-    edge_pe, s0, s1 = curve(edges)
-    values = np.full(hi + 1, np.inf)
-    values[edges] = edge_pe
-    bound = 0.5 * (s0[1:] + s1[:-1]) / n
-    wanted = bound <= edge_pe.min() * (1.0 + _BOUND_SLACK)
-    inner = np.repeat(wanted, np.diff(edges))  # per threshold 0..hi-1
-    inner[edges[:-1]] = False
-    xis = np.flatnonzero(inner)
-    values[xis] = curve(xis)[0]
-    return int(np.argmin(values))  # first occurrence = smallest threshold
+    limit = beat * (1.0 + _BOUND_SLACK)
+    m0, m1, spread0, spread1 = float(mu0[-1]), float(mu1[0]), float(sd0[-1]), float(sd1[0])
+    g = (spread1 * m0 + spread0 * m1) / (spread0 + spread1) if spread0 + spread1 > 0.0 else m0
+    g = min(max(math.floor(g), 0), hi)
+    steps = [1 << k for k in range(hi.bit_length())]
+    ladder = {0, g, hi, *(max(g - d, 0) for d in steps), *(min(g + d, hi) for d in steps)}
+    xs = np.array(sorted(ladder))
+    s0, s1 = _tail_sums(xs.astype(float), mu0, sd0, mu1, sd1)
+    fill = np.arange(1, _FILL_WIDTH + 1)
+    while True:
+        pe = 0.5 * (s0 + s1) / n
+        best = pe.min()
+        width = np.diff(xs) - 1  # unevaluated thresholds per gap
+        bound = 0.5 * (s0[1:] + s1[:-1]) / n
+        gaps = (width > 0) & (bound <= min(best, limit) * (1.0 + _BOUND_SLACK))
+        if best == 0.0:  # nothing is below 0, and ties go to the smaller threshold
+            gaps &= xs[:-1] < xs[np.argmin(pe)]
+        if not gaps.any():
+            break
+        left, width = xs[:-1][gaps], width[gaps]
+        wide = width > _FILL_WIDTH
+        fills = (left[~wide, None] + fill)[fill <= width[~wide, None]]
+        new = np.concatenate((left[wide] + (width[wide] + 1) // 2, fills))
+        t0, t1 = _tail_sums(new.astype(float), mu0, sd0, mu1, sd1)
+        order = np.argsort(np.concatenate((xs, new)), kind="stable")
+        xs = np.concatenate((xs, new))[order]
+        s0 = np.concatenate((s0, t0))[order]
+        s1 = np.concatenate((s1, t1))[order]
+    if best > limit:
+        return None
+    return int(xs[np.argmin(pe)])  # first occurrence = smallest threshold
 
 
 def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """``ber_floor_from_taps`` of every column of an (L+1, W) tap table.
 
-    Row 0 is the signal tap, the other rows the interference taps in
-    enumeration order.  The sequences and sort orders are built as for a
-    single profile, so each value is bit-identical to the scalar floor.
+    Bit-identical to the one-profile floor (see ``_sequence_stats``).
     Windows go in blocks of at most _FLOOR_BLOCK windows x sequences.
     """
-    k = mean.shape[0] - 1
-    _check_enumeration(k)
-    step = max(1, _FLOOR_BLOCK >> k)
+    step = max(1, _FLOOR_BLOCK >> (mean.shape[0] - 1))
     out = np.empty(mean.shape[1])
     for start in range(0, mean.shape[1], step):
         cols = slice(start, start + step)
@@ -310,63 +317,53 @@ def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
 
 
 def _floor_block(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    # (windows, sequences) arrays, so each window's mean is a contiguous row
-    # sum in the same pairwise order as a one-window call
-    mu0 = np.zeros((mean.shape[1], 1))
-    var0 = np.zeros((mean.shape[1], 1))
-    for j in range(1, mean.shape[0]):
-        mu0 = np.concatenate([mu0, mu0 + q * mean[j, :, None]], axis=1)
-        var0 = np.concatenate([var0, var0 + q * var[j, :, None]], axis=1)
-    mu1 = mu0 + q * mean[0, :, None]
-    var1 = var0 + q * var[0, :, None]
+    mu0, var0, mu1, var1 = _sequence_stats(q, mean, var)
+    # reversed, the "1" sequences are the complements of the "0" ones
+    gap = mu1[:, ::-1] - mu0
     sd0 = np.sqrt(var0)
-    sd1 = np.sqrt(var1)
-
-    def matched(m0: np.ndarray, s0: np.ndarray, m1: np.ndarray, s1: np.ndarray) -> np.ndarray:
-        gap = m1 - m0
-        spread = s0 + s1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(spread > 0.0, gap / spread, np.where(gap > 0.0, np.inf, 0.0))
-        return np.mean(0.5 * _gaussian_tail(d), axis=1)
-
-    same = matched(mu0, sd0, mu1, sd1)
-    # pairing the heaviest-ISI zeros against the cleanest ones exposes the
-    # shared-threshold conflict much earlier
-    order0 = np.argsort(-mu0, axis=1, kind="stable")
-    order1 = np.argsort(mu1, axis=1, kind="stable")
-    take = np.take_along_axis
-    crossed = matched(
-        take(mu0, order0, 1), take(sd0, order0, 1), take(mu1, order1, 1), take(sd1, order1, 1)
-    )
-    return np.maximum(same, crossed)
+    sd1 = np.sqrt(var1[:, ::-1])
+    spread = sd0 + sd1
+    some = spread > 0.0
+    d = np.divide(gap, spread, out=np.where(gap > 0.0, np.inf, 0.0), where=some)
+    bound = _gaussian_tail(d)
+    bound *= np.divide(spread, np.maximum(sd0, sd1), out=np.ones_like(spread), where=some)
+    return 0.5 * np.minimum(bound, 0.5, out=bound).mean(axis=1)
 
 
 def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
     """Cheap lower bound on the threshold-optimized BER of a tap profile.
 
-    Two valid relaxations, combined by max:
-      - per sequence, any shared threshold leaves at least one hypothesis
-        with a tail of Q(delta / (sigma0 + sigma1)); average those;
-      - for the worst cross pair (heaviest-ISI "0" vs cleanest "1"), the
-        shared threshold leaves Q((mu1_min - mu0_max) / (sd0 + sd1)) spread
-        over one of its two terms.
-    Lets window searches skip provably worse candidates.  A one-column call
-    of ``ber_floors``.
+    Pair each "0" sequence (mu0, s0) with a "1" sequence (mu1, s1), let
+    d = (mu1 - mu0) / (s0 + s1) and w = (s0 + s1) / max(s0, s1).  For every
+    real xi, Q((xi - mu0) / s0) + Q((mu1 - xi) / s1) >= min(1/2, w Q(d)):
+    outside [mu0, mu1] one term exceeds 1/2; inside, both arguments a, b
+    are >= 0 with s0 a + s1 b = d (s0 + s1), and Q is convex on [0, inf),
+    so Jensen gives (s0 Q(a) + s1 Q(b)) / (s0 + s1) >= Q(d); dividing by
+    max(s0, s1) / (s0 + s1) gives the bound.  Zero spreads use the
+    indicator limits with w = 1.  Any perfect matching of the sequences
+    bounds the BER by the mean of half these terms.  The floor matches each
+    ISI pattern with its complement, so the heaviest-ISI "0" meets the
+    cleanest "1".  The gaps then spread around the signal and, Q being
+    convex, the mean term rises; on the grids measured, adding the
+    same-pattern matching pruned no further window.  Lets window searches
+    skip provably worse candidates.  A one-column ``ber_floors``.
     """
-    sig = taps.signal_index
-    order = [sig] + [j for j in range(len(taps.lags)) if j != sig]
-    mean = np.asarray(taps.mean, dtype=float)[order, None]
-    var = np.asarray(taps.var, dtype=float)[order, None]
-    return float(ber_floors(float(params.Q), mean, var)[0])
+    mean, var = _tap_table(taps)
+    return float(ber_floors(float(params.Q), mean[:, None], var[:, None])[0])
 
 
-def threshold_from_taps(params: SystemParams, taps: TapProfile) -> tuple[int, BerEstimate]:
+def threshold_from_taps(
+    params: SystemParams, taps: TapProfile, *, beat: float = math.inf
+) -> tuple[int, BerEstimate] | None:
     """BER-minimizing integer threshold for an arbitrary tap profile.
 
     The range is xi in [0, ceil(mu1_max) + 6*sigma_max]; a block-bounded
     scan (``_best_threshold``) returns exactly the smallest minimizer of the
     full-range ``_pe_curve`` without evaluating every integer.  The BER is
-    re-summed exactly (``ber_from_stats``) at that threshold.
+    re-summed exactly (``ber_from_stats``) at that threshold.  With a finite
+    ``beat`` (an incumbent BER) the scan gives up and returns None as soon
+    as every threshold provably exceeds beat * (1 + _BOUND_SLACK); any other
+    result is the same as without ``beat``.
     """
     q = float(params.Q)
     mu0, var0, mu1, var1 = _hypothesis_stats(q, taps)
@@ -374,7 +371,9 @@ def threshold_from_taps(params: SystemParams, taps: TapProfile) -> tuple[int, Be
     sd1 = np.sqrt(var1)
     sigma_max = math.sqrt(max(var0.max(), var1.max()))
     hi = int(math.ceil(mu1.max()) + math.ceil(6.0 * sigma_max))
-    best = _best_threshold(hi, mu0, sd0, mu1, sd1)
+    best = _best_threshold(hi, mu0, sd0, mu1, sd1, beat)
+    if best is None:
+        return None
     value = ber_from_stats(mu0, sd0, mu1, sd1, float(best))
     estimate = BerEstimate(value=value, threshold=float(best), source=BerSource.ANALYTICAL)
     return best, estimate

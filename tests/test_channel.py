@@ -40,6 +40,18 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(d=5e-6, r=5e-6, D=80e-12, T_s=0.2, L=1, Q=-1, receiver=Receiver.ABSORBING)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d", "r", "D", "T_s", "L", "Q", "N", "t_s"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        # a bare x <= 0 check lets NaN through
+        kwargs = dict(
+            d=9e-6, r=1e-6, D=80e-12, T_s=1.0, L=2, Q=10,
+            receiver=Receiver.PASSIVE, N=10, t_s=0.05,
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**kwargs)
+
     def test_table1_passive_satisfies_guard(self):
         p = passive_params()
         assert p.r / (p.r + p.d) == pytest.approx(0.1)

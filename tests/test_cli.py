@@ -310,6 +310,32 @@ class TestInputValidation:
         assert main(sweep_args) == 2
         assert main(["reproduce", "conv-pa", "-o", str(tmp_path), "--workers", value]) == 2
 
+    @pytest.mark.parametrize(
+        "setting", ["Q=inf", "d_um=inf", "D=nan", "T_s=inf", "sweep.q_values=300 inf"]
+    )
+    def test_non_finite_number_rejected(self, ab_cfg_file, tmp_path, capsys, setting):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out), "-s", setting]) == 2
+        key = setting.split("=")[0]
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.3"])
+    def test_grid_step_outside_the_symbol_rejected(self, ab_cfg_file, tmp_path, capsys, value):
+        out = tmp_path / "out.csv"
+        for command in ("sweep", "metrics"):
+            argv = [command, "-c", ab_cfg_file, "-o", str(out), "-s", f"search.dt={value}"]
+            assert main(argv) == 2
+            assert "search.dt must be in (0, T_s = 0.2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_step_of_one_symbol_is_one_window(self, ab_cfg_file, tmp_path):
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "-c", ab_cfg_file, "-o", str(out), "-s", "search.dt=0.2"]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["t1"]), float(r["t2"])) for r in rows] == [(0.0, 0.2)]
+
 
 class TestReproduce:
     def test_conv_schema(self, tmp_path):

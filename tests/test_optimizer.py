@@ -37,6 +37,7 @@ from mcdwin import (
     q_hat,
     regime_q_hat,
     select_window,
+    shift_taps,
     shift_tau_search,
     threshold_from_taps,
 )
@@ -642,25 +643,59 @@ class TestNumericMetricSearch:
         assert _argbest(values, i1, i2, maximize=False) == 2
 
 
+def _naive_exhaustive(params, dt):
+    """Every grid window through the unbounded threshold scan, with the
+    search's tie-break: the smaller start, then the larger end."""
+    if params.receiver is Receiver.ABSORBING:
+        edges = np.linspace(0.0, params.T_s, round(params.T_s / dt) + 1).tolist()
+        spans = [(t1, t2) for a, t1 in enumerate(edges) for t2 in edges[a + 1 :]]
+        windows = [((t1, -t2), ContinuousWindow(t1, t2)) for t1, t2 in spans]
+    else:
+        n = params.N
+        windows = [((a, -b), SampledWindow(a, b)) for a in range(n + 1) for b in range(a, n + 1)]
+    scored = [(optimal_threshold(params, w)[1].value, key, w) for key, w in windows]
+    value, _, window = min(scored, key=lambda item: item[:2])
+    return window, value
+
+
+def _naive_shift_tau(params, dt):
+    """Every delay through the unbounded threshold scan; ties keep the first."""
+    t_max = derived(params).t_max
+    if params.receiver is Receiver.ABSORBING:
+        taus = np.linspace(0.0, t_max, max(1, round(t_max / dt)) + 1)
+    else:
+        taus = np.arange(0, math.ceil(t_max / params.t_s) + 1) * params.t_s
+    best = (math.inf, None)
+    for tau in taus:
+        _, est = threshold_from_taps(params, shift_taps(params, float(tau)))
+        if est.value < best[0]:
+            best = (est.value, float(tau))
+    return best
+
+
+_NAIVE_CASES = [
+    pytest.param("exhaustive", absorbing_params(L=4, Q=500), 0.2 / 25, id="ab-L4-Q500"),
+    *(
+        pytest.param("exhaustive", absorbing_params(L=L, Q=Q), 0.2 / 25, id=f"ab-L{L}-Q{Q}")
+        for L in (0, 1, 8)
+        for Q in (0, 100, 10_000)
+    ),
+    pytest.param("exhaustive", passive_params(L=3, Q=1000), None, id="pa-L3-Q1000"),
+    pytest.param("shift-tau", absorbing_params(L=4, Q=2000), 0.2 / 50, id="shift-ab-L4-Q2000"),
+    pytest.param("shift-tau", passive_params(L=3, Q=1000), None, id="shift-pa-L3-Q1000"),
+]
+
+
 class TestExhaustiveBerSearch:
-    def test_equals_naive_scan(self):
-        # the pruned search must match a naive full scan exactly
-        p = absorbing_params(T_s=0.2, L=4, Q=500)
-        dt = 0.2 / 25
-        res = exhaustive_ber_search(p, dt=dt)
-        edges = np.linspace(0.0, 0.2, 26)
-        best = (math.inf, None)
-        for a in range(26):
-            for b in range(a + 1, 26):
-                window = ContinuousWindow(float(edges[a]), float(edges[b]))
-                _, est = optimal_threshold(p, window)
-                if est.value < best[0] or (
-                    est.value == best[0]
-                    and (window.t1 < best[1].t1 or (window.t1 == best[1].t1 and window.t2 > best[1].t2))
-                ):
-                    best = (est.value, window)
-        assert res.window == best[1]
-        assert res.objective_value == best[0]
+    @pytest.mark.parametrize("search, params, dt", _NAIVE_CASES)
+    def test_equals_naive_scan(self, search, params, dt):
+        # the pruned, incumbent-bounded searches must match a naive full scan exactly
+        if search == "exhaustive":
+            res = exhaustive_ber_search(params, dt=dt)
+            assert (res.window, res.objective_value) == _naive_exhaustive(params, dt)
+        else:
+            res = shift_tau_search(params, dt=dt)
+            assert (res.objective_value, res.tau) == _naive_shift_tau(params, dt)
 
     def test_dominates_full_window(self, table1_absorbing):
         res = exhaustive_ber_search(table1_absorbing, dt=0.2 / 40)
@@ -706,8 +741,6 @@ class TestExhaustiveBerSearch:
 
 class TestShiftTau:
     def test_never_worse_than_zero_shift(self, table1_absorbing):
-        from mcdwin import shift_taps
-
         res = shift_tau_search(table1_absorbing, dt=0.2 / 50)
         _, zero_est = threshold_from_taps(table1_absorbing, shift_taps(table1_absorbing, 0.0))
         assert res.objective_value <= zero_est.value

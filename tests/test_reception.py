@@ -18,6 +18,7 @@ from mcdwin import (
     ber_from_stats,
     ber_from_taps,
     count_stats,
+    exhaustive_ber_search,
     optimal_threshold,
     threshold_from_taps,
     window_taps,
@@ -287,6 +288,16 @@ class TestBerFloor:
         _, est = threshold_from_taps(table1_passive, taps)
         assert floor <= est.value + 1e-12
 
+    def test_floor_admits_few_losing_windows(self):
+        # a floor within 2x of the BER would let ~1,300 of these windows
+        # through to a threshold scan
+        params = absorbing_params(L=8, Q=100)
+        dt = 0.2 / 80
+        mean, var = _continuous_grid(params, dt)[3:]
+        floors = ber_floors(float(params.Q), mean, var)
+        best = exhaustive_ber_search(params, dt).objective_value
+        assert np.count_nonzero(floors <= best) <= 400
+
 
 def _scan_range(q: float, taps: TapProfile):
     mu0, var0, mu1, var1 = _hypothesis_stats(q, taps)
@@ -294,10 +305,18 @@ def _scan_range(q: float, taps: TapProfile):
     return hi, mu0, var0, mu1, var1
 
 
+def _full_curve(hi: int, mu0, var0, mu1, var1) -> np.ndarray:
+    """The curve at every integer of 0..hi, a few hundred thresholds at a time."""
+    xis = np.arange(0, hi + 1)
+    return np.concatenate(
+        [_pe_curve(xis[i : i + 512], mu0, var0, mu1, var1) for i in range(0, xis.size, 512)]
+    )
+
+
 def _full_scan(params, taps: TapProfile) -> tuple[int, float]:
     """Reference: argmin of the curve at every integer of the scan range."""
     hi, mu0, var0, mu1, var1 = _scan_range(float(params.Q), taps)
-    xi = int(np.argmin(_pe_curve(np.arange(0, hi + 1), mu0, var0, mu1, var1)))
+    xi = int(np.argmin(_full_curve(hi, mu0, var0, mu1, var1)))
     return xi, ber_from_stats(mu0, np.sqrt(var0), mu1, np.sqrt(var1), float(xi))
 
 
@@ -358,15 +377,39 @@ class TestDeepTail:
         assert (xi, est.value) == _full_scan(params, taps)
 
 
+class TestUnderflowedBer:
+    """BERs below ~1e-308 are exactly 0, so every threshold of a zero
+    plateau ties; the scan must still return its smallest threshold."""
+
+    @pytest.mark.parametrize("L, t1", [(1, 0.025), (2, 0.0275)])
+    def test_smallest_threshold_of_the_zero_plateau(self, monkeypatch, L, t1):
+        params = absorbing_params(L=L, Q=100_000)
+        taps = window_taps(params, ContinuousWindow(t1, 0.2))
+        evaluated = []
+        tail_sums = reception._tail_sums
+
+        def counting(xis, *args):
+            evaluated.append(xis.size)
+            return tail_sums(xis, *args)
+
+        monkeypatch.setattr(reception, "_tail_sums", counting)
+        xi, est = threshold_from_taps(params, taps)
+        monkeypatch.undo()
+        assert est.value == 0.0
+        assert (xi, est.value) == _full_scan(params, taps)
+        hi = _scan_range(float(params.Q), taps)[0]
+        assert sum(evaluated) <= 4 * math.log2(hi) + 16
+
+
 @st.composite
-def _tap_profiles(draw):
+def _tap_profiles(draw, max_L: int = 8):
     """Absorbing or passive window taps, some taps zeroed or made noiseless.
 
     The profile comes from a drawn seed, so Q spreads log-uniformly over
-    [1, 1e5] (plus Q = 0) and windows over the whole symbol.
+    [1, 1e5] (plus Q = 0), L over 0..max_L and windows over the whole symbol.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    L = int(rng.integers(0, 9))
+    L = int(rng.integers(0, max_L + 1))
     Q = 0 if rng.random() < 0.1 else round(10.0 ** rng.uniform(0.0, 5.0))
     if rng.random() < 0.5:
         params = absorbing_params(L=L, Q=Q)
@@ -388,6 +431,15 @@ def _tap_profiles(draw):
     return params, TapProfile(lags=taps.lags, mean=mean, var=var)
 
 
+class TestFloorBound:
+    @given(case=_tap_profiles(max_L=10))
+    @settings(max_examples=200, deadline=None)
+    def test_floor_is_below_the_full_range_minimum(self, case):
+        params, taps = case
+        hi, *stats = _scan_range(float(params.Q), taps)
+        assert ber_floor_from_taps(params, taps) <= _full_curve(hi, *stats).min() * (1.0 + 1e-9)
+
+
 class TestBoundedScan:
     @given(case=_tap_profiles())
     @settings(max_examples=400, deadline=None)
@@ -395,6 +447,46 @@ class TestBoundedScan:
         params, taps = case
         xi, est = threshold_from_taps(params, taps)
         assert (xi, est.value) == _full_scan(params, taps)
+
+    @given(case=_tap_profiles(max_L=10), log2_factor=st.none() | st.floats(-1.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_beat_gives_up_only_on_a_losing_window(self, case, log2_factor):
+        params, taps = case
+        unbounded = threshold_from_taps(params, taps)
+        beat = math.inf if log2_factor is None else unbounded[1].value * 2.0**log2_factor
+        found = threshold_from_taps(params, taps, beat=beat)
+        if found is None:
+            assert unbounded[1].value > beat
+        else:
+            assert found == unbounded
+
+    @pytest.mark.parametrize("L, Q", [(8, 100), (8, 10_000), (4, 100_000)])
+    def test_losing_window_costs_log_range(self, monkeypatch, L, Q):
+        # count the thresholds a scan spends on windows that lose to the
+        # optimum by 20% or more (work, not time)
+        params = absorbing_params(L=L, Q=Q)
+        dt = 0.2 / 40
+        best = exhaustive_ber_search(params, dt).objective_value
+        mean, var = _continuous_grid(params, dt)[3:]
+        tail_sums = reception._tail_sums
+        checked = 0
+        for w in range(0, mean.shape[1], 5):
+            taps = TapProfile(lags=tuple(range(L + 1)), mean=mean[:, w], var=var[:, w])
+            if threshold_from_taps(params, taps)[1].value < 1.2 * best:
+                continue
+            evaluated = []
+
+            def counting(xis, *args):
+                evaluated.append(xis.size)
+                return tail_sums(xis, *args)
+
+            monkeypatch.setattr(reception, "_tail_sums", counting)
+            assert threshold_from_taps(params, taps, beat=best) is None
+            monkeypatch.undo()
+            hi = _scan_range(float(params.Q), taps)[0]
+            assert sum(evaluated) <= 2 * math.log2(hi) + 8
+            checked += 1
+        assert checked >= 100
 
 
 def test_q_function_basics():
