@@ -65,7 +65,7 @@ from .channel import (
     window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
-from .reception import _BOUND_SLACK, ber_floors, threshold_from_taps
+from .reception import ber_floors, threshold_from_taps
 
 __all__ = [
     "Regime",
@@ -613,7 +613,7 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
 
     def consider(w: int) -> None:
         nonlocal best_pe, best_idx
-        if floors[w] > best_pe * (1.0 + _BOUND_SLACK):
+        if floors[w] > best_pe:
             return
         taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
         found = threshold_from_taps(params, taps, beat=best_pe)

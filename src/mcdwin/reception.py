@@ -161,8 +161,6 @@ def _upper_tail(x, mu, sd):
 
     Where sd = 0 the tail is its indicator limit 1{x < mu}.
     """
-    if sd.all():
-        return _gaussian_tail((x - mu) / sd)
     spread = sd != 0.0
     z = (x - mu) / np.where(spread, sd, 1.0)
     return np.where(spread, _gaussian_tail(z), (x < mu).astype(float))
@@ -173,15 +171,17 @@ def _lower_tail(x, mu, sd):
 
     Where sd = 0 the tail is its indicator limit 1{x >= mu}.
     """
-    if sd.all():
-        return _gaussian_tail((mu - x) / sd)
     spread = sd != 0.0
     z = (mu - x) / np.where(spread, sd, 1.0)
     return np.where(spread, _gaussian_tail(z), (x >= mu).astype(float))
 
 
 def ber_from_stats(
-    mu0: np.ndarray, sigma0: np.ndarray, mu1: np.ndarray, sigma1: np.ndarray, threshold: float
+    mu0: np.ndarray,
+    sigma0: np.ndarray,
+    mu1: np.ndarray,
+    sigma1: np.ndarray,
+    threshold: float,
 ) -> float:
     """Equal-prior error probability for explicit per-sequence statistics.
 
@@ -191,8 +191,10 @@ def ber_from_stats(
     The per-term sum is compensated (math.fsum), so the result does not
     depend on the enumeration order.
     """
-    arrays = (np.asarray(a, dtype=float) for a in (mu0, sigma0, mu1, sigma1))
-    mu0, sigma0, mu1, sigma1 = np.atleast_1d(*arrays)
+    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
+    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
+    sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
+    sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
     p_err0 = _upper_tail(threshold, mu0, sigma0)
     p_err1 = _lower_tail(threshold, mu1, sigma1)
     return math.fsum(0.5 * (p_err0 + p_err1)) / mu0.size
@@ -229,7 +231,11 @@ _FLOOR_BLOCK = 1 << 14
 
 
 def _tail_sums(
-    xis: np.ndarray, mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray
+    xis: np.ndarray,
+    mu0: np.ndarray,
+    sd0: np.ndarray,
+    mu1: np.ndarray,
+    sd1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per threshold, the "0" and "1" error tails summed over all sequences.
 
@@ -246,7 +252,11 @@ def _tail_sums(
 
 
 def _pe_curve(
-    xis: np.ndarray, mu0: np.ndarray, var0: np.ndarray, mu1: np.ndarray, var1: np.ndarray
+    xis: np.ndarray,
+    mu0: np.ndarray,
+    var0: np.ndarray,
+    mu1: np.ndarray,
+    var1: np.ndarray,
 ) -> np.ndarray:
     """P_e at each candidate threshold (vectorized, fixed summation order)."""
     s0, s1 = _tail_sums(xis, mu0, np.sqrt(var0), mu1, np.sqrt(var1))
@@ -306,14 +316,16 @@ def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """``ber_floor_from_taps`` of every column of an (L+1, W) tap table.
 
     Bit-identical to the one-profile floor (see ``_sequence_stats``).
-    Windows go in blocks of at most _FLOOR_BLOCK windows x sequences.
+    Windows go in blocks of at most _FLOOR_BLOCK windows x sequences.  The
+    floors are lowered by the rounding slack _BOUND_SLACK, so a window
+    whose BER ties the floor is never pruned by a plain comparison.
     """
     step = max(1, _FLOOR_BLOCK >> (mean.shape[0] - 1))
     out = np.empty(mean.shape[1])
     for start in range(0, mean.shape[1], step):
         cols = slice(start, start + step)
         out[cols] = _floor_block(q, mean[:, cols], var[:, cols])
-    return out
+    return out / (1.0 + _BOUND_SLACK)
 
 
 def _floor_block(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
