@@ -344,14 +344,6 @@ def _tap_variance(params: SystemParams, mean: np.ndarray) -> np.ndarray:
     return mean.copy()
 
 
-def _window_means(params: SystemParams, window: DetectionWindow, lags) -> np.ndarray:
-    if isinstance(window, ContinuousWindow):
-        surv = _response_table(params, np.array([window.t1, window.t2]), lags)
-        return surv[:, 0] - surv[:, 1]
-    samples = np.arange(window.n1, window.n2 + 1, dtype=float)
-    return _response_table(params, samples, lags).sum(axis=1)
-
-
 def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
     """Mean/variance fractions of taps 0..L for an in-symbol window.
 
@@ -361,28 +353,39 @@ def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
     """
     check_window(params, window)
     lags = tuple(range(params.L + 1))
-    mean = _window_means(params, window, lags)
+    if isinstance(window, ContinuousWindow):
+        surv = _response_table(params, np.array([window.t1, window.t2]), lags)
+        mean = surv[:, 0] - surv[:, 1]
+    else:
+        samples = np.arange(window.n1, window.n2 + 1, dtype=float)
+        mean = _response_table(params, samples, lags).sum(axis=1)
     return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))
 
 
-def shift_taps(params: SystemParams, tau: float) -> TapProfile:
-    """Taps for a full-length window delayed by tau into the next symbol.
+def _shifted_means(params: SystemParams, taus: np.ndarray) -> np.ndarray:
+    """Tap means of full-length windows delayed by each tau, shape (L+2, len(taus)).
 
-    The window is [tau, tau + T_s] (or the sample range shifted by
-    round(tau/t_s) samples).  Besides taps 0..L, the next symbol's release
-    leaks into the overhang [T_s, tau + T_s] and is appended as an
-    interference tap with lag -1.
+    The window is [tau, tau + T_s] (or the N+1 samples from round(tau/t_s)).
+    Rows are lags 0..L, then -1: the next symbol's release leaking into the
+    overhang [T_s, tau + T_s].
     """
+    lags = range(params.L + 1)
+    if params.receiver is Receiver.ABSORBING:
+        own = _response_table(params, taus, lags) - _response_table(params, taus + params.T_s, lags)
+        # next symbol released at T_s: the overhang [T_s, tau+T_s] is [0, tau]
+        # after its own release, taken at tau itself ((tau+T_s)-T_s != tau)
+        return np.vstack((own, _survival(params, 0.0) - _survival(params, taus)))
+    assert params.t_s is not None and params.N is not None
+    starts = np.rint(taus / params.t_s)
+    samples = (starts[:, None] + np.arange(params.N + 1)).ravel()
+    rates = _response_table(params, samples, (*lags, -1))
+    return rates.reshape(params.L + 2, taus.size, params.N + 1).sum(axis=2)
+
+
+def shift_taps(params: SystemParams, tau: float) -> TapProfile:
+    """Taps 0..L and -1 of the full-length window delayed by tau (a ``_shifted_means`` column)."""
     if tau < 0:
         raise ValueError("shift tau must be >= 0")
+    mean = _shifted_means(params, np.array([tau], dtype=float))[:, 0]
     lags = tuple(range(params.L + 1)) + (-1,)
-    if params.receiver is Receiver.ABSORBING:
-        # next symbol released at T_s; overhang [T_s, tau+T_s] maps to
-        # [0, tau] after its own release
-        own = _window_means(params, ContinuousWindow(tau, tau + params.T_s), lags[:-1])
-        mean = np.append(own, absorbed_fraction(params, 0.0, tau))
-    else:
-        assert params.t_s is not None and params.N is not None
-        j = int(round(tau / params.t_s))
-        mean = _window_means(params, SampledWindow(j, j + params.N), lags)
     return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))

@@ -611,71 +611,71 @@ def _geometric_q(lo: float, hi: float, points: int) -> list[int]:
     return [int(q) for q in qs]
 
 
+def _conv_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
+    for q in q_values:
+        for scheme in (Scheme.NUMERIC_MSINAR, Scheme.EXHAUSTIVE_BER):
+            window = opt.select_window(replace(base, Q=q), scheme, dt).window
+            yield (CONV_SCHEMA, *lead, q, scheme.value, *_window_cells(window))
+
+
+def _ver_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
+    schemes = (Scheme.NUMERIC_MSINAR, Scheme.CLOSED_FORM, Scheme.EXHAUSTIVE_BER)
+    for row in sweep(base, q_values, schemes, trial, dt=dt, workers=workers):
+        yield (VER_SCHEMA, *lead, row.q, row.scheme.value, row.threshold, row.analytic.value,
+               row.mc.value, row.mc.ci_halfwidth, row.mc.trials)
+
+
+def _cmp_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
+    swept = sweep(base, q_values, _CMP_SCHEMES, trial, dt=dt, workers=workers)
+    by_cell = {(row.q, row.scheme): row for row in swept}
+    for q in q_values:
+        cells: list = [CMP_SCHEMA, *lead, q]
+        for scheme in _CMP_SCHEMES:
+            row = by_cell[q, scheme]
+            cells.extend([row.analytic.value, row.mc.value, row.mc.ci_halfwidth])
+        yield tuple(cells)
+
+
+# figure family -> (CSV header, the rows of one (T_s, L) cell)
+_REPRODUCE_FAMILIES = {
+    "conv": (CONV_HEADER, _conv_rows),
+    "ver": (VER_HEADER, _ver_rows),
+    "cmp": (CMP_HEADER, _cmp_rows),
+}
+
+
 def cmd_reproduce(args) -> int:
     figure = args.figure
     if figure not in REPRODUCE_FIGURES:
         raise ConfigError(
             f"unknown figure id {figure!r}; choose from {', '.join(REPRODUCE_FIGURES)}"
         )
+    for flag, count in (("--grid-divisions", args.grid_divisions), ("--q-points", args.q_points)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {count}")
+    for flag, q in (("--q-min", args.q_min), ("--q-max", args.q_max)):
+        if not (math.isfinite(q) and q > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {q}")
     family, kind = figure.split("-")
+    header, family_rows = _REPRODUCE_FAMILIES[family]
     ts_values, l_values = _FIGURE_TS_L[kind]
     q_values = _geometric_q(args.q_min, args.q_max, args.q_points)
+    trial = TrialConfig(trials=args.trials, seed=args.seed)
+    workers = 1 if args.workers is None else _positive_workers(args.workers, "--workers")
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create {outdir}: {exc}") from exc
     out = outdir / f"{figure}.csv"
-    trial = TrialConfig(trials=args.trials, seed=args.seed)
-    workers = 1 if args.workers is None else _positive_workers(args.workers, "--workers")
 
     rows: list[tuple] = []
-    if family == "conv":
-        schemes = (Scheme.NUMERIC_MSINAR, Scheme.EXHAUSTIVE_BER)
-        for T_s in ts_values:
-            for L in l_values:
-                base = _reproduce_params(kind, T_s, L)
-                dt = T_s / args.grid_divisions
-                for q in q_values:
-                    params = replace(base, Q=q)
-                    for scheme in schemes:
-                        result = opt.select_window(params, scheme, dt)
-                        t1, t2, n1, n2 = _window_cells(result.window)
-                        rows.append(
-                            (CONV_SCHEMA, figure, params.receiver.value, T_s, L, q,
-                             scheme.value, t1, t2, n1, n2)
-                        )
-        _write_csv(str(out), CONV_HEADER, rows)
-    elif family == "ver":
-        schemes = (Scheme.NUMERIC_MSINAR, Scheme.CLOSED_FORM, Scheme.EXHAUSTIVE_BER)
-        for T_s in ts_values:
-            for L in l_values:
-                base = _reproduce_params(kind, T_s, L)
-                dt = T_s / args.grid_divisions
-                swept = sweep(base, q_values, schemes, trial, dt=dt, workers=workers)
-                for row in swept:
-                    rows.append(
-                        (VER_SCHEMA, figure, base.receiver.value, T_s, L, row.q,
-                         row.scheme.value, row.threshold, row.analytic.value,
-                         row.mc.value, row.mc.ci_halfwidth, row.mc.trials)
-                    )
-        _write_csv(str(out), VER_HEADER, rows)
-    else:
-        for T_s in ts_values:
-            for L in l_values:
-                base = _reproduce_params(kind, T_s, L)
-                dt = T_s / args.grid_divisions
-                swept = sweep(base, q_values, _CMP_SCHEMES, trial, dt=dt, workers=workers)
-                by_q: dict[int, dict[Scheme, SweepRow]] = {}
-                for row in swept:
-                    by_q.setdefault(row.q, {})[row.scheme] = row
-                for q in q_values:
-                    cells: list = [CMP_SCHEMA, figure, base.receiver.value, T_s, L, q]
-                    for scheme in _CMP_SCHEMES:
-                        row = by_q[q][scheme]
-                        cells.extend([row.analytic.value, row.mc.value, row.mc.ci_halfwidth])
-                    rows.append(tuple(cells))
-        _write_csv(str(out), CMP_HEADER, rows)
+    for T_s in ts_values:
+        for L in l_values:
+            base = _reproduce_params(kind, T_s, L)
+            lead = (figure, base.receiver.value, T_s, L)
+            rows.extend(family_rows(lead, base, q_values, T_s / args.grid_divisions, trial, workers))
+    _write_csv(str(out), header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

@@ -33,10 +33,11 @@ flagged; an empty window after clamping raises DegenerateWindow.
 Searches
 --------
 Numeric metric maximization and exhaustive BER minimization run on a
-uniform window grid (default step T_s/400) with a deterministic tie-break:
-smaller start, then larger end.  The shift-tau baseline scans full-length
-windows delayed by tau in [0, t_max], counting the next symbol's leakage as
-interference.
+uniform window grid (default step T_s/400) with one deterministic tie-break
+(``_argbest``): smaller start, then larger end.  The shift-tau baseline
+scores full-length windows delayed by tau in [0, t_max], counting the next
+symbol's leakage as interference.  Both BER searches are one branch-and-bound
+(``_least_ber``) over the columns of a tap table.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ from .channel import (
     SystemParams,
     TapProfile,
     _response_table,
+    _shifted_means,
     _tap_variance,
     derived,
     full_window,
@@ -591,61 +593,60 @@ def _msinar_seed_index(params: SystemParams, mean: np.ndarray, var: np.ndarray) 
     return int(np.argmax(values))
 
 
+def _least_ber(
+    params: SystemParams,
+    lags: tuple[int, ...],
+    i1: np.ndarray,
+    i2: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
+    first: int | None = None,
+) -> tuple[int, float]:
+    """Column of an (lags, W) tap table with the least threshold-optimized BER, and that BER.
+
+    A branch-and-bound that visits column ``first`` first: a column is skipped
+    (+inf) when its BER floor exceeds the incumbent BER, or its scan given it
+    as ``beat`` proves it cannot reach it.  Both tests allow a rounding slack,
+    so a skipped column is strictly worse than the incumbent, which only
+    falls: every tie reaches ``_argbest``.
+    """
+    floors = ber_floors(float(params.Q), mean, var)
+    values = np.full(i1.size, math.inf)
+    incumbent = math.inf
+    visit = list(range(i1.size))
+    if first is not None:
+        visit.insert(0, visit.pop(first))
+    for w in visit:
+        if floors[w] > incumbent:
+            continue
+        taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
+        found = threshold_from_taps(params, taps, beat=incumbent)
+        if found is not None:
+            values[w] = found[1].value
+            incumbent = min(incumbent, found[1].value)
+    best = _argbest(values, i1, i2, maximize=False)
+    return best, float(values[best])
+
+
 def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> OptimizationResult:
     """Grid argmin of the threshold-optimized analytical BER.
 
     This is the reference the closed forms and metric windows are judged
-    against; cost grows as (T_s/dt)^2 * 2^L, so L is capped at 12.  A
-    branch-and-bound against the incumbent BER: a window is skipped when
-    its BER floor exceeds the incumbent, or when its threshold scan, given
-    the incumbent as ``beat``, proves it cannot reach it.  Both tests
-    allow a rounding slack, so a tie still reaches the tie-break.
+    against; cost grows as (T_s/dt)^2 * 2^L, so L is capped at 12.  The
+    search is ``_least_ber`` seeded with the mSINAR-best window, so the
+    floor prune bites early.
     """
     if params.L > MAX_BER_SEARCH_L:
         raise EnumerationTooLarge(
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
     edges, i1, i2, mean, var = _window_grid(params, dt)
-    lags = tuple(range(params.L + 1))
-    floors = ber_floors(float(params.Q), mean, var)
-    best_pe = math.inf
-    best_idx = -1
-
-    def consider(w: int) -> None:
-        nonlocal best_pe, best_idx
-        if floors[w] > best_pe:
-            return
-        taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
-        found = threshold_from_taps(params, taps, beat=best_pe)
-        if found is None:
-            return
-        pe = found[1].value
-        better = pe < best_pe or (
-            best_idx >= 0
-            and pe == best_pe
-            and (
-                i1[w] < i1[best_idx]
-                or (i1[w] == i1[best_idx] and i2[w] > i2[best_idx])
-            )
-        )
-        if better:
-            best_pe = pe
-            best_idx = w
-
-    # Seed with the mSINAR-best window so the lower-bound prune bites early.
-    # The preference order is total, so traversal order cannot change the result.
     seed = _msinar_seed_index(params, mean, var)
-    if seed is not None:
-        consider(seed)
-    for w in range(i1.size):
-        if w != seed:
-            consider(w)
-    if best_idx < 0:
-        raise DegenerateWindow("no candidate window")
+    best, pe = _least_ber(params, tuple(range(params.L + 1)), i1, i2, mean, var, seed)
     return OptimizationResult(
-        window=_grid_window(edges, i1, i2, best_idx),
+        window=_grid_window(edges, i1, i2, best),
         method=Method.EXHAUSTIVE_BER,
-        objective_value=best_pe,
+        objective_value=pe,
     )
 
 
@@ -653,37 +654,31 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     """Best full-length window delayed by tau in [0, t_max] (BER argmin).
 
     The delayed window overhangs into the next symbol; that symbol's leakage
-    is counted as interference alongside the L past taps.  Each scan gets
-    the incumbent BER as ``beat``; ties keep the first tau.
+    is counted as interference alongside the L past taps.  The delays are
+    the columns of one ``_shifted_means`` table searched by ``_least_ber``;
+    tau k starts window k, so ties keep the first tau.
     """
     consts = derived(params)
     if params.receiver is Receiver.ABSORBING:
         step = default_grid_step(params) if dt is None else dt
         n_tau = max(1, int(round(consts.t_max / step)))
         taus = np.linspace(0.0, consts.t_max, n_tau + 1)
-    else:
-        assert params.t_s is not None
-        n_tau = int(math.ceil(consts.t_max / params.t_s))
-        taus = np.arange(0, n_tau + 1, dtype=float) * params.t_s
-
-    best_pe = math.inf
-    best_tau = 0.0
-    for tau in taus:
-        found = threshold_from_taps(params, shift_taps(params, float(tau)), beat=best_pe)
-        if found is not None and found[1].value < best_pe:
-            best_pe = found[1].value
-            best_tau = float(tau)
-    if params.receiver is Receiver.ABSORBING:
-        window: DetectionWindow = ContinuousWindow(best_tau, best_tau + params.T_s)
+        edges, offset = np.concatenate((taus, taus + params.T_s)), taus.size
     else:
         assert params.t_s is not None and params.N is not None
-        j = int(round(best_tau / params.t_s))
-        window = SampledWindow(j, j + params.N)
+        n_tau = int(math.ceil(consts.t_max / params.t_s))
+        taus = np.arange(0, n_tau + 1, dtype=float) * params.t_s
+        edges, offset = None, params.N
+    i1 = np.arange(taus.size)
+    i2 = i1 + offset
+    mean = _shifted_means(params, taus)
+    lags = tuple(range(params.L + 1)) + (-1,)
+    best, pe = _least_ber(params, lags, i1, i2, mean, _tap_variance(params, mean))
     return OptimizationResult(
-        window=window,
+        window=_grid_window(edges, i1, i2, best),
         method=Method.SHIFT_TAU,
-        objective_value=best_pe,
-        tau=best_tau,
+        objective_value=pe,
+        tau=float(taus[best]),
     )
 
 

@@ -347,3 +347,37 @@ class TestTapProfiles:
     def test_shift_rejects_negative(self, table1_absorbing):
         with pytest.raises(ValueError):
             shift_taps(table1_absorbing, -0.01)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.0131, 0.0371, 25 / 480])
+    def test_shift_absorbing_equals_per_window_taps(self, tau):
+        # each tap is the absorbed fraction of its own shifted window, the
+        # overhang tap that of [0, tau] after the next release: bit for bit
+        params = absorbing_params(L=5)
+        taps = shift_taps(params, tau)
+        own = [
+            absorbed_fraction(params, tau + k * params.T_s, tau + params.T_s + k * params.T_s)
+            for k in range(params.L + 1)
+        ]
+        mean = np.array(own + [absorbed_fraction(params, 0.0, tau)])
+        assert taps.lags == (0, 1, 2, 3, 4, 5, -1)
+        assert np.array_equal(taps.mean, mean)
+        assert np.array_equal(taps.var, mean * (1.0 - mean))
+
+    @pytest.mark.parametrize("samples", [0.0, 2.4, 2.5, 3.0, 4.6])
+    def test_shift_passive_equals_per_window_taps(self, samples):
+        # the window is the N+1 samples from round(tau/t_s); tau need not
+        # fall on a sample
+        params = passive_params(L=3)
+        tau = samples * params.t_s
+        first = int(round(tau / params.t_s))
+        times = np.arange(first, first + params.N + 1, dtype=float) * params.t_s
+        mean = np.array(
+            [
+                passive_probability(params, np.maximum(times + k * params.T_s, 0.0)).sum()
+                for k in (0, 1, 2, 3, -1)
+            ]
+        )
+        taps = shift_taps(params, tau)
+        assert taps.lags == (0, 1, 2, 3, -1)
+        assert np.array_equal(taps.mean, mean)
+        assert np.array_equal(taps.var, mean)

@@ -393,3 +393,22 @@ class TestReproduce:
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert main(["reproduce", "nope", "-o", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--grid-divisions", "0"),
+            ("--grid-divisions", "-5"),
+            ("--q-points", "0"),
+            ("--q-min", "nan"),
+            ("--q-min", "0"),
+            ("--q-max", "inf"),
+            ("--q-max", "-1"),
+        ],
+    )
+    def test_bad_numeric_argument_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "rep"
+        small = ["--q-points", "1", "--q-min", "400", "--q-max", "400", "--grid-divisions", "10"]
+        assert main(["reproduce", "conv-ab", "-o", str(out), *small, flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()

@@ -41,6 +41,7 @@ from mcdwin import (
     shift_tau_search,
     threshold_from_taps,
 )
+from mcdwin import optimizer
 from mcdwin.optimizer import _argbest, _start_time
 from conftest import absorbing_params, passive_params, assert_rel
 
@@ -659,7 +660,8 @@ def _naive_exhaustive(params, dt):
 
 
 def _naive_shift_tau(params, dt):
-    """Every delay through the unbounded threshold scan; ties keep the first."""
+    """Every delay through the unbounded threshold scan; ties keep the first.
+    Returns the BER, the delay and its window."""
     t_max = derived(params).t_max
     if params.receiver is Receiver.ABSORBING:
         taus = np.linspace(0.0, t_max, max(1, round(t_max / dt)) + 1)
@@ -670,7 +672,11 @@ def _naive_shift_tau(params, dt):
         _, est = threshold_from_taps(params, shift_taps(params, float(tau)))
         if est.value < best[0]:
             best = (est.value, float(tau))
-    return best
+    value, tau = best
+    if params.receiver is Receiver.ABSORBING:
+        return value, tau, ContinuousWindow(tau, tau + params.T_s)
+    first = round(tau / params.t_s)
+    return value, tau, SampledWindow(first, first + params.N)
 
 
 _NAIVE_CASES = [
@@ -682,7 +688,13 @@ _NAIVE_CASES = [
     ),
     pytest.param("exhaustive", passive_params(L=3, Q=1000), None, id="pa-L3-Q1000"),
     pytest.param("shift-tau", absorbing_params(L=4, Q=2000), 0.2 / 50, id="shift-ab-L4-Q2000"),
+    *(
+        pytest.param("shift-tau", absorbing_params(L=L, Q=Q), 0.2 / 25, id=f"shift-ab-L{L}-Q{Q}")
+        for L in (0, 1, 8)
+        for Q in (0, 100, 10_000)
+    ),
     pytest.param("shift-tau", passive_params(L=3, Q=1000), None, id="shift-pa-L3-Q1000"),
+    pytest.param("shift-tau", passive_params(L=10, Q=1000), None, id="shift-pa-L10-Q1000"),
 ]
 
 
@@ -695,7 +707,7 @@ class TestExhaustiveBerSearch:
             assert (res.window, res.objective_value) == _naive_exhaustive(params, dt)
         else:
             res = shift_tau_search(params, dt=dt)
-            assert (res.objective_value, res.tau) == _naive_shift_tau(params, dt)
+            assert (res.objective_value, res.tau, res.window) == _naive_shift_tau(params, dt)
 
     def test_dominates_full_window(self, table1_absorbing):
         res = exhaustive_ber_search(table1_absorbing, dt=0.2 / 40)
@@ -752,6 +764,22 @@ class TestShiftTau:
         res = shift_tau_search(table1_passive)
         assert res.window.n1 == round(res.tau / table1_passive.t_s)
         assert res.window.n2 == res.window.n1 + table1_passive.N
+
+    def test_floor_prune_skips_most_delays(self, monkeypatch):
+        # delays whose BER floor exceeds the incumbent get no threshold scan
+        scans = []
+        scan = optimizer.threshold_from_taps
+
+        def counting(*args, **kwargs):
+            scans.append(args[1])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "threshold_from_taps", counting)
+        res = shift_tau_search(absorbing_params(L=8, Q=10_000), dt=0.2 / 80)
+        monkeypatch.undo()
+        assert res.tau == pytest.approx(0.0223, abs=1e-4)
+        # 22 delays in [0, t_max]; without the floor prune each gets a scan
+        assert len(scans) <= 11
 
 
 class TestInitialValueProperty:
