@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -68,6 +70,10 @@ def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
     p = errors / n
     denom = 1.0 + z * z / n
     return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+
+
+def _chunk_count(trials: int) -> int:
+    return (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
 
 
 def _pool_workers(workers: int, n_chunks: int) -> int:
@@ -131,7 +137,7 @@ def simulate_ber_taps(
     if warmup < params.L:
         raise ConfigError(f"warmup_symbols must be >= L ({warmup} < {params.L})")
 
-    n_chunks = (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    n_chunks = _chunk_count(cfg.trials)
     sizes = [
         min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS) for i in range(n_chunks)
     ]
@@ -142,7 +148,7 @@ def simulate_ber_taps(
     ]
     pool_size = _pool_workers(workers, n_chunks)
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        with _pool(pool_size) as pool:
             errors = sum(pool.map(_chunk_errors_job, jobs))
     else:
         errors = sum(_chunk_errors_job(job) for job in jobs)
@@ -157,6 +163,39 @@ def simulate_ber_taps(
 
 def _chunk_errors_job(job) -> int:
     return _chunk_errors(*job)
+
+
+# (workers, pool) a running ``sweep`` lends the ``simulate_ber_taps`` calls
+# of its rows, so a sweep starts one pool and the public signature stays
+_SWEEP_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = ContextVar(
+    "_SWEEP_POOL", default=None
+)
+
+
+@contextmanager
+def _pool(size: int):
+    """The running sweep's pool when it has ``size`` workers, else a new one."""
+    lent = _SWEEP_POOL.get()
+    if lent is not None and lent[0] == size:
+        yield lent[1]
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
+@contextmanager
+def _lend_pool(trial: TrialConfig, workers: int):
+    """One pool for every row simulation of a sweep; rows all draw trial.trials."""
+    size = _pool_workers(workers, _chunk_count(trial.trials))
+    if size == 1:
+        yield
+        return
+    with _pool(size) as pool:
+        token = _SWEEP_POOL.set((size, pool))
+        try:
+            yield
+        finally:
+            _SWEEP_POOL.reset(token)
 
 
 def simulate_ber(
@@ -207,23 +246,24 @@ def sweep(
     )
     rows: list[SweepRow] = []
     index = 0
-    for q in q_values:
-        params_q = replace(params, Q=int(q))
-        for scheme in schemes:
-            result = select_window(params_q, scheme, dt)
-            taps = result_taps(params_q, result)
-            threshold, analytic = threshold_from_taps(params_q, taps)
-            row_cfg = replace(trial, seed=int(row_seeds[index]))
-            mc = simulate_ber_taps(params_q, taps, threshold, row_cfg, workers)
-            rows.append(
-                SweepRow(
-                    q=int(q),
-                    scheme=scheme,
-                    result=result,
-                    threshold=threshold,
-                    analytic=analytic,
-                    mc=mc,
+    with _lend_pool(trial, workers):
+        for q in q_values:
+            params_q = replace(params, Q=int(q))
+            for scheme in schemes:
+                result = select_window(params_q, scheme, dt)
+                taps = result_taps(params_q, result)
+                threshold, analytic = threshold_from_taps(params_q, taps)
+                row_cfg = replace(trial, seed=int(row_seeds[index]))
+                mc = simulate_ber_taps(params_q, taps, threshold, row_cfg, workers)
+                rows.append(
+                    SweepRow(
+                        q=int(q),
+                        scheme=scheme,
+                        result=result,
+                        threshold=threshold,
+                        analytic=analytic,
+                        mc=mc,
+                    )
                 )
-            )
-            index += 1
+                index += 1
     return rows

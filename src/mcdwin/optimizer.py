@@ -67,7 +67,7 @@ from .channel import (
     window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
-from .reception import ber_floors, threshold_from_taps
+from .reception import _coarse_floors, ber_floors, threshold_from_taps
 
 __all__ = [
     "Regime",
@@ -96,6 +96,11 @@ GRID_DIVISIONS = 400
 # Exhaustive BER search scores O(T_s/dt)^2 windows, each with a threshold
 # scan over 2^L sequences; beyond this the scan is impractical.
 MAX_BER_SEARCH_L = 12
+
+# Grid searches refuse a candidate-window table of more than this many
+# (L+1) x windows elements (256 MiB per float table).  The default grid,
+# T_s/400, has 80,200 windows: 2.0M elements at L = 24.
+MAX_GRID_ELEMENTS = 1 << 25
 
 
 class Regime(enum.Enum):
@@ -498,9 +503,25 @@ def _sampled_grid(params: SystemParams):
 
 
 def _window_grid(params: SystemParams, dt: float | None):
-    """Candidate windows of the grid searches: (edges or None, i1, i2, mean, var)."""
+    """Candidate windows of the grid searches: (edges or None, i1, i2, mean, var).
+
+    Refuses (EnumerationTooLarge) a grid whose (L+1, windows) tap table
+    would exceed MAX_GRID_ELEMENTS, before building anything.
+    """
     if params.receiver is Receiver.ABSORBING:
-        return _continuous_grid(params, default_grid_step(params) if dt is None else dt)
+        step = default_grid_step(params) if dt is None else dt
+        n = float(np.rint(params.T_s / step))  # steps; a window is a pair of the n+1 edges
+    else:
+        assert params.N is not None
+        step, n = params.t_s, params.N + 1  # samples; a window is a pair n1 <= n2
+    windows = n * (n + 1) / 2
+    if (params.L + 1) * windows > MAX_GRID_ELEMENTS:
+        raise EnumerationTooLarge(
+            f"search grid step {step:g} gives {windows:,.0f} candidate windows of {params.L + 1} "
+            f"taps, over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
+        )
+    if params.receiver is Receiver.ABSORBING:
+        return _continuous_grid(params, step)
     return (None, *_sampled_grid(params))
 
 
@@ -604,26 +625,37 @@ def _least_ber(
 ) -> tuple[int, float]:
     """Column of an (lags, W) tap table with the least threshold-optimized BER, and that BER.
 
-    A branch-and-bound that visits column ``first`` first: a column is skipped
-    (+inf) when its BER floor exceeds the incumbent BER, or its scan given it
-    as ``beat`` proves it cannot reach it.  Both tests allow a rounding slack,
-    so a skipped column is strictly worse than the incumbent, which only
-    falls: every tie reaches ``_argbest``.
+    A branch-and-bound seeded by a scan of column ``first`` (by default the
+    column of least coarse bound).  Bounds cascade: the cheap coarse bound
+    of every column first, the full ``ber_floors`` only on the columns it
+    leaves at or below the seed's BER.  A column is skipped (+inf) when its
+    floor exceeds the incumbent BER, or its scan given it as ``beat``
+    proves it cannot reach it.  Both tests allow a rounding slack, so a
+    skipped column is strictly worse than the incumbent, which only falls:
+    every tie reaches ``_argbest``.
     """
-    floors = ber_floors(float(params.Q), mean, var)
+    q = float(params.Q)
+    coarse = _coarse_floors(q, mean, var)
+    seed = int(np.argmin(coarse)) if first is None else first
     values = np.full(i1.size, math.inf)
-    incumbent = math.inf
-    visit = list(range(i1.size))
-    if first is not None:
-        visit.insert(0, visit.pop(first))
-    for w in visit:
-        if floors[w] > incumbent:
-            continue
+
+    def scan(w: int, beat: float) -> None:
         taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
-        found = threshold_from_taps(params, taps, beat=incumbent)
+        found = threshold_from_taps(params, taps, beat=beat)
         if found is not None:
             values[w] = found[1].value
-            incumbent = min(incumbent, found[1].value)
+
+    scan(seed, math.inf)
+    incumbent = values[seed]
+    floors = np.full(i1.size, math.inf)
+    alive = coarse <= incumbent
+    floors[alive] = ber_floors(q, mean[:, alive], var[:, alive])
+    floors[seed] = math.inf
+    # the columns in reach of the seed, in order, tested again as the incumbent falls
+    for w in np.flatnonzero(floors <= incumbent):
+        if floors[w] <= incumbent:
+            scan(int(w), incumbent)
+            incumbent = min(incumbent, values[w])
     best = _argbest(values, i1, i2, maximize=False)
     return best, float(values[best])
 

@@ -226,8 +226,8 @@ _CURVE_CHUNK = 4096
 _BOUND_SLACK = 1e-9
 # threshold gaps at most this wide are filled, wider ones bisected
 _FILL_WIDTH = 8
-# windows x sequences elements per block of the batched floor
-_FLOOR_BLOCK = 1 << 14
+# windows x sequences elements per block of the batched floors (64 KiB a temporary)
+_FLOOR_BLOCK = 1 << 13
 
 
 def _tail_sums(
@@ -320,45 +320,144 @@ def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     floors are lowered by the rounding slack _BOUND_SLACK, so a window
     whose BER ties the floor is never pruned by a plain comparison.
     """
-    step = max(1, _FLOOR_BLOCK >> (mean.shape[0] - 1))
+    return _blocked(_floor_block, q, mean, var, mean.shape[0] - 1) / (1.0 + _BOUND_SLACK)
+
+
+def _blocked(kernel, q: float, mean: np.ndarray, var: np.ndarray, log2_width: int) -> np.ndarray:
+    """``kernel`` over blocks of columns, 2^log2_width elements per column."""
+    step = max(1, _FLOOR_BLOCK >> log2_width)
     out = np.empty(mean.shape[1])
     for start in range(0, mean.shape[1], step):
         cols = slice(start, start + step)
-        out[cols] = _floor_block(q, mean[:, cols], var[:, cols])
-    return out / (1.0 + _BOUND_SLACK)
+        out[cols] = kernel(q, mean[:, cols], var[:, cols])
+    return out
 
 
 def _floor_block(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     mu0, var0, mu1, var1 = _sequence_stats(q, mean, var)
     # reversed, the "1" sequences are the complements of the "0" ones
     gap = mu1[:, ::-1] - mu0
-    sd0 = np.sqrt(var0)
-    sd1 = np.sqrt(var1[:, ::-1])
-    spread = sd0 + sd1
+    del mu0, mu1  # freed before the pair kernel's temporaries
+    return 0.5 * _pair_minima(gap, var0, var1[:, ::-1]).mean(axis=1)
+
+
+def _pair_minima(gap: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """Per pair, min(1/2, a certified lower bound on min over x of
+    Q((x - mu0) / s0) + Q((mu1 - x) / s1)), for gap = mu1 - mu0 and the
+    variances v0, v1 (see ``ber_floor_from_taps``)."""
+    s0 = np.sqrt(v0)
+    s1 = np.sqrt(v1)
+    rough = (gap <= 0.0) | (s0 == 0.0) | (s1 == 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_ratio = np.log(v1 / v0)
+        root = np.sqrt(v1 * (gap * gap + (v1 - v0) * log_ratio))
+        a = (gap * gap + v1 * log_ratio) / (gap * s0 + root)
+        del log_ratio, root
+        # any a in [0, G / s0] gives a valid term; a ratio v1 / v0 out of
+        # range makes a NaN, which fmax sends to 0
+        a = np.fmin(np.fmax(a, 0.0), gap / s0)
+        b = np.maximum((gap - s0 * a) / s1, 0.0)
+        # |f'(x^)| times the farther end of [mu0, mu1]
+        slope = np.exp(-0.5 * a * a) / s0
+        slope -= np.exp(-0.5 * b * b) / s1
+        np.abs(slope, out=slope)
+        slope *= np.maximum(s0 * a, s1 * b) / math.sqrt(2.0 * math.pi)
+    term = _gaussian_tail(a)
+    term += _gaussian_tail(b)
+    term -= slope
+    if rough.any():
+        # indicator limits and non-positive gaps: Q(gap / (s0 + s1)), exact
+        g, spread = gap[rough], s0[rough] + s1[rough]
+        d = np.divide(g, spread, out=np.where(g > 0.0, np.inf, 0.0), where=spread > 0.0)
+        term[rough] = _gaussian_tail(d)
+    return np.minimum(np.fmax(term, 0.0), 0.5)
+
+
+def _coarse_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """A lower bound on ``ber_floors`` of every column, from ~2^(K/2+1) tails,
+    lowered by the rounding slack like the floors.
+
+    The K interference rows split into the leading rows 1..k, k = ceil(K/2),
+    and the rest; the leading bits of the "0" pattern group the floor's
+    complement pairs into 2^k groups of 2^(K-k).  A pair's minimum is at
+    least min(1/2, w Q(G / (s0 + s1))) with w = 1 + min(s0, s1) / max(s0,
+    s1) (Jensen: Q is convex on [0, inf)).  The heaviest-ISI group, every
+    leading tap on in "0", takes that term for each of its pairs.  Every
+    other group takes 2^(K-k) times the term at its worst case over the
+    trailing bits: the largest gap (every trailing tap favours detection),
+    the least spread (s0 + s1 = sqrt(A + t) + sqrt(B + V - t) is concave in
+    the trailing variance t that "0" takes, so least at t = 0 or V) and the
+    least w.  Summing over a partition, the bound is strong both at high Q,
+    where the heaviest group carries the BER, and at low Q.
+    """
+    return _blocked(_coarse_block, q, mean, var, mean.shape[0] // 2 + 1) / (1.0 + _BOUND_SLACK)
+
+
+def _coarse_block(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    k = mean.shape[0] // 2
+    lead_mu0, lead_var0, lead_mu1, lead_var1 = _sequence_stats(q, mean[: k + 1], var[: k + 1])
+    zero = np.zeros((1, mean.shape[1]))
+    trail_mu, trail_var = _sequence_stats(
+        q, np.concatenate((zero, mean[k + 1 :])), np.concatenate((zero, var[k + 1 :]))
+    )[:2]
+    # "0" lead pattern 2^k-1 against "1" lead pattern 0, then p against 2^k-1-p
+    heavy = _jensen_terms(
+        lead_mu1[:, :1] + trail_mu[:, ::-1] - (lead_mu0[:, -1:] + trail_mu),
+        lead_var0[:, -1:] + trail_var,
+        lead_var1[:, :1] + trail_var[:, ::-1],
+        0.0,
+    )
+    others = _jensen_terms(
+        lead_mu1[:, :0:-1] - lead_mu0[:, :-1] + q * np.abs(mean[k + 1 :]).sum(axis=0)[:, None],
+        lead_var0[:, :-1],
+        lead_var1[:, :0:-1],
+        trail_var[:, -1:],
+    )
+    n = trail_mu.shape[1]  # pairs per group
+    return 0.5 * (heavy.sum(axis=1) + n * others.sum(axis=1)) / (lead_mu0.shape[1] * n)
+
+
+def _jensen_terms(gap: np.ndarray, v0: np.ndarray, v1: np.ndarray, rest) -> np.ndarray:
+    """min(1/2, (1 + min(s0, s1) / max(s0, s1)) Q(G / (s0 + s1))) at the
+    worst case of a group of pairs with gaps G up to ``gap`` and variances
+    v0 + t, v1 + rest - t for t in [0, rest]; Q(G / 0) takes its indicator
+    limit."""
+    s0, s1 = np.sqrt(v0), np.sqrt(v1)
+    s0_all, s1_all = np.sqrt(v0 + rest), np.sqrt(v1 + rest)
+    spread = np.minimum(s0 + s1_all, s0_all + s1)
     some = spread > 0.0
+    w = np.minimum(s0, s1)
+    np.divide(w, np.maximum(s0_all, s1_all), out=w, where=some)
     d = np.divide(gap, spread, out=np.where(gap > 0.0, np.inf, 0.0), where=some)
-    bound = _gaussian_tail(d)
-    bound *= np.divide(spread, np.maximum(sd0, sd1), out=np.ones_like(spread), where=some)
-    return 0.5 * np.minimum(bound, 0.5, out=bound).mean(axis=1)
+    return np.minimum((1.0 + w) * _gaussian_tail(np.maximum(d, 0.0)), 0.5)
 
 
 def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
-    """Cheap lower bound on the threshold-optimized BER of a tap profile.
+    """Lower bound on the threshold-optimized BER of a tap profile.
 
-    Pair each "0" sequence (mu0, s0) with a "1" sequence (mu1, s1), let
-    d = (mu1 - mu0) / (s0 + s1) and w = (s0 + s1) / max(s0, s1).  For every
-    real xi, Q((xi - mu0) / s0) + Q((mu1 - xi) / s1) >= min(1/2, w Q(d)):
-    outside [mu0, mu1] one term exceeds 1/2; inside, both arguments a, b
-    are >= 0 with s0 a + s1 b = d (s0 + s1), and Q is convex on [0, inf),
-    so Jensen gives (s0 Q(a) + s1 Q(b)) / (s0 + s1) >= Q(d); dividing by
-    max(s0, s1) / (s0 + s1) gives the bound.  Zero spreads use the
-    indicator limits with w = 1.  Any perfect matching of the sequences
-    bounds the BER by the mean of half these terms.  The floor matches each
-    ISI pattern with its complement, so the heaviest-ISI "0" meets the
-    cleanest "1".  The gaps then spread around the signal and, Q being
-    convex, the mean term rises; on the grids measured, adding the
-    same-pattern matching pruned no further window.  Lets window searches
-    skip provably worse candidates.  A one-column ``ber_floors``.
+    Pair each "0" sequence (mu0, s0) with a "1" sequence (mu1, s1) and let
+    f(x) = Q((x - mu0) / s0) + Q((mu1 - x) / s1).  Any perfect matching of
+    the sequences bounds the BER at every threshold by the mean of half the
+    pairs' f, so by the mean of half their minima over x.  The floor
+    matches each ISI pattern with its complement, so the heaviest-ISI "0"
+    meets the cleanest "1", and bounds each pair's minimum as follows.
+
+    With the gap G = mu1 - mu0 > 0 and both spreads positive: outside
+    [mu0, mu1] one term exceeds 1/2.  Inside, both arguments are >= 0 and
+    affine in x, and Q is convex on [0, inf), so f is convex there.  Its
+    stationary point phi(a) / s0 = phi(b) / s1, with a = (x - mu0) / s0 and
+    b = (mu1 - x) / s1, solves (v0 - v1) a^2 - 2 B a + C = 0 for B = G s0
+    and C = G^2 + v1 ln(v1 / v0); the root a = C / (B + sqrt(B^2 +
+    (v1 - v0) C)) stays finite as v1 -> v0, where it gives the midpoint,
+    and B^2 + (v1 - v0) C = v1 (G^2 + (v1 - v0) ln(v1 / v0)) >= 0 is
+    computed in that cancellation-free form.  Clip a to [0, G / s0] and
+    take x^ = mu0 + s0 a.  Convexity puts f above its tangent at x^, so on
+    [mu0, mu1] f >= f(x^) - |f'(x^)| max(x^ - mu0, mu1 - x^): the term
+    min(1/2, max(0, that)) bounds the pair's minimum wherever rounding puts
+    x^, and equals it when x^ is the stationary point.  With a zero spread
+    or G <= 0 the term is Q(G / (s0 + s1)) under the indicator limits, which
+    is exact (or at least 1/2).  Lets window searches skip provably worse
+    candidates.  A one-column ``ber_floors``.
     """
     mean, var = _tap_table(taps)
     return float(ber_floors(float(params.Q), mean[:, None], var[:, None])[0])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mcdwin import ContinuousWindow, Receiver, msinar, prop2_interval
+from mcdwin import ContinuousWindow, Receiver, msinar, optimizer, prop2_interval
 from mcdwin.cli import (
     CMP_HEADER,
     CONV_HEADER,
@@ -335,6 +335,19 @@ class TestInputValidation:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(float(r["t1"]), float(r["t2"])) for r in rows] == [(0.0, 0.2)]
+
+
+    @pytest.mark.parametrize("command", ["sweep", "metrics"])
+    def test_grid_over_the_window_cap_exits_3(self, monkeypatch, ab_cfg_file, tmp_path, capsys, command):
+        # T_s / 0.004 = 50 steps: 1,275 windows of 5 taps, over a cap of 1,000
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", 1000)
+        out = tmp_path / "out.csv"
+        assert main([command, "-c", ab_cfg_file, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "EnumerationTooLarge" in err
+        assert "step 0.004 gives 1,275 candidate windows" in err
+        assert "cap of 1,000 table elements" in err
+        assert not out.exists()
 
 
 class TestReproduce:

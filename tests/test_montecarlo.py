@@ -11,6 +11,7 @@ from mcdwin import (
     simulate_ber,
     sweep,
 )
+from mcdwin import montecarlo
 from mcdwin.montecarlo import _pool_workers, wilson_halfwidth
 from mcdwin.reception import BerSource
 from conftest import absorbing_params
@@ -182,3 +183,22 @@ class TestSweep:
         values = [r.analytic.value for r in rows]
         assert values[1] <= values[0] * 1.05
         assert values[2] <= values[1] * 1.05
+
+    def test_one_pool_per_sweep(self, monkeypatch, table1_absorbing):
+        # count process pools: one for the whole sweep, not one per row
+        pools = []
+        executor = montecarlo.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = TrialConfig(trials=montecarlo.CHUNK_TRIALS + 1, seed=4)  # two chunks per row
+        schemes = [Scheme.FULL_WINDOW, Scheme.CLOSED_FORM]
+        shared = sweep(table1_absorbing, [500, 2000], schemes, cfg, workers=2)
+        assert pools == [2]
+        monkeypatch.undo()
+        alone = sweep(table1_absorbing, [500, 2000], schemes, cfg)
+        assert [r.mc for r in shared] == [r.mc for r in alone]

@@ -751,6 +751,83 @@ class TestExhaustiveBerSearch:
         assert high.objective_value < 1e-100
 
 
+class TestWindowCap:
+    """The grid searches refuse a candidate-window table over
+    MAX_GRID_ELEMENTS before building any of it."""
+
+    @staticmethod
+    def _no_grid(monkeypatch):
+        def build(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(optimizer, "_continuous_grid", build)
+        monkeypatch.setattr(optimizer, "_sampled_grid", build)
+
+    @pytest.mark.parametrize("search", [exhaustive_ber_search, numeric_metric_search])
+    def test_fine_step_refused_before_building(self, monkeypatch, search):
+        # T_s / dt = 1e5 steps would be ~5e9 windows
+        self._no_grid(monkeypatch)
+        args = (Metric.MSINAR,) if search is numeric_metric_search else ()
+        with pytest.raises(EnumerationTooLarge, match=r"5,000,050,000 candidate windows"):
+            search(absorbing_params(L=4), *args, dt=0.2 / 100_000)
+
+    def test_lowered_cap_names_step_windows_and_cap(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", 5 * 1275 - 1)
+        with pytest.raises(EnumerationTooLarge) as info:
+            exhaustive_ber_search(absorbing_params(L=4), dt=0.2 / 50)
+        assert "step 0.004 gives 1,275 candidate windows of 5 taps" in str(info.value)
+        assert "cap of 6,374 table elements" in str(info.value)
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", 5 * 1275)
+        exhaustive_ber_search(absorbing_params(L=4), dt=0.2 / 50)
+
+    def test_passive_grid_capped(self, monkeypatch, table1_passive):
+        # N + 1 samples, each pair n1 <= n2 a window
+        n = table1_passive.N + 1
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", (table1_passive.L + 1) * n * (n + 1) // 2 - 1)
+        with pytest.raises(EnumerationTooLarge):
+            exhaustive_ber_search(table1_passive)
+
+    def test_default_grid_fits_at_the_enumeration_cap(self):
+        steps = optimizer.GRID_DIVISIONS
+        assert 25 * steps * (steps + 1) // 2 <= optimizer.MAX_GRID_ELEMENTS
+
+
+def _counted(monkeypatch, name: str, size) -> list:
+    """Wrap ``optimizer.<name>`` and record ``size`` of each call's arguments."""
+    seen = []
+    original = getattr(optimizer, name)
+
+    def counting(*args, **kwargs):
+        seen.append(size(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, name, counting)
+    return seen
+
+
+class TestCascadedBounds:
+    """Work counts of the least-BER search: the coarse bound prunes most
+    windows before the full floor, and the pair-minimum floor lets few
+    losing windows reach a threshold scan."""
+
+    def test_exhaustive_scans_few_windows(self, monkeypatch):
+        scans = _counted(monkeypatch, "threshold_from_taps", lambda params, taps: 1)
+        exhaustive_ber_search(absorbing_params(L=8, Q=100), dt=0.2 / 80)
+        # 3,240 windows; the complement-pair Jensen floor admitted 335
+        assert len(scans) <= 200
+
+    def test_full_floor_runs_on_coarse_survivors(self, monkeypatch):
+        columns = _counted(monkeypatch, "ber_floors", lambda q, mean, var: mean.shape[1])
+        exhaustive_ber_search(absorbing_params(L=8, Q=10_000), dt=0.2 / 80)
+        assert sum(columns) <= 100
+
+    def test_shift_tau_scans_few_delays(self, monkeypatch):
+        scans = _counted(monkeypatch, "threshold_from_taps", lambda params, taps: 1)
+        res = shift_tau_search(absorbing_params(L=8, Q=10_000), dt=0.2 / 80)
+        assert res.tau == pytest.approx(0.0223, abs=1e-4)
+        assert len(scans) <= 8
+
+
 class TestShiftTau:
     def test_never_worse_than_zero_shift(self, table1_absorbing):
         res = shift_tau_search(table1_absorbing, dt=0.2 / 50)

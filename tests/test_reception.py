@@ -27,8 +27,11 @@ from mcdwin import reception
 from mcdwin.optimizer import _continuous_grid, _sampled_grid
 from mcdwin.reception import (
     BerSource,
+    _coarse_floors,
     _hypothesis_stats,
+    _pair_minima,
     _pe_curve,
+    _tap_table,
     ber_floor_from_taps,
     ber_floors,
     q_function,
@@ -438,6 +441,61 @@ class TestFloorBound:
         params, taps = case
         hi, *stats = _scan_range(float(params.Q), taps)
         assert ber_floor_from_taps(params, taps) <= _full_curve(hi, *stats).min() * (1.0 + 1e-9)
+
+
+class TestCascadedBounds:
+    @given(case=_tap_profiles(max_L=10))
+    @settings(max_examples=400, deadline=None)
+    def test_both_bounds_are_below_the_full_range_minimum(self, case):
+        params, taps = case
+        hi, *stats = _scan_range(float(params.Q), taps)
+        least = _full_curve(hi, *stats).min() * (1.0 + 1e-9)
+        mean, var = _tap_table(taps)
+        assert ber_floor_from_taps(params, taps) <= least
+        assert _coarse_floors(float(params.Q), mean[:, None], var[:, None])[0] <= least
+
+    @pytest.mark.parametrize(
+        "mu0, var0, mu1, var1",
+        [(3.0, 3.0, 9.0, 3.0), (40.0, 30.0, 60.0, 8.0), (5.0, 2.0, 30.0, 25.0), (100.0, 90.0, 1400.0, 1300.0)],
+    )
+    def test_pair_term_is_the_pair_minimum(self, mu0, var0, mu1, var1):
+        # one complement pair's term is its minimum over every real threshold,
+        # against a bounded minimization of the log error in [mu0, mu1]
+        sd0, sd1 = math.sqrt(var0), math.sqrt(var1)
+
+        def log_errors(x):
+            return np.logaddexp(norm.logsf(x, mu0, sd0), norm.logcdf(x, mu1, sd1))
+
+        least = minimize_scalar(log_errors, bounds=(mu0, mu1), method="bounded", options={"xatol": 1e-9})
+        term = _pair_minima(np.array([mu1 - mu0]), np.array([var0]), np.array([var1]))[0]
+        assert math.log(term) <= least.fun
+        assert math.log(term) == pytest.approx(least.fun, rel=1e-9)
+
+    _variances = st.one_of(
+        st.just(0.0), st.floats(1e-320, 1e8, allow_subnormal=True), st.floats(1e-3, 1e4)
+    )
+
+    @given(mu0=st.floats(0, 1e5), gap=st.floats(-5, 2e3), var0=_variances, var1=_variances)
+    @settings(max_examples=300, deadline=None)
+    def test_pair_term_is_below_the_pair_errors_everywhere(self, mu0, gap, var0, var1):
+        # extreme and subnormal variances included: the term stays in
+        # [0, 1/2] and below both error tails at any threshold
+        mu1 = mu0 + gap
+        term = _pair_minima(np.array([mu1 - mu0]), np.array([var0]), np.array([var1]))[0]
+        assert 0.0 <= term <= 0.5
+        lo, hi = min(mu0, mu1), max(mu0, mu1)
+        x = np.concatenate((np.linspace(lo, hi, 401), [lo - 1.0, hi + 1.0]))
+        sd0, sd1 = math.sqrt(var0), math.sqrt(var1)
+        miss0 = norm.sf(x, mu0, sd0) if sd0 > 0.0 else (x < mu0).astype(float)
+        miss1 = norm.cdf(x, mu1, sd1) if sd1 > 0.0 else (x >= mu1).astype(float)
+        assert term <= (miss0 + miss1).min() * (1.0 + 1e-9)
+
+    def test_coarse_bound_is_below_every_floor(self):
+        params = passive_params(T_s=2.0, L=10, Q=1000)
+        mean, var = _sampled_grid(params)[2:]
+        floors = ber_floors(float(params.Q), mean, var)
+        coarse = _coarse_floors(float(params.Q), mean, var)
+        assert np.all(coarse <= floors * (1.0 + 1e-12))
 
 
 class TestBoundedScan:
