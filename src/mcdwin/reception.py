@@ -366,10 +366,9 @@ def _pair_minima(gap: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     term += _gaussian_tail(b)
     term -= slope
     if rough.any():
-        # indicator limits and non-positive gaps: Q(gap / (s0 + s1)), exact
-        g, spread = gap[rough], s0[rough] + s1[rough]
-        d = np.divide(g, spread, out=np.where(g > 0.0, np.inf, 0.0), where=spread > 0.0)
-        term[rough] = _gaussian_tail(d)
+        # a zero spread: Q(G / max(s0, s1)) or its indicator limit, exact;
+        # G <= 0: at least 1/2
+        term[rough] = _jensen_terms(gap[rough], v0[rough], v1[rough], 0.0)
     return np.minimum(np.fmax(term, 0.0), 0.5)
 
 
