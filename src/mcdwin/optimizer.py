@@ -67,7 +67,7 @@ from .channel import (
     window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
-from .reception import _coarse_floors, ber_floors, threshold_from_taps
+from .reception import _FLOOR_BLOCK, _coarse_floors, ber_floors, best_thresholds, threshold_from_taps
 
 __all__ = [
     "Regime",
@@ -628,34 +628,34 @@ def _least_ber(
     A branch-and-bound seeded by a scan of column ``first`` (by default the
     column of least coarse bound).  Bounds cascade: the cheap coarse bound
     of every column first, the full ``ber_floors`` only on the columns it
-    leaves at or below the seed's BER.  A column is skipped (+inf) when its
-    floor exceeds the incumbent BER, or its scan given it as ``beat``
-    proves it cannot reach it.  Both tests allow a rounding slack, so a
-    skipped column is strictly worse than the incumbent, which only falls:
-    every tie reaches ``_argbest``.
+    leaves at or below the seed's BER.  The columns whose floor does not
+    exceed the incumbent BER go to ``best_thresholds`` in ascending-floor
+    blocks of at most _FLOOR_BLOCK elements; it lowers the incumbent every
+    round and skips (+inf) a column that provably cannot reach it.  Both
+    tests allow a rounding slack, so a skipped column is strictly worse than
+    the incumbent, which only falls: every tie reaches ``_argbest``.
     """
     q = float(params.Q)
     coarse = _coarse_floors(q, mean, var)
     seed = int(np.argmin(coarse)) if first is None else first
     values = np.full(i1.size, math.inf)
-
-    def scan(w: int, beat: float) -> None:
-        taps = TapProfile(lags=lags, mean=mean[:, w], var=var[:, w])
-        found = threshold_from_taps(params, taps, beat=beat)
-        if found is not None:
-            values[w] = found[1].value
-
-    scan(seed, math.inf)
+    values[seed] = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))[1].value
     incumbent = values[seed]
     floors = np.full(i1.size, math.inf)
     alive = coarse <= incumbent
     floors[alive] = ber_floors(q, mean[:, alive], var[:, alive])
     floors[seed] = math.inf
-    # the columns in reach of the seed, in order, tested again as the incumbent falls
-    for w in np.flatnonzero(floors <= incumbent):
-        if floors[w] <= incumbent:
-            scan(int(w), incumbent)
-            incumbent = min(incumbent, values[w])
+    order = np.flatnonzero(floors <= incumbent)
+    order = order[np.argsort(floors[order], kind="stable")]
+    # a column holds its 2^K sequence statistics and up to a few dozen thresholds
+    step = max(1, _FLOOR_BLOCK >> max(mean.shape[0] - 1, 6))
+    for start in range(0, order.size, step):
+        block = order[start : start + step]
+        block = block[floors[block] <= incumbent]
+        if block.size == 0:
+            break
+        values[block] = best_thresholds(q, mean[:, block], var[:, block], incumbent)[1]
+        incumbent = min(incumbent, values[block].min())
     best = _argbest(values, i1, i2, maximize=False)
     return best, float(values[best])
 

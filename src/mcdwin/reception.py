@@ -163,7 +163,7 @@ def _upper_tail(x, mu, sd):
     """
     spread = sd != 0.0
     z = (x - mu) / np.where(spread, sd, 1.0)
-    return np.where(spread, _gaussian_tail(z), (x < mu).astype(float))
+    return np.where(spread, _gaussian_tail(z), x < mu)
 
 
 def _lower_tail(x, mu, sd):
@@ -173,7 +173,7 @@ def _lower_tail(x, mu, sd):
     """
     spread = sd != 0.0
     z = (mu - x) / np.where(spread, sd, 1.0)
-    return np.where(spread, _gaussian_tail(z), (x >= mu).astype(float))
+    return np.where(spread, _gaussian_tail(z), x >= mu)
 
 
 def ber_from_stats(
@@ -221,33 +221,37 @@ def analytic_ber(params: SystemParams, window: DetectionWindow, threshold: float
 # Threshold optimization
 # ---------------------------------------------------------------------------
 
-_CURVE_CHUNK = 4096
-# relative slack on the block bounds, against erfc rounding breaking monotonicity
+# relative slack on the scan and floor bounds, against erfc rounding breaking monotonicity
 _BOUND_SLACK = 1e-9
 # threshold gaps at most this wide are filled, wider ones bisected
 _FILL_WIDTH = 8
-# windows x sequences elements per block of the batched floors (64 KiB a temporary)
+# elements per block of the batched floors, scans and tail sums (64 KiB a temporary)
 _FLOOR_BLOCK = 1 << 13
 
 
 def _tail_sums(
     xis: np.ndarray,
+    cols: np.ndarray,
     mu0: np.ndarray,
     sd0: np.ndarray,
     mu1: np.ndarray,
     sd1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per threshold, the "0" and "1" error tails summed over all sequences.
+    """Per threshold xis[i], the "0" and "1" error tails summed over the
+    sequences of row cols[i] of the (C, 2^K) statistics.
 
-    The first sum falls and the second rises with the threshold.
+    Each sum is one row of a (thresholds, sequences) array, so it does not
+    depend on the other thresholds.  The first sum falls and the second
+    rises with the threshold.
     """
     s0 = np.empty(xis.size)
     s1 = np.empty(xis.size)
-    for start in range(0, xis.size, _CURVE_CHUNK):
-        x = xis[start : start + _CURVE_CHUNK, None]
-        stop = start + x.shape[0]
-        s0[start:stop] = _upper_tail(x, mu0, sd0).sum(axis=1)
-        s1[start:stop] = _lower_tail(x, mu1, sd1).sum(axis=1)
+    step = max(1, _FLOOR_BLOCK // mu0.shape[1])
+    for start in range(0, xis.size, step):
+        x = xis[start : start + step, None]
+        c = cols[start : start + step]
+        s0[start : start + step] = _upper_tail(x, mu0[c], sd0[c]).sum(axis=1)
+        s1[start : start + step] = _lower_tail(x, mu1[c], sd1[c]).sum(axis=1)
     return s0, s1
 
 
@@ -258,58 +262,95 @@ def _pe_curve(
     mu1: np.ndarray,
     var1: np.ndarray,
 ) -> np.ndarray:
-    """P_e at each candidate threshold (vectorized, fixed summation order)."""
-    s0, s1 = _tail_sums(xis, mu0, np.sqrt(var0), mu1, np.sqrt(var1))
+    """P_e of one set of sequences at each candidate threshold."""
+    stats = (a[None] for a in (mu0, np.sqrt(var0), mu1, np.sqrt(var1)))
+    s0, s1 = _tail_sums(xis, np.zeros(xis.size, dtype=int), *stats)
     return 0.5 * (s0 + s1) / mu0.size
 
 
-def _best_threshold(
-    hi: int, mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray, beat: float
-) -> int | None:
-    """Smallest minimizer over the integers 0..hi of the ``_pe_curve`` values.
+def best_thresholds(
+    q: float, mean: np.ndarray, var: np.ndarray, beat: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """``threshold_from_taps`` of every column of a (K+1, C) tap table: the
+    thresholds and their BERs, +inf where a column cannot win.
 
-    Between evaluated thresholds e < e' every threshold has
-    P_e >= (S0(e') + S1(e)) / (2n), since S0 falls and S1 rises.  The scan
-    evaluates 0, hi and a ladder g, g +- 1, 2, 4, ... around the balance
-    point g of the heaviest-ISI "0" and the cleanest "1" (the last and first
-    sequences), then bisects (or, when at most _FILL_WIDTH wide, fills) only
-    the gaps whose bound does not exceed min(best value, beat) plus a
-    rounding slack.  So the result is exactly np.argmin of the full curve,
-    or None when every value exceeds beat (plus the slack); a window that
-    cannot win costs O(log hi) thresholds.
+    The columns' integer thresholds 0..hi are scanned in lockstep.  Between
+    evaluated thresholds e < e' every threshold has P_e >= (S0(e') +
+    S1(e)) / (2n), since S0 falls and S1 rises; the ends [0, first) and
+    (last, hi] are such gaps too, bounded with S1 >= 0 and S0 >= 0 (a
+    sentinel at -1 and at hi + 1).  A column starts at g - 1, g, g + 1
+    around the balance point g of its heaviest-ISI "0" and cleanest "1"
+    (the last and first sequences).  Each round takes the gaps whose bound
+    does not exceed min(column best, incumbent) plus a rounding slack: it
+    fills one at most _FILL_WIDTH wide, doubles the distance of a wider end
+    from g and bisects any other.  The incumbent starts at ``beat`` and
+    falls to the least value of any column, so a column that provably cannot
+    reach it stops early; every round is one ``_tail_sums`` call.  Where the
+    best value is 0, only gaps below its first zero are searched: nothing
+    is below 0, and ties go to the smaller threshold.
+
+    A column's result is exactly the smallest np.argmin of its full
+    ``_pe_curve``, with the BER re-summed there (``ber_from_stats``), or
+    +inf when every value exceeds the final incumbent (plus the slack).
     """
-    n = mu0.size
-    limit = beat * (1.0 + _BOUND_SLACK)
-    m0, m1, spread0, spread1 = float(mu0[-1]), float(mu1[0]), float(sd0[-1]), float(sd1[0])
-    g = (spread1 * m0 + spread0 * m1) / (spread0 + spread1) if spread0 + spread1 > 0.0 else m0
-    g = min(max(math.floor(g), 0), hi)
-    steps = [1 << k for k in range(hi.bit_length())]
-    ladder = {0, g, hi, *(max(g - d, 0) for d in steps), *(min(g + d, hi) for d in steps)}
-    xs = np.array(sorted(ladder))
-    s0, s1 = _tail_sums(xs.astype(float), mu0, sd0, mu1, sd1)
-    fill = np.arange(1, _FILL_WIDTH + 1)
+    mu0, var0, mu1, var1 = _sequence_stats(q, mean, var)
+    sd0, sd1 = np.sqrt(var0), np.sqrt(var1)
+    n = mu0.shape[1]
+    hi = np.ceil(mu1.max(axis=1)) + np.ceil(6.0 * np.sqrt(np.maximum(var0.max(axis=1), var1.max(axis=1))))
+    spread = sd0[:, -1] + sd1[:, 0]
+    g = np.divide(
+        sd1[:, 0] * mu0[:, -1] + sd0[:, -1] * mu1[:, 0], spread, out=mu0[:, -1].copy(), where=spread > 0.0
+    )
+    g = np.minimum(np.maximum(np.floor(g), 0.0), hi)
+    xs = np.maximum(g[:, None] + (-math.inf, -1.0, 0.0, 1.0, math.inf), -1.0)
+    xs = np.minimum(xs, hi[:, None] + 1.0)  # g - 1, g, g + 1 between the sentinels
+    distinct = np.ones(xs.shape, dtype=bool)
+    distinct[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    cols, xs = distinct.nonzero()[0], xs[distinct]
+    # the sentinels' P_e is inf: S0 = inf, S1 = 0 at -1 and S0 = 0, S1 = inf at hi + 1
+    s0 = np.where(xs < 0.0, math.inf, 0.0)
+    s1 = np.where(xs < 0.0, 0.0, math.inf)
+    real = (xs >= 0.0) & (xs <= hi[cols])
+    s0[real], s1[real] = _tail_sums(xs[real], cols[real], mu0, sd0, mu1, sd1)
+    incumbent = beat
+    fill = np.arange(1.0, _FILL_WIDTH + 1.0)
+    key_span = hi.max() + 3.0  # sorts the points by column, then threshold
     while True:
         pe = 0.5 * (s0 + s1) / n
-        best = pe.min()
-        width = np.diff(xs) - 1  # unevaluated thresholds per gap
-        bound = 0.5 * (s0[1:] + s1[:-1]) / n
-        gaps = (width > 0) & (bound <= min(best, limit) * (1.0 + _BOUND_SLACK))
-        if best == 0.0:  # nothing is below 0, and ties go to the smaller threshold
-            gaps &= xs[:-1] < xs[np.argmin(pe)]
-        if not gaps.any():
+        heads = (xs < 0.0).nonzero()[0]
+        low = np.minimum.reduceat(pe, heads)
+        incumbent = min(incumbent, low.min())
+        cap = np.minimum(low, incumbent * (1.0 + _BOUND_SLACK)) * (1.0 + _BOUND_SLACK)
+        index = np.arange(xs.size)
+        where = np.minimum.reduceat(np.where(pe == low[cols], index, xs.size), heads)
+        # gap i lies between points i and i + 1; between two columns its bound is inf
+        gaps = (xs[1:] - xs[:-1] > 1.0) & (0.5 * (s0[1:] + s1[:-1]) / n <= cap[cols[1:]])
+        zero = low == 0.0
+        if zero.any():
+            gaps &= ~zero[cols[1:]] | (index[:-1] < where[cols[1:]])
+        at = gaps.nonzero()[0]
+        if at.size == 0:
             break
-        left, width = xs[:-1][gaps], width[gaps]
+        lo, up, c = xs[at], xs[at + 1], cols[at]
+        width = up - lo - 1.0
+        # an end moves twice as far from g, an inner gap is halved
+        mid = np.where(pe[at + 1] == math.inf, 2.0 * lo - g[c], np.floor((lo + up) / 2.0))
+        mid = np.minimum(np.maximum(np.where(lo < 0.0, 2.0 * up - g[c], mid), lo + 1.0), up - 1.0)
         wide = width > _FILL_WIDTH
-        fills = (left[~wide, None] + fill)[fill <= width[~wide, None]]
-        new = np.concatenate((left[wide] + (width[wide] + 1) // 2, fills))
-        t0, t1 = _tail_sums(new.astype(float), mu0, sd0, mu1, sd1)
-        order = np.argsort(np.concatenate((xs, new)), kind="stable")
-        xs = np.concatenate((xs, new))[order]
+        narrow = (fill <= width[:, None]) & ~wide[:, None]
+        new_cols = np.concatenate((c[wide], c.repeat(narrow.sum(axis=1))))
+        new_xs = np.concatenate((mid[wide], (lo[:, None] + fill)[narrow]))
+        t0, t1 = _tail_sums(new_xs, new_cols, mu0, sd0, mu1, sd1)
+        cols = np.concatenate((cols, new_cols))
+        xs = np.concatenate((xs, new_xs))
+        order = (cols * key_span + xs).argsort()
+        cols, xs = cols[order], xs[order]
         s0 = np.concatenate((s0, t0))[order]
         s1 = np.concatenate((s1, t1))[order]
-    if best > limit:
-        return None
-    return int(xs[np.argmin(pe)])  # first occurrence = smallest threshold
+    values = np.full(g.size, math.inf)
+    for c in np.flatnonzero(low <= incumbent * (1.0 + _BOUND_SLACK)):
+        values[c] = ber_from_stats(mu0[c], sd0[c], mu1[c], sd1[c], xs[where[c]])
+    return xs[where].astype(int), values
 
 
 def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -467,26 +508,20 @@ def threshold_from_taps(
 ) -> tuple[int, BerEstimate] | None:
     """BER-minimizing integer threshold for an arbitrary tap profile.
 
-    The range is xi in [0, ceil(mu1_max) + 6*sigma_max]; a block-bounded
-    scan (``_best_threshold``) returns exactly the smallest minimizer of the
-    full-range ``_pe_curve`` without evaluating every integer.  The BER is
-    re-summed exactly (``ber_from_stats``) at that threshold.  With a finite
-    ``beat`` (an incumbent BER) the scan gives up and returns None as soon
-    as every threshold provably exceeds beat * (1 + _BOUND_SLACK); any other
-    result is the same as without ``beat``.
+    The range is xi in [0, ceil(mu1_max) + 6*sigma_max]; a bounded scan
+    returns exactly the smallest minimizer of the full-range ``_pe_curve``
+    without evaluating every integer, and the BER is re-summed exactly
+    (``ber_from_stats``) at that threshold.  With a finite ``beat`` (an
+    incumbent BER) the scan gives up and returns None as soon as every
+    threshold provably exceeds beat * (1 + _BOUND_SLACK); any other result
+    is the same as without ``beat``.  A one-column ``best_thresholds``.
     """
-    q = float(params.Q)
-    mu0, var0, mu1, var1 = _hypothesis_stats(q, taps)
-    sd0 = np.sqrt(var0)
-    sd1 = np.sqrt(var1)
-    sigma_max = math.sqrt(max(var0.max(), var1.max()))
-    hi = int(math.ceil(mu1.max()) + math.ceil(6.0 * sigma_max))
-    best = _best_threshold(hi, mu0, sd0, mu1, sd1, beat)
-    if best is None:
+    mean, var = _tap_table(taps)
+    xis, values = best_thresholds(float(params.Q), mean[:, None], var[:, None], beat)
+    if values[0] == math.inf:
         return None
-    value = ber_from_stats(mu0, sd0, mu1, sd1, float(best))
-    estimate = BerEstimate(value=value, threshold=float(best), source=BerSource.ANALYTICAL)
-    return best, estimate
+    estimate = BerEstimate(value=float(values[0]), threshold=float(xis[0]), source=BerSource.ANALYTICAL)
+    return int(xis[0]), estimate
 
 
 def optimal_threshold(params: SystemParams, window: DetectionWindow) -> tuple[int, BerEstimate]:

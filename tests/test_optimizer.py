@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from mcdwin import (
     shift_tau_search,
     threshold_from_taps,
 )
-from mcdwin import optimizer
+from mcdwin import optimizer, reception
 from mcdwin.optimizer import _argbest, _start_time
 from conftest import absorbing_params, passive_params, assert_rel
 
@@ -805,16 +806,31 @@ def _counted(monkeypatch, name: str, size) -> list:
     return seen
 
 
+def _scanned_columns(monkeypatch) -> list:
+    """Record the columns of each ``best_thresholds`` call, the seed's
+    one-column scan (through ``threshold_from_taps``) included."""
+    seen = []
+    original = reception.best_thresholds
+
+    def counting(q, mean, var, beat=math.inf):
+        seen.append(mean.shape[1])
+        return original(q, mean, var, beat)
+
+    monkeypatch.setattr(reception, "best_thresholds", counting)
+    monkeypatch.setattr(optimizer, "best_thresholds", counting)
+    return seen
+
+
 class TestCascadedBounds:
     """Work counts of the least-BER search: the coarse bound prunes most
     windows before the full floor, and the pair-minimum floor lets few
     losing windows reach a threshold scan."""
 
     def test_exhaustive_scans_few_windows(self, monkeypatch):
-        scans = _counted(monkeypatch, "threshold_from_taps", lambda params, taps: 1)
+        columns = _scanned_columns(monkeypatch)
         exhaustive_ber_search(absorbing_params(L=8, Q=100), dt=0.2 / 80)
         # 3,240 windows; the complement-pair Jensen floor admitted 335
-        assert len(scans) <= 200
+        assert sum(columns) <= 200
 
     def test_full_floor_runs_on_coarse_survivors(self, monkeypatch):
         columns = _counted(monkeypatch, "ber_floors", lambda q, mean, var: mean.shape[1])
@@ -822,10 +838,24 @@ class TestCascadedBounds:
         assert sum(columns) <= 100
 
     def test_shift_tau_scans_few_delays(self, monkeypatch):
-        scans = _counted(monkeypatch, "threshold_from_taps", lambda params, taps: 1)
+        columns = _scanned_columns(monkeypatch)
         res = shift_tau_search(absorbing_params(L=8, Q=10_000), dt=0.2 / 80)
         assert res.tau == pytest.approx(0.0223, abs=1e-4)
-        assert len(scans) <= 8
+        assert sum(columns) <= 8
+
+
+class TestSearchMemory:
+    @pytest.mark.parametrize("L, Q", [(12, 100), (1, 100_000)])
+    def test_traced_peak_is_bounded(self, L, Q):
+        # the scans go in blocks sized by the sequence statistics and by
+        # the scanned thresholds of each column
+        tracemalloc.start()
+        try:
+            exhaustive_ber_search(absorbing_params(L=L, Q=Q), dt=0.2 / 80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestShiftTau:
@@ -844,19 +874,12 @@ class TestShiftTau:
 
     def test_floor_prune_skips_most_delays(self, monkeypatch):
         # delays whose BER floor exceeds the incumbent get no threshold scan
-        scans = []
-        scan = optimizer.threshold_from_taps
-
-        def counting(*args, **kwargs):
-            scans.append(args[1])
-            return scan(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer, "threshold_from_taps", counting)
+        columns = _scanned_columns(monkeypatch)
         res = shift_tau_search(absorbing_params(L=8, Q=10_000), dt=0.2 / 80)
         monkeypatch.undo()
         assert res.tau == pytest.approx(0.0223, abs=1e-4)
         # 22 delays in [0, t_max]; without the floor prune each gets a scan
-        assert len(scans) <= 11
+        assert sum(columns) <= 11
 
 
 class TestInitialValueProperty:
