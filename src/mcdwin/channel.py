@@ -72,6 +72,9 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not all(math.isfinite(x) and x > 0 for x in (self.d, self.r, self.D, self.T_s)):
             raise ValueError("d, r, D and T_s must all be finite and positive")
+        # m_hat^2 = (d+r)^2 / 4D bounds every length scale of the channel
+        if not math.isfinite((self.d + self.r) * (self.d + self.r) / (4.0 * self.D)):
+            raise ValueError("(d + r)^2 / 4D must be finite: d, r or D is out of range")
         if not (math.isfinite(self.L) and self.L >= 0):
             raise ValueError("ISI length L must be finite and >= 0")
         # Q = 0 is accepted so that no-signal edge cases (coin-flip BER) stay

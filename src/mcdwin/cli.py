@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -192,6 +193,14 @@ def _get_bool(entries: dict[str, str], key: str) -> bool | None:
     raise ConfigError(f"key {key}: expected true/false, got {entries[key]!r}")
 
 
+def _scheme(token: str, key: str) -> Scheme:
+    try:
+        return Scheme(token)
+    except ValueError as exc:
+        valid = ", ".join(s.value for s in Scheme)
+        raise ConfigError(f"{key}: unknown scheme (valid: {valid})") from exc
+
+
 def _length(entries: dict[str, str], name: str) -> float:
     si = _get_float(entries, name)
     um = _get_float(entries, f"{name}_um")
@@ -208,7 +217,9 @@ def default_sampling(d: float, r: float, D: float, T_s: float, floor_literal: bo
     ``floor_literal`` floors t_max/6 to whole seconds first; for typical
     micro-scale links that is 0 and rejected as degenerate.
     """
-    t_max = (d + r) ** 2 / (6.0 * D)
+    t_max = (d + r) * (d + r) / (6.0 * D)
+    if not math.isfinite(t_max):
+        raise ConfigError(f"(d + r)^2 / 6D must be finite, got d={d:g}, r={r:g}, D={D:g}")
     t_s = float(math.floor(t_max / 6.0)) if floor_literal else t_max / 6.0
     if t_s <= 0.0:
         raise ConfigError(
@@ -276,19 +287,11 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
     schemes = _DEFAULT_SCHEMES
     if "sweep.methods" in entries:
         tokens = entries["sweep.methods"].replace(",", " ").split()
-        try:
-            schemes = tuple(Scheme(tok) for tok in tokens)
-        except ValueError as exc:
-            valid = ", ".join(s.value for s in Scheme)
-            raise ConfigError(f"sweep.methods: unknown scheme (valid: {valid})") from exc
+        schemes = tuple(_scheme(tok, "sweep.methods") for tok in tokens)
 
     method = Scheme.CLOSED_FORM
     if "method" in entries:
-        try:
-            method = Scheme(entries["method"])
-        except ValueError as exc:
-            valid = ", ".join(s.value for s in Scheme)
-            raise ConfigError(f"method: unknown scheme (valid: {valid})") from exc
+        method = _scheme(entries["method"], "method")
 
     trial = TrialConfig(
         trials=_get_int(entries, "trial.trials", 100_000),
@@ -367,6 +370,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, enum.Enum):
+        return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -464,29 +469,10 @@ def cmd_metrics(args) -> int:
 
 def _intermediate_lines(result: opt.OptimizationResult) -> list[str]:
     inter = result.intermediates
-    fields = (
-        "i_ratio",
-        "v_ratio",
-        "w_ratio",
-        "a_ratio",
-        "gamma",
-        "delta1",
-        "delta2",
-        "s1",
-        "s2",
-        "t1_anchor",
-        "t2_anchor",
-        "n1_anchor",
-        "n2_anchor",
-    )
-    lines = [
-        f"regime = {inter.regime.value if inter else ''}",
-        f"branch = {inter.branch.value if inter else ''}",
+    return [
+        f"{field.name} = {_fmt(getattr(inter, field.name) if inter else None)}"
+        for field in fields(opt.ClosedFormIntermediates)
     ]
-    for name in fields:
-        value = getattr(inter, name) if inter else None
-        lines.append(f"{name} = {_fmt(value)}")
-    return lines
 
 
 def cmd_optimize(args) -> int:

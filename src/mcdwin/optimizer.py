@@ -561,7 +561,8 @@ def numeric_metric_search(
             q_eff = _msinar_q(params)
 
     edges, i1, i2, mean, var = _window_grid(params, dt)
-    values = metric_values_masked(metric, float(q_eff), mean, var)
+    values = metrics.metric_values_from_taps(metric, float(q_eff), mean, var)
+    values[np.isnan(values)] = -np.inf
     idx = _argbest(values, i1, i2, maximize=True)
 
     # difference metrics can be nonpositive everywhere (ISI swamps the
@@ -592,26 +593,10 @@ def _peak_fallback_window(params: SystemParams, edges: np.ndarray | None) -> Det
     return SampledWindow(n, n)
 
 
-def metric_values_masked(
-    metric: metrics.Metric, q: float, mean: np.ndarray, var: np.ndarray
-) -> np.ndarray:
-    values = metrics.metric_values_from_taps(metric, q, mean, var)
-    return np.where(np.isnan(values), -np.inf, values)
-
-
 def _msinar_q(params: SystemParams) -> int:
     """The count mSINAR is evaluated at: Q, capped at the regime q_hat."""
     qh = regime_q_hat(params)
     return params.Q if qh is None else min(params.Q, qh)
-
-
-def _msinar_seed_index(params: SystemParams, mean: np.ndarray, var: np.ndarray) -> int | None:
-    if params.L < 1 or params.Q < 1:
-        return None
-    values = metric_values_masked(metrics.Metric.MSINAR, float(_msinar_q(params)), mean, var)
-    if not np.isfinite(values).any():
-        return None
-    return int(np.argmax(values))
 
 
 def _least_ber(
@@ -621,23 +606,22 @@ def _least_ber(
     i2: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    first: int | None = None,
 ) -> tuple[int, float]:
     """Column of an (lags, W) tap table with the least threshold-optimized BER, and that BER.
 
-    A branch-and-bound seeded by a scan of column ``first`` (by default the
-    column of least coarse bound).  Bounds cascade: the cheap coarse bound
-    of every column first, the full ``ber_floors`` only on the columns it
-    leaves at or below the seed's BER.  The columns whose floor does not
-    exceed the incumbent BER go to ``best_thresholds`` in ascending-floor
-    blocks of at most _FLOOR_BLOCK elements; it lowers the incumbent every
-    round and skips (+inf) a column that provably cannot reach it.  Both
-    tests allow a rounding slack, so a skipped column is strictly worse than
-    the incumbent, which only falls: every tie reaches ``_argbest``.
+    A branch-and-bound seeded by a scan of the column of least coarse
+    bound.  Bounds cascade: the cheap coarse bound of every column first,
+    the full ``ber_floors`` only on the columns it leaves at or below the
+    seed's BER.  The columns whose floor does not exceed the incumbent BER
+    go to ``best_thresholds`` in ascending-floor blocks of at most
+    _FLOOR_BLOCK elements; it lowers the incumbent every round and skips
+    (+inf) a column that provably cannot reach it.  Both tests allow a
+    rounding slack, so a skipped column is strictly worse than the
+    incumbent, which only falls: every tie reaches ``_argbest``.
     """
     q = float(params.Q)
     coarse = _coarse_floors(q, mean, var)
-    seed = int(np.argmin(coarse)) if first is None else first
+    seed = int(np.argmin(coarse))
     values = np.full(i1.size, math.inf)
     values[seed] = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))[1].value
     incumbent = values[seed]
@@ -665,16 +649,15 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
 
     This is the reference the closed forms and metric windows are judged
     against; cost grows as (T_s/dt)^2 * 2^L, so L is capped at 12.  The
-    search is ``_least_ber`` seeded with the mSINAR-best window, so the
-    floor prune bites early.
+    search is ``_least_ber`` over the grid's tap table: it seeds itself from
+    its own bounds and uses neither the metrics nor the closed forms.
     """
     if params.L > MAX_BER_SEARCH_L:
         raise EnumerationTooLarge(
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
     edges, i1, i2, mean, var = _window_grid(params, dt)
-    seed = _msinar_seed_index(params, mean, var)
-    best, pe = _least_ber(params, tuple(range(params.L + 1)), i1, i2, mean, var, seed)
+    best, pe = _least_ber(params, tuple(range(params.L + 1)), i1, i2, mean, var)
     return OptimizationResult(
         window=_grid_window(edges, i1, i2, best),
         method=Method.EXHAUSTIVE_BER,

@@ -227,6 +227,8 @@ _BOUND_SLACK = 1e-9
 _FILL_WIDTH = 8
 # elements per block of the batched floors, scans and tail sums (64 KiB a temporary)
 _FLOOR_BLOCK = 1 << 13
+# thresholds are scanned as floats, which hold every integer only below 2^53
+_EXACT_INTEGERS = 2.0**53
 
 
 def _tail_sums(
@@ -292,11 +294,18 @@ def best_thresholds(
     A column's result is exactly the smallest np.argmin of its full
     ``_pe_curve``, with the BER re-summed there (``ber_from_stats``), or
     +inf when every value exceeds the final incumbent (plus the slack).
+    A range reaching 2^53 is refused (EnumerationTooLarge) before any tail
+    is evaluated.
     """
     mu0, var0, mu1, var1 = _sequence_stats(q, mean, var)
     sd0, sd1 = np.sqrt(var0), np.sqrt(var1)
     n = mu0.shape[1]
     hi = np.ceil(mu1.max(axis=1)) + np.ceil(6.0 * np.sqrt(np.maximum(var0.max(axis=1), var1.max(axis=1))))
+    if np.any(hi >= _EXACT_INTEGERS):
+        raise EnumerationTooLarge(
+            f"threshold range [0, {hi.max():.17g}] passes 2^53, beyond which consecutive "
+            "integers are not distinct floats; use a smaller Q"
+        )
     spread = sd0[:, -1] + sd1[:, 0]
     g = np.divide(
         sd1[:, 0] * mu0[:, -1] + sd0[:, -1] * mu1[:, 0], spread, out=mu0[:, -1].copy(), where=spread > 0.0
@@ -314,7 +323,6 @@ def best_thresholds(
     s0[real], s1[real] = _tail_sums(xs[real], cols[real], mu0, sd0, mu1, sd1)
     incumbent = beat
     fill = np.arange(1.0, _FILL_WIDTH + 1.0)
-    key_span = hi.max() + 3.0  # sorts the points by column, then threshold
     while True:
         pe = 0.5 * (s0 + s1) / n
         heads = (xs < 0.0).nonzero()[0]
@@ -343,7 +351,7 @@ def best_thresholds(
         t0, t1 = _tail_sums(new_xs, new_cols, mu0, sd0, mu1, sd1)
         cols = np.concatenate((cols, new_cols))
         xs = np.concatenate((xs, new_xs))
-        order = (cols * key_span + xs).argsort()
+        order = np.lexsort((xs, cols))
         cols, xs = cols[order], xs[order]
         s0 = np.concatenate((s0, t0))[order]
         s1 = np.concatenate((s1, t1))[order]
@@ -503,23 +511,16 @@ def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
     return float(ber_floors(float(params.Q), mean[:, None], var[:, None])[0])
 
 
-def threshold_from_taps(
-    params: SystemParams, taps: TapProfile, *, beat: float = math.inf
-) -> tuple[int, BerEstimate] | None:
+def threshold_from_taps(params: SystemParams, taps: TapProfile) -> tuple[int, BerEstimate]:
     """BER-minimizing integer threshold for an arbitrary tap profile.
 
     The range is xi in [0, ceil(mu1_max) + 6*sigma_max]; a bounded scan
     returns exactly the smallest minimizer of the full-range ``_pe_curve``
     without evaluating every integer, and the BER is re-summed exactly
-    (``ber_from_stats``) at that threshold.  With a finite ``beat`` (an
-    incumbent BER) the scan gives up and returns None as soon as every
-    threshold provably exceeds beat * (1 + _BOUND_SLACK); any other result
-    is the same as without ``beat``.  A one-column ``best_thresholds``.
+    (``ber_from_stats``) at that threshold.  A one-column ``best_thresholds``.
     """
     mean, var = _tap_table(taps)
-    xis, values = best_thresholds(float(params.Q), mean[:, None], var[:, None], beat)
-    if values[0] == math.inf:
-        return None
+    xis, values = best_thresholds(float(params.Q), mean[:, None], var[:, None])
     estimate = BerEstimate(value=float(values[0]), threshold=float(xis[0]), source=BerSource.ANALYTICAL)
     return int(xis[0]), estimate
 

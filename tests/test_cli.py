@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,8 @@ from mcdwin.cli import (
     parse_config,
 )
 from mcdwin.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 AB_CONFIG = """
 # Table-1 absorbing link
@@ -311,13 +316,55 @@ class TestInputValidation:
         assert main(["reproduce", "conv-pa", "-o", str(tmp_path), "--workers", value]) == 2
 
     @pytest.mark.parametrize(
-        "setting", ["Q=inf", "d_um=inf", "D=nan", "T_s=inf", "sweep.q_values=300 inf"]
+        "setting, message",
+        [
+            *(
+                pytest.param(setting, setting.split("=")[0] + ": ", id=setting)
+                for setting in ("Q=inf", "d_um=inf", "D=nan", "T_s=inf", "sweep.q_values=300 inf")
+            ),
+            # finite lengths whose (d + r)^2 / 4D overflows
+            *(
+                pytest.param(setting, "(d + r)^2 / 4D must be finite", id=setting)
+                for setting in ("d_um=1e200", "r_um=1e300")
+            ),
+        ],
     )
-    def test_non_finite_number_rejected(self, ab_cfg_file, tmp_path, capsys, setting):
+    def test_non_finite_number_rejected(self, ab_cfg_file, tmp_path, capsys, setting, message):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "-c", ab_cfg_file, "-o", str(out), "-s", setting]) == 2
-        key = setting.split("=")[0]
-        assert f"{key}: " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["d_um=1e200", "r_um=1e300", "D=1e-320"])
+    def test_overflowing_geometry_rejected(self, ab_cfg_file, pa_cfg_file, capsys, setting):
+        # the passive default sampling computes the peak time before SystemParams
+        passive_floor = [pa_cfg_file, "-s", "t_s_policy=floor-seconds"]
+        for cfg in ([ab_cfg_file], [pa_cfg_file], passive_floor):
+            for command in ("optimize", "simulate"):
+                assert main([command, "-c", *cfg, "-s", setting]) == 2
+                assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["1e17", "5e16"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_threshold_range_past_2_53_exits_3(self, ab_cfg_file, tmp_path, command, q):
+        # from 2^53 on, consecutive integers are not distinct floats and a
+        # threshold scan cannot close its gaps; the subprocess timeout turns
+        # a scan that never ends into a failure
+        out = tmp_path / "sweep.csv"
+        settings = [f"Q={q}", f"sweep.q_values={q}", "method=full", "sweep.methods=full"]
+        argv = [command, "-c", ab_cfg_file, "-o", str(out)]
+        for setting in settings:
+            argv += ["-s", setting]
+        done = subprocess.run(
+            [sys.executable, "-m", "mcdwin.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 3, done.stderr
+        assert "EnumerationTooLarge: threshold range [0, " in done.stderr
+        assert "passes 2^53" in done.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.3"])

@@ -530,6 +530,14 @@ class TestCascadedBounds:
         assert np.all(coarse <= floors * (1.0 + 1e-12))
 
 
+def _scan_against(params, taps, beat):
+    """One-column ``best_thresholds`` against the incumbent BER ``beat``:
+    the threshold and its BER, +inf for a window that loses."""
+    mean, var = _tap_table(taps)
+    xis, values = best_thresholds(float(params.Q), mean[:, None], var[:, None], beat)
+    return int(xis[0]), float(values[0])
+
+
 class TestBoundedScan:
     @given(case=_tap_profiles())
     @settings(max_examples=400, deadline=None)
@@ -542,13 +550,13 @@ class TestBoundedScan:
     @settings(max_examples=300, deadline=None)
     def test_beat_gives_up_only_on_a_losing_window(self, case, log2_factor):
         params, taps = case
-        unbounded = threshold_from_taps(params, taps)
-        beat = math.inf if log2_factor is None else unbounded[1].value * 2.0**log2_factor
-        found = threshold_from_taps(params, taps, beat=beat)
-        if found is None:
-            assert unbounded[1].value > beat
+        xi, est = threshold_from_taps(params, taps)
+        beat = math.inf if log2_factor is None else est.value * 2.0**log2_factor
+        found_xi, found = _scan_against(params, taps, beat)
+        if found == math.inf:
+            assert est.value > beat
         else:
-            assert found == unbounded
+            assert (found_xi, found) == (xi, est.value)
 
     @given(case=_tap_blocks(), log2_factor=st.none() | st.floats(-1.0, 1.0))
     @settings(max_examples=300, deadline=None)
@@ -568,6 +576,41 @@ class TestBoundedScan:
                 assert est.value > limit
             else:
                 assert (int(found_xi), found.hex()) == (xi, est.value.hex())
+
+    def test_block_of_wide_ranges_equals_one_column_scans(self, monkeypatch):
+        # 64 columns of ranges ~8e14: column * range + threshold passes 2^53,
+        # so a scan that sorts its points by that key stops telling
+        # neighbouring thresholds apart and never ends
+        params = absorbing_params(L=1, Q=10**15)
+        rng = np.random.default_rng(5)
+        signal = rng.uniform(0.3, 0.4, 64)
+        mean = np.vstack((signal, signal - rng.uniform(5e-8, 1e-7, 64)))
+        var = mean * (1.0 - mean)
+        alone = [threshold_from_taps(params, TapProfile((0, 1), mean[:, c], var[:, c])) for c in range(64)]
+        least = min(est.value for _, est in alone)
+        assert least > 0.0
+        tail_sums = reception._tail_sums
+        evaluated = []
+
+        def counting(xis, *args):
+            evaluated.append(xis.size)
+            assert sum(evaluated) <= 100_000, "the lockstep scan does not end"
+            return tail_sums(xis, *args)
+
+        monkeypatch.setattr(reception, "_tail_sums", counting)
+        xis, values = best_thresholds(float(params.Q), mean, var)
+        for (xi, est), found_xi, found in zip(alone, xis, values):
+            if found == math.inf:
+                assert est.value > least * (1.0 + 1e-9)
+            else:
+                assert (int(found_xi), found.hex()) == (xi, est.value.hex())
+
+    def test_range_past_2_53_refused_before_any_tail(self, monkeypatch):
+        # the range [0, max mu1 + 6 sigma] of this window at Q = 5e16 is ~1.1e16
+        params = absorbing_params(L=2, Q=5 * 10**16)
+        monkeypatch.setattr(reception, "_tail_sums", None)
+        with pytest.raises(EnumerationTooLarge, match=r"threshold range \[0, 1\d{16}\] passes 2\^53"):
+            optimal_threshold(params, ContinuousWindow(0.03, 0.16))
 
     @pytest.mark.parametrize("L, Q", [(8, 100), (8, 10_000), (4, 100_000)])
     def test_losing_window_costs_log_range(self, monkeypatch, L, Q):
@@ -590,7 +633,7 @@ class TestBoundedScan:
                 return tail_sums(xis, *args)
 
             monkeypatch.setattr(reception, "_tail_sums", counting)
-            assert threshold_from_taps(params, taps, beat=best) is None
+            assert _scan_against(params, taps, best)[1] == math.inf
             monkeypatch.undo()
             hi = _scan_range(float(params.Q), taps)[0]
             assert sum(evaluated) <= math.log2(hi) + 2
