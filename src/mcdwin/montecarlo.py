@@ -6,6 +6,14 @@ absorbing receiver, Poisson of the summed rate for the passive one (their
 marginals are exact for the channel model, no particle tracking needed) --
 and decides "1" iff the count exceeds the threshold.
 
+Absorbing draws stop once a trial is decided: taps go by descending mean
+(stable sort), each drawn only for the trials that released at its lag and
+are still at or below the threshold.  Counts never fall, so a trial past the
+threshold decides "1" whatever its remaining draws, and skipping them keeps
+every decision's distribution exact.  The RNG stream is consumed in this
+order, so absorbing estimates at a given seed differ from those of the former
+sampler, which drew every tap for every trial.
+
 Reproducibility: trials are split into fixed-size chunks, each with its own
 RNG stream spawned from the master seed.  Results are summed over chunks,
 so identical seeds give identical error counts for any worker count.
@@ -60,6 +68,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_symbols is not None and self.warmup_symbols < 0:
             raise ConfigError("warmup_symbols must be >= 0")
 
@@ -101,9 +111,13 @@ def _chunk_errors(
     if exact:
         if params.receiver is Receiver.ABSORBING:
             counts = np.zeros(n_trials, dtype=np.int64)
-            for j, lag in enumerate(taps.lags):
-                released = bits[warmup - lag : warmup - lag + n_trials] * q
-                counts += rng.binomial(released, float(taps.mean[j]))
+            undecided = np.ones(n_trials, dtype=bool)
+            for j in np.argsort(-taps.mean, kind="stable"):
+                lag = taps.lags[j]
+                released = bits[warmup - lag : warmup - lag + n_trials] == 1
+                drawn = np.flatnonzero(undecided & released)
+                counts[drawn] += rng.binomial(q, float(taps.mean[j]), size=drawn.size)
+                undecided[drawn] = counts[drawn] <= threshold
         else:
             lam = np.zeros(n_trials)
             for j, lag in enumerate(taps.lags):
@@ -131,8 +145,8 @@ def simulate_ber_taps(
     workers: int = 1,
 ) -> BerEstimate:
     """Monte Carlo BER for an arbitrary tap profile."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     warmup = params.L if cfg.warmup_symbols is None else cfg.warmup_symbols
     if warmup < params.L:
         raise ConfigError(f"warmup_symbols must be >= L ({warmup} < {params.L})")

@@ -42,6 +42,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin.cli import main as cli_main
+from mcdwin.montecarlo import wilson_halfwidth
 from conftest import absorbing_params, passive_params
 
 
@@ -405,6 +406,32 @@ def test_criterion_6_small_instance_exactness(Q, L):
         ok,
         f"Q={Q} L={L}: exact={exact:.5f} mc={mc.value:.5f} ({gap_hw:.2f} hw); "
         f"gaussian-approximation deviation {abs(gaussian.value - exact):.5f} (recorded)",
+    )
+    assert ok
+
+
+# Thresholds below the signal mean, so most "1" trials pass the threshold
+# before all their taps are drawn and stop early; at xi = 0 nearly every
+# trial stops after its first non-zero draw.
+@pytest.mark.parametrize("T_s,L,Q,xi", [(0.2, 2, 20, 3), (0.1, 3, 16, 1), (0.2, 3, 12, 0)])
+def test_criterion_6_early_stopping_draws_are_exact(T_s, L, Q, xi):
+    params = absorbing_params(T_s=T_s, L=L, Q=Q)
+    window = full_window(params)
+    assert xi < Q * window_taps(params, window).mean[0]
+    exact = _exact_binomial_ber(params, window, xi)
+    seeds, trials = 20, 20_000
+    errors = sum(
+        round(simulate_ber(params, window, xi, TrialConfig(trials=trials, seed=s)).value * trials)
+        for s in range(seeds)
+    )
+    pooled = seeds * trials
+    gap_hw = abs(errors / pooled - exact) / wilson_halfwidth(errors, pooled)
+    ok = gap_hw <= 4.0
+    report(
+        "6",
+        ok,
+        f"T_s={T_s} L={L} Q={Q} xi={xi}: exact={exact:.5f} "
+        f"mc={errors / pooled:.5f} over {seeds} seeds ({gap_hw:.2f} hw)",
     )
     assert ok
 

@@ -301,6 +301,11 @@ class TestInputValidation:
         assert main(["optimize", "-c", ab_cfg_file, "-s", "trial.trials=0"]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, ab_cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out), "-s", "trial.seed=-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_absent_trials_uses_default(self):
         config = parse_config(AB_CONFIG.replace("trial.trials = 5000\n", ""))
         assert config.trial.trials == 100_000

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -21,6 +22,10 @@ class TestTrialConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
             TrialConfig(trials=0, seed=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrialConfig(trials=10, seed=-1)
 
     def test_rejects_insufficient_warmup(self, table1_absorbing):
         cfg = TrialConfig(trials=100, seed=1, warmup_symbols=2)
@@ -65,6 +70,16 @@ class TestSimulateBer:
         cfg = TrialConfig(trials=40_000, seed=6)
         xi = table1_absorbing.Q * (table1_absorbing.L + 1) + 1
         est = simulate_ber(table1_absorbing, full_window(table1_absorbing), xi, cfg)
+        assert abs(est.value - 0.5) <= 4 * est.ci_halfwidth
+
+    def test_nan_threshold_rejected(self, table1_absorbing):
+        cfg = TrialConfig(trials=1000, seed=6)
+        with pytest.raises(ValueError, match="threshold"):
+            simulate_ber(table1_absorbing, full_window(table1_absorbing), math.nan, cfg)
+
+    def test_infinite_threshold_always_decides_zero(self, table1_absorbing):
+        cfg = TrialConfig(trials=40_000, seed=6)
+        est = simulate_ber(table1_absorbing, full_window(table1_absorbing), math.inf, cfg)
         assert abs(est.value - 0.5) <= 4 * est.ci_halfwidth
 
     def test_matches_analytic_absorbing(self, table1_absorbing):
