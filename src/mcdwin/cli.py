@@ -32,9 +32,8 @@ from . import metrics as metrics_mod
 from . import optimizer as opt
 from .channel import ContinuousWindow, Receiver, SystemParams
 from .errors import ConfigError, DomainError
-from .montecarlo import SweepRow, TrialConfig, simulate_ber_taps, sweep
+from .montecarlo import SweepRow, TrialConfig, sweep, sweep_row
 from .optimizer import Scheme
-from .reception import threshold_from_taps
 
 __all__ = ["ExperimentConfig", "parse_config", "main"]
 
@@ -514,8 +513,8 @@ def _sweep_rows(config: ExperimentConfig, rows: list[SweepRow]) -> Iterable[tupl
             n1,
             n2,
             row.result.tau,
-            row.threshold,
-            row.analytic.value,
+            row.result.threshold,
+            row.result.ber.value,
             row.mc.value,
             row.mc.ci_halfwidth,
             row.mc.trials,
@@ -527,10 +526,8 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     params = config.system
     workers = _resolve_workers(config, args)
-    result = opt.select_window(params, config.method, config.search_dt)
-    taps = opt.result_taps(params, result)
-    threshold, analytic = threshold_from_taps(params, taps)
-    mc = simulate_ber_taps(params, taps, threshold, config.trial, workers)
+    row = sweep_row(params, config.method, config.trial, config.search_dt, workers)
+    result, mc = row.result, row.mc
     t1, t2, n1, n2 = _window_cells(result.window)
     for key, value in (
         ("method", config.method.value),
@@ -540,8 +537,8 @@ def cmd_simulate(args) -> int:
         ("n1", _fmt(n1)),
         ("n2", _fmt(n2)),
         ("tau", _fmt(result.tau)),
-        ("threshold", threshold),
-        ("ber_analytic", _fmt(analytic.value)),
+        ("threshold", result.threshold),
+        ("ber_analytic", _fmt(result.ber.value)),
         ("ber_mc", _fmt(mc.value)),
         ("mc_ci_halfwidth", _fmt(mc.ci_halfwidth)),
         ("trials", mc.trials),
@@ -607,7 +604,7 @@ def _conv_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
 def _ver_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
     schemes = (Scheme.NUMERIC_MSINAR, Scheme.CLOSED_FORM, Scheme.EXHAUSTIVE_BER)
     for row in sweep(base, q_values, schemes, trial, dt=dt, workers=workers):
-        yield (VER_SCHEMA, *lead, row.q, row.scheme.value, row.threshold, row.analytic.value,
+        yield (VER_SCHEMA, *lead, row.q, row.scheme.value, row.result.threshold, row.result.ber.value,
                row.mc.value, row.mc.ci_halfwidth, row.mc.trials)
 
 
@@ -618,7 +615,7 @@ def _cmp_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
         cells: list = [CMP_SCHEMA, *lead, q]
         for scheme in _CMP_SCHEMES:
             row = by_cell[q, scheme]
-            cells.extend([row.analytic.value, row.mc.value, row.mc.ci_halfwidth])
+            cells.extend([row.result.ber.value, row.mc.value, row.mc.ci_halfwidth])
         yield tuple(cells)
 
 

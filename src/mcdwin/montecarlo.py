@@ -33,8 +33,8 @@ import numpy as np
 
 from .channel import Receiver, SystemParams, TapProfile, window_taps, DetectionWindow
 from .errors import ConfigError
-from .optimizer import OptimizationResult, Scheme, result_taps, select_window
-from .reception import BerEstimate, BerSource, threshold_from_taps
+from .optimizer import OptimizationResult, Scheme, select_window
+from .reception import BerEstimate, BerSource
 
 __all__ = [
     "TrialConfig",
@@ -42,6 +42,7 @@ __all__ = [
     "simulate_ber",
     "simulate_ber_taps",
     "sweep",
+    "sweep_row",
     "wilson_halfwidth",
 ]
 
@@ -230,12 +231,25 @@ def simulate_ber(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (Q, scheme) point; ``result`` holds the window, threshold and BER it scored."""
+
     q: int
     scheme: Scheme
     result: OptimizationResult
-    threshold: int
-    analytic: BerEstimate
     mc: BerEstimate
+
+
+def sweep_row(
+    params: SystemParams,
+    scheme: Scheme,
+    trial: TrialConfig,
+    dt: float | None = None,
+    workers: int = 1,
+) -> SweepRow:
+    """Select the scheme's window and simulate on the taps and threshold it was scored on."""
+    result = select_window(params, scheme, dt)
+    mc = simulate_ber_taps(params, result.taps, result.threshold, trial, workers)
+    return SweepRow(q=int(params.Q), scheme=scheme, result=result, mc=mc)
 
 
 def sweep(
@@ -246,38 +260,18 @@ def sweep(
     dt: float | None = None,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """BER versus Q for several window-selection schemes.
-
-    Every (Q, scheme) row gets the scheme's window, the BER-optimal
-    threshold, the analytical BER and a Monte Carlo estimate.  Row seeds
-    derive deterministically from the master seed, so the output is
+    """BER versus Q for several window-selection schemes, a ``sweep_row`` per
+    (Q, scheme): the window with the threshold and analytic BER its selection
+    scored (never a rescan) and a Monte Carlo estimate on the same taps.  Row
+    seeds derive deterministically from the master seed, so the output is
     reproducible for any worker count.
     """
     if not q_values or not schemes:
         raise ConfigError("sweep needs at least one Q value and one scheme")
-    row_seeds = np.random.SeedSequence(trial.seed).generate_state(
-        len(q_values) * len(schemes), dtype=np.uint64
-    )
-    rows: list[SweepRow] = []
-    index = 0
+    cells = [(int(q), scheme) for q in q_values for scheme in schemes]
+    seeds = np.random.SeedSequence(trial.seed).generate_state(len(cells), dtype=np.uint64)
     with _lend_pool(trial, workers):
-        for q in q_values:
-            params_q = replace(params, Q=int(q))
-            for scheme in schemes:
-                result = select_window(params_q, scheme, dt)
-                taps = result_taps(params_q, result)
-                threshold, analytic = threshold_from_taps(params_q, taps)
-                row_cfg = replace(trial, seed=int(row_seeds[index]))
-                mc = simulate_ber_taps(params_q, taps, threshold, row_cfg, workers)
-                rows.append(
-                    SweepRow(
-                        q=int(q),
-                        scheme=scheme,
-                        result=result,
-                        threshold=threshold,
-                        analytic=analytic,
-                        mc=mc,
-                    )
-                )
-                index += 1
-    return rows
+        return [
+            sweep_row(replace(params, Q=q), scheme, replace(trial, seed=int(seed)), dt, workers)
+            for (q, scheme), seed in zip(cells, seeds)
+        ]

@@ -37,7 +37,9 @@ uniform window grid (default step T_s/400) with one deterministic tie-break
 (``_argbest``): smaller start, then larger end.  The shift-tau baseline
 scores full-length windows delayed by tau in [0, t_max], counting the next
 symbol's leakage as interference.  Both BER searches are one branch-and-bound
-(``_least_ber``) over the columns of a tap table.
+(``_least_ber``) over the columns of a tap table; they return the taps,
+threshold and BER they scored the winner on, which ``select_window`` adds
+to every other scheme's window, so no caller rescans a selected window.
 """
 from __future__ import annotations
 
@@ -57,17 +59,18 @@ from .channel import (
     SystemParams,
     TapProfile,
     _response_table,
+    _sample_sums,
     _shifted_means,
     _tap_variance,
     derived,
     full_window,
     hitting_density,
     passive_probability,
-    shift_taps,
     window_taps,
 )
 from .errors import DegenerateWindow, DomainError, EnumerationTooLarge, NoFiniteQhat, SymbolTooShort
 from .reception import _FLOOR_BLOCK, _coarse_floors, ber_floors, best_thresholds, threshold_from_taps
+from .reception import BerEstimate, BerSource
 
 __all__ = [
     "Regime",
@@ -87,7 +90,6 @@ __all__ = [
     "shift_tau_search",
     "full_window_result",
     "select_window",
-    "result_taps",
     "default_grid_step",
 ]
 
@@ -159,6 +161,11 @@ class ClosedFormIntermediates:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """A selected window; ``taps`` (shifted for shift-tau), ``threshold`` and
+    the analytic ``ber`` there are what it is scored on.  The BER searches
+    and ``select_window`` fill them; the ``prop*`` functions and
+    ``closed_form_interval`` leave them None."""
+
     window: DetectionWindow
     method: Method
     intermediates: ClosedFormIntermediates | None = None
@@ -166,6 +173,9 @@ class OptimizationResult:
     tau: float | None = None
     clamped: bool = False
     degenerate: bool = False
+    taps: TapProfile | None = None
+    threshold: int | None = None
+    ber: BerEstimate | None = None
 
 
 def default_grid_step(params: SystemParams) -> float:
@@ -494,11 +504,8 @@ def _continuous_grid(params: SystemParams, dt: float):
 def _sampled_grid(params: SystemParams):
     assert params.N is not None and params.t_s is not None
     rates = _response_table(params, np.arange(0, params.N + 1, dtype=float), range(params.L + 1))
-    prefix = np.concatenate(
-        [np.zeros((params.L + 1, 1)), np.cumsum(rates, axis=1)], axis=1
-    )
     n1, n2 = np.triu_indices(params.N + 1, k=0)
-    mean = prefix[:, n2 + 1] - prefix[:, n1]
+    mean = _sample_sums(rates, range(params.N + 1))
     return n1, n2, mean, _tap_variance(params, mean)
 
 
@@ -606,8 +613,9 @@ def _least_ber(
     i2: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-) -> tuple[int, float]:
-    """Column of an (lags, W) tap table with the least threshold-optimized BER, and that BER.
+) -> tuple[int, dict]:
+    """Column of an (lags, W) tap table with the least threshold-optimized
+    BER, and the result fields it was scored on (taps, threshold and BER).
 
     A branch-and-bound seeded by a scan of the column of least coarse
     bound.  Bounds cascade: the cheap coarse bound of every column first,
@@ -623,8 +631,9 @@ def _least_ber(
     coarse = _coarse_floors(q, mean, var)
     seed = int(np.argmin(coarse))
     values = np.full(i1.size, math.inf)
-    values[seed] = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))[1].value
-    incumbent = values[seed]
+    thresholds = np.zeros(i1.size, dtype=int)
+    thresholds[seed], ber = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))
+    values[seed] = incumbent = ber.value
     floors = np.full(i1.size, math.inf)
     alive = coarse <= incumbent
     floors[alive] = ber_floors(q, mean[:, alive], var[:, alive])
@@ -638,10 +647,12 @@ def _least_ber(
         block = block[floors[block] <= incumbent]
         if block.size == 0:
             break
-        values[block] = best_thresholds(q, mean[:, block], var[:, block], incumbent)[1]
+        thresholds[block], values[block] = best_thresholds(q, mean[:, block], var[:, block], incumbent)
         incumbent = min(incumbent, values[block].min())
     best = _argbest(values, i1, i2, maximize=False)
-    return best, float(values[best])
+    ber = BerEstimate(float(values[best]), float(thresholds[best]), BerSource.ANALYTICAL)
+    taps = TapProfile(lags, mean[:, best].copy(), var[:, best].copy())
+    return best, dict(objective_value=ber.value, taps=taps, threshold=int(thresholds[best]), ber=ber)
 
 
 def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> OptimizationResult:
@@ -657,12 +668,8 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
     edges, i1, i2, mean, var = _window_grid(params, dt)
-    best, pe = _least_ber(params, tuple(range(params.L + 1)), i1, i2, mean, var)
-    return OptimizationResult(
-        window=_grid_window(edges, i1, i2, best),
-        method=Method.EXHAUSTIVE_BER,
-        objective_value=pe,
-    )
+    best, scored = _least_ber(params, tuple(range(params.L + 1)), i1, i2, mean, var)
+    return OptimizationResult(window=_grid_window(edges, i1, i2, best), method=Method.EXHAUSTIVE_BER, **scored)
 
 
 def shift_tau_search(params: SystemParams, dt: float | None = None) -> OptimizationResult:
@@ -688,21 +695,10 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     i2 = i1 + offset
     mean = _shifted_means(params, taus)
     lags = tuple(range(params.L + 1)) + (-1,)
-    best, pe = _least_ber(params, lags, i1, i2, mean, _tap_variance(params, mean))
+    best, scored = _least_ber(params, lags, i1, i2, mean, _tap_variance(params, mean))
     return OptimizationResult(
-        window=_grid_window(edges, i1, i2, best),
-        method=Method.SHIFT_TAU,
-        objective_value=pe,
-        tau=float(taus[best]),
+        window=_grid_window(edges, i1, i2, best), method=Method.SHIFT_TAU, tau=float(taus[best]), **scored
     )
-
-
-def result_taps(params: SystemParams, result: OptimizationResult) -> TapProfile:
-    """The taps a selected window is scored on (shifted taps for shift-tau)."""
-    if result.method is Method.SHIFT_TAU:
-        assert result.tau is not None
-        return shift_taps(params, result.tau)
-    return window_taps(params, result.window)
 
 
 def full_window_result(params: SystemParams) -> OptimizationResult:
@@ -719,13 +715,18 @@ _NUMERIC_SCHEMES = {
 def select_window(
     params: SystemParams, scheme: Scheme, dt: float | None = None
 ) -> OptimizationResult:
-    """Produce the detection window of one scheme (sweep/CLI entry point)."""
-    if scheme is Scheme.FULL_WINDOW:
-        return full_window_result(params)
+    """The detection window of one scheme (sweep/CLI entry point) with its
+    taps, threshold and BER: a BER search's own, else one ``threshold_from_taps``."""
     if scheme is Scheme.SHIFT_TAU:
         return shift_tau_search(params, dt)
-    if scheme is Scheme.CLOSED_FORM:
-        return closed_form_interval(params)
     if scheme is Scheme.EXHAUSTIVE_BER:
         return exhaustive_ber_search(params, dt)
-    return numeric_metric_search(params, _NUMERIC_SCHEMES[scheme], dt)
+    if scheme is Scheme.FULL_WINDOW:
+        result = full_window_result(params)
+    elif scheme is Scheme.CLOSED_FORM:
+        result = closed_form_interval(params)
+    else:
+        result = numeric_metric_search(params, _NUMERIC_SCHEMES[scheme], dt)
+    taps = window_taps(params, result.window)
+    threshold, ber = threshold_from_taps(params, taps)
+    return replace(result, taps=taps, threshold=threshold, ber=ber)

@@ -94,19 +94,13 @@ def _validate_isi(isi: IsiSequence, L: int) -> tuple[int, ...]:
 def count_stats(params: SystemParams, window: DetectionWindow, isi: IsiSequence) -> CountStatistics:
     """Count mean/variance for one ISI sequence, under both hypotheses.
 
-    ``isi`` lists the L past bits oldest first (x_{k-L} .. x_{k-1}).
+    ``isi`` lists the L past bits oldest first (x_{k-L} .. x_{k-1}); bit
+    age - 1 of the ``_hypothesis_stats`` pattern is the one ``age`` symbols old.
     """
     bits = _validate_isi(isi, params.L)
+    pattern = sum(bits[params.L - age] << (age - 1) for age in range(1, params.L + 1))
     taps = window_taps(params, window)
-    q = float(params.Q)
-    mu0 = var0 = 0.0
-    for age in range(1, params.L + 1):
-        bit = bits[params.L - age]
-        if bit:
-            mu0 += q * taps.mean[age]
-            var0 += q * taps.var[age]
-    mu1 = mu0 + q * taps.mean[0]
-    var1 = var0 + q * taps.var[0]
+    mu0, var0, mu1, var1 = (float(a[pattern]) for a in _hypothesis_stats(float(params.Q), taps))
     return CountStatistics(mu0=mu0, mu1=mu1, var0=var0, var1=var1)
 
 

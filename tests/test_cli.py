@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mcdwin import ContinuousWindow, Receiver, msinar, optimizer, prop2_interval
+from mcdwin import ContinuousWindow, Receiver, Scheme, msinar, optimizer, prop2_interval
 from mcdwin.cli import (
     CMP_HEADER,
     CONV_HEADER,
@@ -285,6 +285,25 @@ class TestSimulateAndSweep:
         first = capsys.readouterr().out
         main(["simulate", "-c", ab_cfg_file, "-s", "method=full"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("scheme", [scheme.value for scheme in Scheme])
+    @pytest.mark.parametrize("receiver", ["absorbing", "passive"])
+    def test_simulate_matches_one_row_sweep(self, receiver, scheme, tmp_path, capsys):
+        # both commands evaluate a scheme the same way, so they print the
+        # same window, threshold and analytic BER
+        text = AB_CONFIG if receiver == "absorbing" else PA_CONFIG
+        path = tmp_path / "link.cfg"
+        path.write_text(text)
+        sets = ["-s", "trial.trials=200", "-s", "search.dt=0.008"]
+        assert main(["simulate", "-c", str(path), "-s", f"method={scheme}", *sets]) == 0
+        printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        out = tmp_path / "row.csv"
+        one_row = ["-s", f"sweep.q_values={parse_config(text).system.Q}", "-s", f"sweep.methods={scheme}"]
+        assert main(["sweep", "-c", str(path), "-o", str(out), *one_row, *sets]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        for key in ("resolved_method", "t1", "t2", "n1", "n2", "tau", "threshold", "ber_analytic"):
+            assert printed[key] == row[key], key
 
     def test_worker_env_var(self, ab_cfg_file, tmp_path, monkeypatch):
         out = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -9,10 +10,11 @@ from mcdwin import (
     TrialConfig,
     full_window,
     optimal_threshold,
+    select_window,
     simulate_ber,
     sweep,
 )
-from mcdwin import montecarlo
+from mcdwin import montecarlo, reception
 from mcdwin.montecarlo import _pool_workers, wilson_halfwidth
 from mcdwin.reception import BerSource
 from conftest import absorbing_params
@@ -154,7 +156,7 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].q == 500
         assert rows[0].scheme is Scheme.FULL_WINDOW
-        assert rows[0].analytic.source is BerSource.ANALYTICAL
+        assert rows[0].result.ber.source is BerSource.ANALYTICAL
         assert rows[0].mc.source is BerSource.MONTE_CARLO
 
     def test_rejects_empty(self, table1_absorbing):
@@ -168,8 +170,8 @@ class TestSweep:
         schemes = [Scheme.FULL_WINDOW, Scheme.NUMERIC_MSINAR]
         a = sweep(table1_absorbing, [500, 2000], schemes, cfg, dt=0.2 / 25)
         b = sweep(table1_absorbing, [500, 2000], schemes, cfg, dt=0.2 / 25)
-        assert [(r.q, r.scheme, r.mc.value, r.threshold) for r in a] == [
-            (r.q, r.scheme, r.mc.value, r.threshold) for r in b
+        assert [(r.q, r.scheme, r.mc.value, r.result.threshold) for r in a] == [
+            (r.q, r.scheme, r.mc.value, r.result.threshold) for r in b
         ]
 
     def test_shift_tau_rows_use_overhanging_window(self, table1_absorbing):
@@ -183,7 +185,7 @@ class TestSweep:
         row = rows[0]
         assert row.result.tau is not None
         assert row.result.window.t2 == pytest.approx(row.result.tau + 0.2)
-        assert abs(row.mc.value - row.analytic.value) <= 4 * row.mc.ci_halfwidth
+        assert abs(row.mc.value - row.result.ber.value) <= 4 * row.mc.ci_halfwidth
 
     def test_exhaustive_analytic_monotone_in_q(self):
         # audited with slack for grid artifacts
@@ -195,9 +197,30 @@ class TestSweep:
             TrialConfig(trials=1_000, seed=2),
             dt=0.2 / 25,
         )
-        values = [r.analytic.value for r in rows]
+        values = [r.result.ber.value for r in rows]
         assert values[1] <= values[0] * 1.05
         assert values[2] <= values[1] * 1.05
+
+    def test_rows_do_not_rescan_searched_windows(self, monkeypatch):
+        # a row simulates on the threshold its search scored: the sweep runs
+        # exactly the one-column threshold scans of the searches themselves
+        scans = []
+        original = reception.best_thresholds
+
+        def counting(q, mean, var, beat=math.inf):
+            scans.append(mean.shape[1])
+            return original(q, mean, var, beat)
+
+        monkeypatch.setattr(reception, "best_thresholds", counting)
+        params = absorbing_params(T_s=0.2, L=4)
+        schemes = [Scheme.EXHAUSTIVE_BER, Scheme.SHIFT_TAU]
+        for q in (500, 2000):
+            for scheme in schemes:
+                select_window(replace(params, Q=q), scheme, 0.2 / 25)
+        searched, scans[:] = scans.count(1), []
+        rows = sweep(params, [500, 2000], schemes, TrialConfig(trials=100, seed=3), dt=0.2 / 25)
+        assert len(rows) == 4
+        assert scans.count(1) == searched
 
     def test_one_pool_per_sweep(self, monkeypatch, table1_absorbing):
         # count process pools: one for the whole sweep, not one per row

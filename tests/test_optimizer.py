@@ -42,8 +42,10 @@ from mcdwin import (
     shift_taps,
     shift_tau_search,
     threshold_from_taps,
+    window_taps,
 )
 from mcdwin import metrics, optimizer, reception
+from mcdwin.channel import _response_table
 from mcdwin.optimizer import _argbest, _start_time
 from conftest import absorbing_params, passive_params, assert_rel
 
@@ -765,6 +767,60 @@ class TestExhaustiveBerSearch:
         assert low.window == ContinuousWindow(0.03, 0.1575)
         assert high.window == low.window
         assert high.objective_value < 1e-100
+
+
+def _grid_cases():
+    yield "absorbing-L4", absorbing_params(T_s=0.2, L=4), 0.2 / 40
+    for T_s in (1.0, 2.0):
+        for L in (3, 10):
+            yield f"passive-Ts{T_s:g}-L{L}", passive_params(T_s=T_s, L=L), None
+
+
+GRID_CASES = [pytest.param(params, dt, id=name) for name, params, dt in _grid_cases()]
+
+
+class TestGridTaps:
+    """A search scores a window on the taps ``window_taps`` gives it."""
+
+    @pytest.mark.parametrize("params, dt", GRID_CASES)
+    def test_grid_columns_equal_window_taps(self, params, dt):
+        edges, i1, i2, mean, var = optimizer._window_grid(params, dt)
+        for w in range(i1.size):
+            taps = window_taps(params, optimizer._grid_window(edges, i1, i2, w))
+            assert taps.mean.tobytes() == mean[:, w].tobytes()
+            assert taps.var.tobytes() == var[:, w].tobytes()
+
+    @pytest.mark.parametrize(
+        "params", [pytest.param(params, id=name) for name, params, dt in _grid_cases() if dt is None]
+    )
+    def test_passive_taps_within_sequential_bound(self, params):
+        # a running sum of n non-negative terms is within (n - 1) u of the
+        # exact sum; u = 2^-53
+        rates = _response_table(params, np.arange(params.N + 1, dtype=float), range(params.L + 1))
+        _, i1, i2, mean, _ = optimizer._window_grid(params, None)
+        for w in range(i1.size):
+            n = i2[w] - i1[w] + 1
+            for lag in range(params.L + 1):
+                exact = math.fsum(rates[lag, i1[w] : i2[w] + 1])
+                assert abs(mean[lag, w] - exact) <= (n - 1) * 2.0**-53 * exact
+
+    @pytest.mark.parametrize("search", [exhaustive_ber_search, shift_tau_search])
+    @pytest.mark.parametrize("params, dt", GRID_CASES)
+    def test_search_returns_what_it_scored(self, search, params, dt):
+        res = search(params, dt)
+        fresh = shift_taps(params, res.tau) if search is shift_tau_search else window_taps(params, res.window)
+        assert res.taps.lags == fresh.lags
+        assert res.taps.mean.tobytes() == fresh.mean.tobytes()
+        assert res.taps.var.tobytes() == fresh.var.tobytes()
+        assert repr((res.threshold, res.ber)) == repr(threshold_from_taps(params, fresh))
+        assert res.ber.value == res.objective_value
+
+    @pytest.mark.parametrize("scheme", [s for s in Scheme if s not in (Scheme.EXHAUSTIVE_BER, Scheme.SHIFT_TAU)])
+    def test_select_window_scores_other_schemes(self, scheme, table1_passive):
+        res = select_window(table1_passive, scheme)
+        taps = window_taps(table1_passive, res.window)
+        assert res.taps.mean.tobytes() == taps.mean.tobytes()
+        assert repr((res.threshold, res.ber)) == repr(threshold_from_taps(table1_passive, taps))
 
 
 class TestWindowCap:

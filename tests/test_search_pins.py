@@ -1,10 +1,12 @@
 """Bit-identity pins for the two least-BER window searches.
 
 ``tests/data/search_pins.json`` records, per search, the ``repr`` of the
-selected window, its objective value and tau, and of the threshold scan
-on the winning taps.  Refactors of the search must leave every entry
+selected window, its objective value and tau, and of the threshold and
+BER the search returns for its winner, which must equal a fresh threshold
+scan of the winning taps.  Refactors of the search must leave every entry
 unchanged.  Regenerate the file (only when outputs are meant to change,
-and say so in CHANGES.md) with:
+and say so in CHANGES.md) with the command below; it prints every entry
+that changed, old -> new, before writing.
 
     PYTHONPATH=src python tests/test_search_pins.py
 """
@@ -15,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from mcdwin import exhaustive_ber_search, shift_tau_search, threshold_from_taps
-from mcdwin.optimizer import result_taps
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import absorbing_params, passive_params  # noqa: E402
@@ -35,11 +36,13 @@ def _cases():
 
 def _pin(search, params, dt) -> dict:
     result = SEARCHES[search](params, dt)
+    scored = repr((result.threshold, result.ber))
+    assert scored == repr(threshold_from_taps(params, result.taps))
     return {
         "window": repr(result.window),
         "objective_value": repr(result.objective_value),
         "tau": repr(result.tau),
-        "threshold": repr(threshold_from_taps(params, result_taps(params, result))),
+        "threshold": scored,
     }
 
 
@@ -68,6 +71,12 @@ def test_pins_cover_every_case():
 
 
 if __name__ == "__main__":
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    new = _all_pins()
+    for key, pin in sorted(new.items()):
+        for field, value in pin.items():
+            if old.get(key, {}).get(field) != value:
+                print(f"{key} {field}: {old.get(key, {}).get(field)} -> {value}")
     PINS.parent.mkdir(exist_ok=True)
-    PINS.write_text(json.dumps(_all_pins(), indent=1, sort_keys=True) + "\n")
+    PINS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {PINS}")
