@@ -6,6 +6,10 @@ Config files are flat ``key = value`` text ('#' comments allowed); every key
 can be overridden on the command line with ``--set key=value``.  Lengths may
 be given in metres (``d``, ``r``) or micrometres (``d_um``, ``r_um``);
 everything is converted to SI once at this boundary and emitted back in SI.
+One table, ``_KEYS``, gives every key its reader (which range-checks the
+value and names the key when it refuses it), its default and what
+``emit_config`` writes back.  An empty value means the key is unset, for
+every key: ``--set key=`` clears a key the config file sets.
 
 CSV output: comma separated, '.' decimal point, one header row, LF line
 endings, floats printed with 17 significant digits (value-exact round
@@ -23,8 +27,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +37,9 @@ from . import metrics as metrics_mod
 from . import optimizer as opt
 from .channel import ContinuousWindow, Receiver, SystemParams
 from .errors import ConfigError, DomainError
-from .montecarlo import SweepRow, TrialConfig, sweep, sweep_row
+from .montecarlo import CHUNK_TRIALS, SweepRow, TrialConfig, sweep, sweep_row
 from .optimizer import Scheme
+from .reception import MAX_ENUMERATION_L
 
 __all__ = ["ExperimentConfig", "parse_config", "main"]
 
@@ -118,35 +124,6 @@ class ExperimentConfig:
     output_format: str
 
 
-_DEFAULT_SCHEMES = tuple(_CMP_SCHEMES)
-
-_KNOWN_KEYS = {
-    "receiver",
-    "d",
-    "r",
-    "d_um",
-    "r_um",
-    "D",
-    "T_s",
-    "L",
-    "Q",
-    "N",
-    "t_s",
-    "t_s_policy",
-    "method",
-    "sweep.q_values",
-    "sweep.methods",
-    "trial.trials",
-    "trial.seed",
-    "trial.exact_counts",
-    "trial.warmup_symbols",
-    "search.dt",
-    "workers",
-    "output.path",
-    "output.format",
-}
-
-
 def _parse_kv_text(text: str, source: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,62 +137,109 @@ def _parse_kv_text(text: str, source: str) -> dict[str, str]:
     return entries
 
 
-def _get_float(entries: dict[str, str], key: str) -> float | None:
-    if key not in entries or entries[key] == "":
-        return None
+# Config-key readers take (key, non-empty text) and raise a ConfigError that
+# names the key when the text is not a value in the key's valid range.
+
+
+def _real(key: str, text: str) -> float:
     try:
-        value = float(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key}: not a number: {entries[key]!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"key {key}: not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"key {key}: must be a finite number, got {entries[key]!r}")
+        raise ConfigError(f"key {key}: must be a finite number, got {text!r}")
     return value
 
 
-def _get_int(entries: dict[str, str], key: str, default: int | None = None) -> int | None:
-    value = _get_float(entries, key)
-    if value is None:
-        return default
-    if value != int(value):
-        raise ConfigError(f"key {key}: expected an integer, got {entries[key]!r}")
-    return int(value)
+def _positive(key: str, text: str) -> float:
+    value = _real(key, text)
+    if not value > 0.0:
+        raise ConfigError(f"key {key}: must be > 0, got {text!r}")
+    return value
 
 
-def _get_bool(entries: dict[str, str], key: str) -> bool | None:
-    if key not in entries or entries[key] == "":
-        return None
-    token = entries[key].lower()
-    if token in ("true", "yes", "1"):
-        return True
-    if token in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"key {key}: expected true/false, got {entries[key]!r}")
+def _integer(lo: int, hi: float = math.inf) -> Callable[[str, str], int]:
+    """Reader of a whole number in [lo, hi]."""
+
+    def read(key: str, text: str) -> int:
+        value = _real(key, text)
+        if value != int(value):
+            raise ConfigError(f"key {key}: expected an integer, got {text!r}")
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise ConfigError(f"key {key}: must be {bound}, got {text!r}")
+        return int(value)
+
+    return read
 
 
-def _scheme(token: str, key: str) -> Scheme:
-    try:
-        return Scheme(token)
-    except ValueError as exc:
-        valid = ", ".join(s.value for s in Scheme)
-        raise ConfigError(f"{key}: unknown scheme (valid: {valid})") from exc
+def _choice(options: dict[str, object]) -> Callable[[str, str], object]:
+    """Reader of one of the (case-insensitive) tokens of ``options``."""
+
+    def read(key: str, text: str) -> object:
+        try:
+            return options[text.lower()]
+        except KeyError:
+            raise ConfigError(f"key {key}: expected one of {', '.join(options)}, got {text!r}") from None
+
+    return read
 
 
-def _length(entries: dict[str, str], name: str) -> float:
-    si = _get_float(entries, name)
-    um = _get_float(entries, f"{name}_um")
-    if si is not None and um is not None:
-        raise ConfigError(f"give {name} or {name}_um, not both")
-    if si is None and um is None:
-        raise ConfigError(f"missing required key {name} (or {name}_um)")
-    return si if si is not None else um * 1e-6
+def _items(read: Callable[[str, str], object]) -> Callable[[str, str], tuple]:
+    """Reader of a comma- or space-separated list, every item through ``read``."""
+
+    def read_all(key: str, text: str) -> tuple:
+        items = tuple(read(key, token) for token in text.replace(",", " ").split())
+        if not items:
+            raise ConfigError(f"key {key}: no values in {text!r}")
+        return items
+
+    return read_all
 
 
-def default_sampling(d: float, r: float, D: float, T_s: float, floor_literal: bool = False) -> tuple[int, float]:
-    """Default passive sampling: t_s = t_max/6, N = floor(T_s/t_s).
+class _Key(NamedTuple):
+    read: Callable[[str, str], object]
+    default: object = None  # the value of an unset key; _REQUIRED: it must be set
+    emit: str | None = None  # ExperimentConfig attribute written back; None: never
 
-    ``floor_literal`` floors t_max/6 to whole seconds first; for typical
-    micro-scale links that is 0 and rejected as degenerate.
-    """
+
+_REQUIRED = object()
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_SCHEME = _choice({scheme.value: scheme for scheme in Scheme})
+# a passive grid has (N+1)(N+2)/2 windows; the most samples whose grid fits the cap
+_MAX_N = (math.isqrt(8 * opt.MAX_GRID_ELEMENTS + 1) - 3) // 2
+
+# every config key, in emit order; an empty value means the key is unset
+_KEYS: dict[str, _Key] = {
+    "receiver": _Key(_choice({rx.value: rx for rx in Receiver}), _REQUIRED, "system.receiver"),
+    "d": _Key(_positive, None, "system.d"),
+    "r": _Key(_positive, None, "system.r"),
+    "d_um": _Key(_positive),
+    "r_um": _Key(_positive),
+    "D": _Key(_positive, _REQUIRED, "system.D"),
+    "T_s": _Key(_positive, _REQUIRED, "system.T_s"),
+    "L": _Key(_integer(0, MAX_ENUMERATION_L), _REQUIRED, "system.L"),
+    "Q": _Key(_integer(0), _REQUIRED, "system.Q"),
+    "N": _Key(_integer(1, _MAX_N), None, "system.N"),
+    "t_s": _Key(_positive, None, "system.t_s"),
+    # read as: does the default t_s floor t_max/6 to whole seconds?
+    "t_s_policy": _Key(_choice({"sixth": False, "floor-seconds": True}), False),
+    "sweep.q_values": _Key(_items(_integer(0)), (), "q_values"),
+    "sweep.methods": _Key(_items(_SCHEME), tuple(_CMP_SCHEMES), "schemes"),
+    "method": _Key(_SCHEME, Scheme.CLOSED_FORM, "method"),
+    "trial.trials": _Key(_integer(1), 100_000, "trial.trials"),
+    "trial.seed": _Key(_integer(0), 0, "trial.seed"),
+    "trial.exact_counts": _Key(_choice(_BOOLS), True, "trial.exact_counts"),
+    # warmup bits are drawn per chunk: at most one chunk's worth
+    "trial.warmup_symbols": _Key(_integer(0, CHUNK_TRIALS), None, "trial.warmup_symbols"),
+    "search.dt": _Key(_real, None, "search_dt"),
+    "workers": _Key(_integer(1), None, "workers"),
+    "output.path": _Key(lambda key, text: text, None, "output_path"),
+    "output.format": _Key(_choice({"csv": "csv"}), "csv", "output_format"),
+}
+
+
+def _sampling_interval(d: float, r: float, D: float, floor_literal: bool) -> float:
     t_max = (d + r) * (d + r) / (6.0 * D)
     if not math.isfinite(t_max):
         raise ConfigError(f"(d + r)^2 / 6D must be finite, got d={d:g}, r={r:g}, D={D:g}")
@@ -225,98 +249,89 @@ def default_sampling(d: float, r: float, D: float, T_s: float, floor_literal: bo
             f"literal floored sampling interval floor({t_max / 6.0:.6g}) = 0 s is "
             "degenerate; use t_s_policy = sixth or give t_s explicitly"
         )
-    return int(T_s / t_s), t_s
+    return t_s
+
+
+def _samples(T_s: float, t_s: float) -> int:
+    """N = floor(T_s / t_s), refused past _MAX_N before it is converted."""
+    n = T_s / t_s
+    if not n <= _MAX_N:
+        raise ConfigError(
+            f"N = floor(T_s / t_s) = {n:.6g} (t_s = {t_s:g}) is over the {_MAX_N:,} "
+            "samples per symbol a search grid can hold; give a longer t_s"
+        )
+    return int(n)
+
+
+def default_sampling(d: float, r: float, D: float, T_s: float, floor_literal: bool = False) -> tuple[int, float]:
+    """Default passive sampling: t_s = t_max/6, N = floor(T_s/t_s).
+
+    ``floor_literal`` floors t_max/6 to whole seconds first; for typical
+    micro-scale links that is 0 and rejected as degenerate.
+    """
+    t_s = _sampling_interval(d, r, D, floor_literal)
+    return _samples(T_s, t_s), t_s
 
 
 def config_from_entries(entries: dict[str, str], source: str = "<config>") -> ExperimentConfig:
-    unknown = set(entries) - _KNOWN_KEYS
+    unknown = set(entries) - set(_KEYS)
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {', '.join(sorted(unknown))}")
+    v: dict[str, object] = {}
+    for key, spec in _KEYS.items():
+        text = entries.get(key, "")
+        if text:
+            v[key] = spec.read(key, text)
+        elif spec.default is _REQUIRED:
+            raise ConfigError(f"missing required key {key}")
+        else:
+            v[key] = spec.default
 
-    receiver_token = entries.get("receiver")
-    if receiver_token is None:
-        raise ConfigError("missing required key receiver (absorbing|passive)")
-    try:
-        receiver = Receiver(receiver_token.lower())
-    except ValueError as exc:
-        raise ConfigError(f"receiver must be absorbing or passive, got {receiver_token!r}") from exc
+    lengths = []
+    for name in ("d", "r"):
+        si, um = v[name], v[f"{name}_um"]
+        if si is not None and um is not None:
+            raise ConfigError(f"give {name} or {name}_um, not both")
+        if si is None and um is None:
+            raise ConfigError(f"missing required key {name} (or {name}_um)")
+        lengths.append(si if um is None else um * 1e-6)
+    d, r = lengths
 
-    d = _length(entries, "d")
-    r = _length(entries, "r")
-    diffusion = _get_float(entries, "D")
-    t_sym = _get_float(entries, "T_s")
-    ell = _get_int(entries, "L")
-    q = _get_int(entries, "Q")
-    for name, value in (("D", diffusion), ("T_s", t_sym), ("L", ell), ("Q", q)):
-        if value is None:
-            raise ConfigError(f"missing required key {name}")
-
-    n_samples = _get_int(entries, "N")
-    t_s = _get_float(entries, "t_s")
-    if receiver is Receiver.PASSIVE:
+    n_samples, t_s = v["N"], v["t_s"]
+    if v["receiver"] is Receiver.PASSIVE:
         if t_s is None:
-            policy = entries.get("t_s_policy", "sixth")
-            if policy not in ("sixth", "floor-seconds"):
-                raise ConfigError(f"t_s_policy must be sixth or floor-seconds, got {policy!r}")
-            n_default, t_s = default_sampling(d, r, diffusion, t_sym, policy == "floor-seconds")
-            if n_samples is None:
-                n_samples = n_default
-        elif n_samples is None:
-            n_samples = int(t_sym / t_s)
+            t_s = _sampling_interval(d, r, v["D"], v["t_s_policy"])
+        if n_samples is None:
+            n_samples = _samples(v["T_s"], t_s)
     else:
-        n_samples = None
-        t_s = None
-
+        n_samples = t_s = None
     try:
         system = SystemParams(
-            d=d, r=r, D=diffusion, T_s=t_sym, L=ell, Q=q,
-            receiver=receiver, N=n_samples, t_s=t_s,
+            d=d, r=r, D=v["D"], T_s=v["T_s"], L=v["L"], Q=v["Q"],
+            receiver=v["receiver"], N=n_samples, t_s=t_s,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    q_values: tuple[int, ...] = ()
-    if "sweep.q_values" in entries:
-        tokens = entries["sweep.q_values"].replace(",", " ").split()
-        try:
-            q_values = tuple(int(float(tok)) for tok in tokens)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"sweep.q_values: bad value in {entries['sweep.q_values']!r}") from exc
-
-    schemes = _DEFAULT_SCHEMES
-    if "sweep.methods" in entries:
-        tokens = entries["sweep.methods"].replace(",", " ").split()
-        schemes = tuple(_scheme(tok, "sweep.methods") for tok in tokens)
-
-    method = Scheme.CLOSED_FORM
-    if "method" in entries:
-        method = _scheme(entries["method"], "method")
-
-    trial = TrialConfig(
-        trials=_get_int(entries, "trial.trials", 100_000),
-        seed=_get_int(entries, "trial.seed", 0),
-        exact_counts=_get_bool(entries, "trial.exact_counts") in (None, True),
-        warmup_symbols=_get_int(entries, "trial.warmup_symbols"),
-    )
-
-    search_dt = _get_float(entries, "search.dt")
-    if search_dt is not None and not 0.0 < search_dt <= t_sym:
-        raise ConfigError(f"search.dt must be in (0, T_s = {t_sym}], got {entries['search.dt']!r}")
-
-    output_format = entries.get("output.format", "csv")
-    if output_format != "csv":
-        raise ConfigError(f"output.format: only csv is supported, got {output_format!r}")
+    search_dt = v["search.dt"]
+    if search_dt is not None and not 0.0 < search_dt <= system.T_s:
+        raise ConfigError(f"search.dt must be in (0, T_s = {system.T_s}], got {entries['search.dt']!r}")
 
     return ExperimentConfig(
         system=system,
-        q_values=q_values,
-        schemes=schemes,
-        trial=trial,
-        method=method,
+        q_values=v["sweep.q_values"],
+        schemes=v["sweep.methods"],
+        trial=TrialConfig(
+            trials=v["trial.trials"],
+            seed=v["trial.seed"],
+            exact_counts=v["trial.exact_counts"],
+            warmup_symbols=v["trial.warmup_symbols"],
+        ),
+        method=v["method"],
         search_dt=search_dt,
-        workers=_positive_workers(_get_int(entries, "workers"), "workers"),
-        output_path=entries.get("output.path"),
-        output_format=output_format,
+        workers=v["workers"],
+        output_path=v["output.path"],
+        output_format=v["output.format"],
     )
 
 
@@ -326,35 +341,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def emit_config(config: ExperimentConfig) -> str:
     """Canonical flat-key text; parse(emit(c)) == c."""
-    p = config.system
-    lines = [
-        f"receiver = {p.receiver.value}",
-        f"d = {_fmt(p.d)}",
-        f"r = {_fmt(p.r)}",
-        f"D = {_fmt(p.D)}",
-        f"T_s = {_fmt(p.T_s)}",
-        f"L = {p.L}",
-        f"Q = {p.Q}",
-    ]
-    if p.receiver is Receiver.PASSIVE:
-        lines.append(f"N = {p.N}")
-        lines.append(f"t_s = {_fmt(p.t_s)}")
-    if config.q_values:
-        lines.append("sweep.q_values = " + " ".join(str(q) for q in config.q_values))
-    lines.append("sweep.methods = " + " ".join(s.value for s in config.schemes))
-    lines.append(f"method = {config.method.value}")
-    lines.append(f"trial.trials = {config.trial.trials}")
-    lines.append(f"trial.seed = {config.trial.seed}")
-    lines.append(f"trial.exact_counts = {'true' if config.trial.exact_counts else 'false'}")
-    if config.trial.warmup_symbols is not None:
-        lines.append(f"trial.warmup_symbols = {config.trial.warmup_symbols}")
-    if config.search_dt is not None:
-        lines.append(f"search.dt = {_fmt(config.search_dt)}")
-    if config.workers is not None:
-        lines.append(f"workers = {config.workers}")
-    if config.output_path is not None:
-        lines.append(f"output.path = {config.output_path}")
-    lines.append(f"output.format = {config.output_format}")
+    lines = []
+    for key, spec in _KEYS.items():
+        value = None if spec.emit is None else attrgetter(spec.emit)(config)
+        if value is not None and value != ():
+            text = " ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -466,60 +458,30 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _intermediate_lines(result: opt.OptimizationResult) -> list[str]:
-    inter = result.intermediates
-    return [
-        f"{field.name} = {_fmt(getattr(inter, field.name) if inter else None)}"
-        for field in fields(opt.ClosedFormIntermediates)
-    ]
+def _print_fields(pairs: Iterable[tuple[str, object]]) -> None:
+    print("\n".join(f"{key} = {_fmt(value)}" for key, value in pairs))
 
 
 def cmd_optimize(args) -> int:
-    config = _load_config(args)
-    params = config.system
+    params = _load_config(args).system
     result = opt.closed_form_interval(params)
-    q_hat = opt.regime_q_hat(params)
-    lines = [
-        f"receiver = {params.receiver.value}",
-        f"method = {result.method.value}",
-        f"q_hat = {_fmt(q_hat)}",
-    ]
-    lines.extend(_intermediate_lines(result))
-    t1, t2, n1, n2 = _window_cells(result.window)
-    lines.append(f"t1 = {_fmt(t1)}")
-    lines.append(f"t2 = {_fmt(t2)}")
-    lines.append(f"n1 = {_fmt(n1)}")
-    lines.append(f"n2 = {_fmt(n2)}")
-    lines.append(f"objective = {_fmt(result.objective_value)}")
-    lines.append(f"clamped = {_fmt(result.clamped)}")
-    print("\n".join(lines))
+    inter = result.intermediates
+    _print_fields(
+        [("receiver", params.receiver), ("method", result.method), ("q_hat", opt.regime_q_hat(params))]
+        + [(field.name, getattr(inter, field.name) if inter else None) for field in fields(opt.ClosedFormIntermediates)]
+        + list(zip(("t1", "t2", "n1", "n2"), _window_cells(result.window)))
+        + [("objective", result.objective_value), ("clamped", result.clamped)]
+    )
     return 0
 
 
 def _sweep_rows(config: ExperimentConfig, rows: list[SweepRow]) -> Iterable[tuple]:
     params = config.system
     for row in rows:
-        t1, t2, n1, n2 = _window_cells(row.result.window)
-        yield (
-            SWEEP_SCHEMA,
-            params.receiver.value,
-            params.T_s,
-            params.L,
-            row.q,
-            row.scheme.value,
-            row.result.method.value,
-            t1,
-            t2,
-            n1,
-            n2,
-            row.result.tau,
-            row.result.threshold,
-            row.result.ber.value,
-            row.mc.value,
-            row.mc.ci_halfwidth,
-            row.mc.trials,
-            config.trial.seed,
-        )
+        result, mc = row.result, row.mc
+        yield (SWEEP_SCHEMA, params.receiver, params.T_s, params.L, row.q, row.scheme, result.method,
+               *_window_cells(result.window), result.tau, result.threshold, result.ber.value,
+               mc.value, mc.ci_halfwidth, mc.trials, config.trial.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -528,23 +490,13 @@ def cmd_simulate(args) -> int:
     workers = _resolve_workers(config, args)
     row = sweep_row(params, config.method, config.trial, config.search_dt, workers)
     result, mc = row.result, row.mc
-    t1, t2, n1, n2 = _window_cells(result.window)
-    for key, value in (
-        ("method", config.method.value),
-        ("resolved_method", result.method.value),
-        ("t1", _fmt(t1)),
-        ("t2", _fmt(t2)),
-        ("n1", _fmt(n1)),
-        ("n2", _fmt(n2)),
-        ("tau", _fmt(result.tau)),
-        ("threshold", result.threshold),
-        ("ber_analytic", _fmt(result.ber.value)),
-        ("ber_mc", _fmt(mc.value)),
-        ("mc_ci_halfwidth", _fmt(mc.ci_halfwidth)),
-        ("trials", mc.trials),
-        ("seed", config.trial.seed),
-    ):
-        print(f"{key} = {value}")
+    _print_fields(
+        [("method", config.method), ("resolved_method", result.method)]
+        + list(zip(("t1", "t2", "n1", "n2"), _window_cells(result.window)))
+        + [("tau", result.tau), ("threshold", result.threshold), ("ber_analytic", result.ber.value)]
+        + [("ber_mc", mc.value), ("mc_ci_halfwidth", mc.ci_halfwidth), ("trials", mc.trials)]
+        + [("seed", config.trial.seed)]
+    )
     return 0
 
 
@@ -594,10 +546,17 @@ def _geometric_q(lo: float, hi: float, points: int) -> list[int]:
     return [int(q) for q in qs]
 
 
+# the two searches a convergence row runs; only their windows are printed
+_CONV_SEARCHES = (
+    (Scheme.NUMERIC_MSINAR, lambda params, dt: opt.numeric_metric_search(params, metrics_mod.Metric.MSINAR, dt)),
+    (Scheme.EXHAUSTIVE_BER, opt.exhaustive_ber_search),
+)
+
+
 def _conv_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
     for q in q_values:
-        for scheme in (Scheme.NUMERIC_MSINAR, Scheme.EXHAUSTIVE_BER):
-            window = opt.select_window(replace(base, Q=q), scheme, dt).window
+        for scheme, search in _CONV_SEARCHES:
+            window = search(replace(base, Q=q), dt).window
             yield (CONV_SCHEMA, *lead, q, scheme.value, *_window_cells(window))
 
 
@@ -668,19 +627,6 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-c", "--config", help="flat key=value config file")
-    parser.add_argument(
-        "-s",
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-    parser.add_argument("-o", "--output", help="output CSV path (overrides output.path)")
-    parser.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcdwin",
@@ -688,21 +634,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_metrics = sub.add_parser("metrics", help="metric values on a window grid (CSV)")
-    _add_common(p_metrics)
-    p_metrics.set_defaults(func=cmd_metrics)
-
-    p_opt = sub.add_parser("optimize", help="closed-form window with all intermediates")
-    _add_common(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo BER at one configuration")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="BER versus Q sweep over schemes (CSV)")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, func, summary in (
+        ("metrics", cmd_metrics, "metric values on a window grid (CSV)"),
+        ("optimize", cmd_optimize, "closed-form window with all intermediates"),
+        ("simulate", cmd_simulate, "Monte Carlo BER at one configuration"),
+        ("sweep", cmd_sweep, "BER versus Q sweep over schemes (CSV)"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("-c", "--config", help="flat key=value config file")
+        command.add_argument(
+            "-s",
+            "--set",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a config key (repeatable)",
+        )
+        command.add_argument("-o", "--output", help="output CSV path (overrides output.path)")
+        command.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
+        command.set_defaults(func=func)
 
     p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment")
     p_rep.add_argument("figure", help="one of " + ", ".join(REPRODUCE_FIGURES))

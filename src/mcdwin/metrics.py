@@ -70,8 +70,8 @@ def _require_isi(params: SystemParams) -> None:
         raise ValueError("metrics need at least one ISI tap (L >= 1)")
 
 
-def _require_q(params: SystemParams) -> None:
-    if params.Q < 1:
+def _require_q(metric: Metric, q: float) -> None:
+    if q < 1 and metric is not Metric.SIR and metric is not Metric.SID:
         raise ValueError("noise-aware metrics need Q >= 1")
 
 
@@ -99,8 +99,7 @@ _FORMULAS = {
 
 def _metric(metric: Metric, params: SystemParams, window: DetectionWindow) -> float:
     _require_isi(params)
-    if metric is not Metric.SIR and metric is not Metric.SID:
-        _require_q(params)
+    _require_q(metric, params.Q)
     num, den = _FORMULAS[metric](float(params.Q), *_components(params, window))
     if den == 0.0:
         if metric is Metric.SIR:
@@ -217,10 +216,11 @@ def metric_values_from_taps(
 
     ``mean`` and ``var`` are (L+1, n_windows) per-tap fraction arrays
     (tap 0 = signal).  Windows where the metric is undefined (0/0) come back
-    as NaN; unbounded ratios as +inf.
+    as NaN; unbounded ratios as +inf.  The noise-aware metrics need q >= 1.
     """
     if metric not in _FORMULAS:
         raise ValueError(f"unknown metric {metric!r}")
+    _require_q(metric, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         num, den = _FORMULAS[metric](q, *_tap_sums(mean, var))
         return num / den

@@ -52,6 +52,9 @@ CHUNK_TRIALS = 1 << 16
 
 _Z95 = 1.959963984540054
 
+# numpy draws a Binomial count as a 64-bit integer
+_MAX_DRAW_Q = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -148,6 +151,8 @@ def simulate_ber_taps(
     """Monte Carlo BER for an arbitrary tap profile."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if cfg.exact_counts and params.receiver is Receiver.ABSORBING and params.Q > _MAX_DRAW_Q:
+        raise ValueError(f"exact absorbing draws need Q <= 2^63 - 1 (a 64-bit count), got Q = {params.Q:.6g}")
     warmup = params.L if cfg.warmup_symbols is None else cfg.warmup_symbols
     if warmup < params.L:
         raise ConfigError(f"warmup_symbols must be >= L ({warmup} < {params.L})")

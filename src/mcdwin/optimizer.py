@@ -318,6 +318,11 @@ class _ClosedFormReceiver:
         """sum_k density(k T_s + t) / density(T_s + t), k = 1..L, t the anchor time."""
         k = np.arange(1, params.L + 1, dtype=float)
         values = self.density(params, k * params.T_s + anchor * self.unit)
+        if not values[0] > 0.0:
+            raise DomainError(
+                f"the ISI ratio sum is 0/0: the response one symbol back (T_s = {params.T_s:g}) "
+                "underflows to 0"
+            )
         return float(np.sum(values) / values[0])
 
 
@@ -520,7 +525,7 @@ def _window_grid(params: SystemParams, dt: float | None):
         n = float(np.rint(params.T_s / step))  # steps; a window is a pair of the n+1 edges
     else:
         assert params.N is not None
-        step, n = params.t_s, params.N + 1  # samples; a window is a pair n1 <= n2
+        step, n = params.t_s, float(params.N + 1)  # samples; a window is a pair n1 <= n2
     windows = n * (n + 1) / 2
     if (params.L + 1) * windows > MAX_GRID_ELEMENTS:
         raise EnumerationTooLarge(

@@ -421,6 +421,114 @@ class TestInputValidation:
         assert not out.exists()
 
 
+class TestKeyTable:
+    """Every key is read, range-checked and defaulted by the key table."""
+
+    @pytest.mark.parametrize("setting", ["D=0", "t_s=0", "T_s=0", "d_um=0"])
+    @pytest.mark.parametrize("command", ["optimize", "metrics"])
+    def test_passive_lengths_and_times_positive_before_sampling(self, pa_cfg_file, tmp_path, capsys, command, setting):
+        out = tmp_path / "out.csv"
+        assert main([command, "-c", pa_cfg_file, "-o", str(out), "-s", setting]) == 2
+        assert f"key {setting.split('=')[0]}: must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["D=1e300", "t_s=1e-300", "T_s=1e300", "t_s=1e-4"])
+    @pytest.mark.parametrize("command", ["optimize", "metrics"])
+    def test_derived_sample_count_capped(self, pa_cfg_file, tmp_path, capsys, command, setting):
+        # N = floor(T_s / t_s) is checked in float, before any grid is sized
+        out = tmp_path / "out.csv"
+        assert main([command, "-c", pa_cfg_file, "-o", str(out), "-s", setting]) == 2
+        assert "N = floor(T_s / t_s) = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_count_bound_is_the_largest_grid_that_fits(self):
+        from mcdwin.cli import _MAX_N
+
+        assert _MAX_N == 8190
+        assert (_MAX_N + 1) * (_MAX_N + 2) // 2 <= optimizer.MAX_GRID_ELEMENTS
+        assert (_MAX_N + 2) * (_MAX_N + 3) // 2 > optimizer.MAX_GRID_ELEMENTS
+        assert parse_config(PA_CONFIG + "N = 8190\nt_s = 1e-4\n").system.N == 8190
+        with pytest.raises(ConfigError, match=r"key N: must be in \[1, 8190\], got '8191'"):
+            parse_config(PA_CONFIG + "N = 8191\nt_s = 1e-4\n")
+
+    @pytest.mark.parametrize("value", ["25", "1e9", "1e300"])
+    @pytest.mark.parametrize("command", ["optimize", "metrics", "sweep"])
+    def test_isi_length_capped_at_the_enumeration_limit(self, ab_cfg_file, tmp_path, capsys, command, value):
+        out = tmp_path / "out.csv"
+        assert main([command, "-c", ab_cfg_file, "-o", str(out), "-s", f"L={value}"]) == 2
+        assert f"key L: must be in [0, 24], got '{value}'" in capsys.readouterr().err
+        assert parse_config(AB_CONFIG.replace("L = 4", "L = 24")).system.L == 24
+
+    def test_metrics_at_zero_molecules_is_a_usage_error(self, ab_cfg_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["metrics", "-c", ab_cfg_file, "-o", str(out), "-s", "Q=0"]) == 2
+        assert "noise-aware metrics need Q >= 1" in capsys.readouterr().err
+
+    def test_overlong_absorbing_symbol_names_T_s(self, ab_cfg_file, capsys):
+        assert main(["optimize", "-c", ab_cfg_file, "-s", "T_s=1e300"]) == 3
+        assert "T_s = 1e+300" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sweep.q_values = 300.5", "key sweep.q_values: expected an integer, got '300.5'"),
+            ("sweep.q_values = 300, -1", "key sweep.q_values: must be >= 0, got '-1'"),
+            ("sweep.q_values = ,", "key sweep.q_values: no values in ','"),
+            ("t_s_policy = bogus", "key t_s_policy: expected one of sixth, floor-seconds, got 'bogus'"),
+            ("N = 0", "key N: must be in [1, 8190], got '0'"),
+            ("t_s = -1", "key t_s: must be > 0, got '-1'"),
+            ("trial.warmup_symbols = 65537", "key trial.warmup_symbols: must be in [0, 65536], got '65537'"),
+            ("receiver = bogus", "key receiver: expected one of absorbing, passive, got 'bogus'"),
+            ("trial.exact_counts = maybe", "key trial.exact_counts: expected one of true, yes, 1, false, no, 0"),
+        ],
+    )
+    def test_no_value_is_silently_replaced(self, line, message):
+        # each key is checked on either receiver, used or not
+        with pytest.raises(ConfigError) as info:
+            parse_config(AB_CONFIG + line + "\n")
+        assert message in str(info.value)
+
+    def test_empty_value_means_unset(self, ab_cfg_file, tmp_path, capsys):
+        cleared = parse_config(
+            AB_CONFIG + "method =\nsweep.methods =\noutput.format =\ntrial.seed =\noutput.path =\n"
+        )
+        defaults = parse_config(AB_CONFIG.replace("trial.seed = 7\n", "").replace("sweep.methods = full numeric-msinar\n", ""))
+        assert cleared == defaults
+        assert cleared.method is Scheme.CLOSED_FORM and cleared.output_path is None
+        with pytest.raises(ConfigError, match="missing required key receiver"):
+            parse_config(AB_CONFIG + "receiver =\n")
+        # --set key= clears what the file sets
+        assert main(["simulate", "-c", ab_cfg_file, "-s", "method=full", "-s", "trial.seed="]) == 0
+        assert "seed = 0" in capsys.readouterr().out.splitlines()
+
+    def test_readme_lists_exactly_the_table_keys(self):
+        from mcdwin.cli import _KEYS
+
+        readme = (SRC.parent / "README.md").read_text()
+        section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert listed == list(_KEYS)
+
+    def test_conv_rows_score_only_the_exhaustive_windows(self, monkeypatch, tmp_path):
+        # a convergence row prints windows only: the one-column threshold scan
+        # runs once per exhaustive search (its seed) and never for mSINAR
+        calls = []
+        original = optimizer.threshold_from_taps
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimizer, "threshold_from_taps", counting)
+        out = tmp_path / "rep"
+        small = ["--q-points", "2", "--q-min", "400", "--q-max", "2000", "--grid-divisions", "10"]
+        assert main(["reproduce", "conv-ab", "-o", str(out), *small]) == 0
+        with open(out / "conv-ab.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        searches = sum(row["scheme"] == "exhaustive-ber" for row in rows)
+        assert searches == 2 * 4 * 2
+        assert len(calls) == searches
+
+
 class TestReproduce:
     def test_conv_schema(self, tmp_path):
         out = tmp_path / "rep"

@@ -260,3 +260,18 @@ class TestSinglePath:
             for metric, fn in scalar.items():
                 column = metric_values_from_taps(metric, float(params.Q), mean[:, [w]], var[:, [w]])
                 assert fn(params, window) == column[0]
+
+
+class TestBelowOneMolecule:
+    def test_noise_aware_columns_refused_below_q_one(self):
+        # the sqrt(2/q) noise terms divide by q; the table refuses q < 1 as
+        # the scalar metrics do instead of dividing by zero
+        params = absorbing_params(T_s=0.2, L=2, Q=0)
+        edges, i1, i2, mean, var = _continuous_grid(params, params.T_s / 8)
+        for metric in (Metric.SINAR, Metric.MSINAR, Metric.MSID):
+            with pytest.raises(ValueError, match="noise-aware metrics need Q >= 1"):
+                metric_values_from_taps(metric, 0.0, mean, var)
+            with pytest.raises(ValueError, match="noise-aware metrics need Q >= 1"):
+                metric_values_from_taps(metric, 0.5, mean, var)
+        for metric in (Metric.SIR, Metric.SID):
+            assert metric_values_from_taps(metric, 0.0, mean, var).shape == (i1.size,)

@@ -35,6 +35,13 @@ class TestTrialConfig:
             simulate_ber(table1_absorbing, full_window(table1_absorbing), 10.0, cfg)
 
 
+    def test_rejects_exact_draws_past_64_bit_counts(self):
+        # numpy draws a Binomial count as a 64-bit integer
+        params = absorbing_params(Q=2**63)
+        with pytest.raises(ValueError, match="64-bit"):
+            simulate_ber(params, full_window(params), 0.0, TrialConfig(trials=10, seed=1))
+
+
 class TestPoolWorkers:
     def test_clamped_to_chunks_and_cpus(self):
         cpus = os.cpu_count() or 1

@@ -415,6 +415,12 @@ class TestClosedFormDispatch:
         single = closed_form_interval(absorbing_params(T_s=0.2, L=1, Q=50))
         assert single.method is Method.PROP1
 
+    def test_underflowed_isi_ratio_names_the_symbol_time(self):
+        # at T_s = 1e300 the density one symbol back underflows to 0, and the
+        # ISI ratio sum would be 0/0
+        with pytest.raises(DomainError, match=r"T_s = 1e\+300"):
+            closed_form_interval(absorbing_params(T_s=1e300, L=4, Q=100))
+
     def test_passive_dispatch(self, table1_passive):
         res = closed_form_interval(table1_passive)
         assert res.method is Method.PROP4
@@ -858,6 +864,16 @@ class TestWindowCap:
         monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", (table1_passive.L + 1) * n * (n + 1) // 2 - 1)
         with pytest.raises(EnumerationTooLarge):
             exhaustive_ber_search(table1_passive)
+
+    def test_huge_passive_sample_count_refused(self):
+        # (N + 1)(N + 2)/2 windows are counted in float: a sample count far
+        # past any float-sized product is refused, not an OverflowError
+        params = SystemParams(
+            d=9e-6, r=1e-6, D=80e-12, T_s=1.0, L=2, Q=2000,
+            receiver=Receiver.PASSIVE, N=10**299, t_s=1e-300,
+        )
+        with pytest.raises(EnumerationTooLarge, match="candidate windows"):
+            exhaustive_ber_search(params)
 
     def test_default_grid_fits_at_the_enumeration_cap(self):
         steps = optimizer.GRID_DIVISIONS
