@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .errors import DomainError
+
 __all__ = [
     "Receiver",
     "SystemParams",
@@ -204,13 +206,15 @@ def hitting_density(params: SystemParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
         raise ValueError("hitting_density needs t > 0")
-    out = (
-        params.r
-        / (params.d + params.r)
-        * params.d
-        / np.sqrt(4.0 * math.pi * params.D * t_arr**3)
-        * np.exp(-params.d**2 / (4.0 * params.D * t_arr))
-    )
+    # t^3 may overflow to inf, which is the limit: h(t) = 0
+    with np.errstate(over="ignore"):
+        out = (
+            params.r
+            / (params.d + params.r)
+            * params.d
+            / np.sqrt(4.0 * math.pi * params.D * t_arr**3)
+            * np.exp(-params.d**2 / (4.0 * params.D * t_arr))
+        )
     return out if isinstance(t, np.ndarray) else float(out)
 
 
@@ -265,7 +269,8 @@ def passive_probability(params: SystemParams, t):
     """Probability p(t) that one released molecule sits inside the passive sphere.
 
     p(t) = V/(4 pi D t)^(3/2) * exp(-(d+r)^2 / 4Dt); p(0) is defined as 0
-    so that sums over the n = 0 sample are well-formed.
+    so that sums over the n = 0 sample are well-formed.  A D so small that
+    (4 pi D t)^(3/2) underflows to 0 is a ``DomainError`` (V/0 * 0 is NaN).
     """
     if params.receiver is not Receiver.PASSIVE:
         raise ValueError("passive_probability needs passive params")
@@ -276,13 +281,21 @@ def passive_probability(params: SystemParams, t):
     assert consts.V is not None
     positive = t_arr > 0.0
     safe_t = np.where(positive, t_arr, 1.0)
-    out = np.where(
-        positive,
-        consts.V
-        / (4.0 * math.pi * params.D * safe_t) ** 1.5
-        * np.exp(-((params.d + params.r) ** 2) / (4.0 * params.D * safe_t)),
-        0.0,
-    )
+    # an overflow to inf is the limit, p(t) = 0; a 0/0 at a masked t = 0 is discarded
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spread = (4.0 * math.pi * params.D * safe_t) ** 1.5
+        if not spread.all():
+            underflowed = positive & (spread == 0.0)
+            if underflowed.any():
+                raise DomainError(
+                    f"the passive density's (4 pi D t)^1.5 underflows to 0 at D = {params.D:g} m^2/s "
+                    f"(t = {np.max(t_arr[underflowed]):g} s); give a larger D"
+                )
+        out = np.where(
+            positive,
+            consts.V / spread * np.exp(-((params.d + params.r) ** 2) / (4.0 * params.D * safe_t)),
+            0.0,
+        )
     return out if isinstance(t, np.ndarray) else float(out)
 
 

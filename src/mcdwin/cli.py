@@ -243,10 +243,16 @@ def _sampling_interval(d: float, r: float, D: float, floor_literal: bool) -> flo
     t_max = (d + r) * (d + r) / (6.0 * D)
     if not math.isfinite(t_max):
         raise ConfigError(f"(d + r)^2 / 6D must be finite, got d={d:g}, r={r:g}, D={D:g}")
-    t_s = float(math.floor(t_max / 6.0)) if floor_literal else t_max / 6.0
+    sixth = t_max / 6.0
+    if sixth <= 0.0:
+        raise ConfigError(
+            f"sampling interval t_max/6 = (d + r)^2 / 36D underflows to 0 s (d={d:g}, r={r:g}, "
+            f"D={D:g}); give t_s explicitly"
+        )
+    t_s = float(math.floor(sixth)) if floor_literal else sixth
     if t_s <= 0.0:
         raise ConfigError(
-            f"literal floored sampling interval floor({t_max / 6.0:.6g}) = 0 s is "
+            f"literal floored sampling interval floor({sixth:.6g}) = 0 s is "
             "degenerate; use t_s_policy = sixth or give t_s explicitly"
         )
     return t_s

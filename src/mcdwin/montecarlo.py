@@ -1,18 +1,31 @@
 """Stochastic link simulation and BER sweeps.
 
 A simulated stream draws i.i.d. equiprobable bits; each scored symbol's
-count is the sum of independent per-tap draws -- Binomial(Q*x, F) for the
-absorbing receiver, Poisson of the summed rate for the passive one (their
-marginals are exact for the channel model, no particle tracking needed) --
-and decides "1" iff the count exceeds the threshold.
+count is the sum of independent per-tap draws, one for each tap whose release
+was a "1" -- Binomial(Q, F_j) for the absorbing receiver, Poisson(Q*rate_j)
+for the passive one (their marginals are exact for the channel model, and a
+sum of independent Poissons is the Poisson of the summed rate) -- and decides
+"1" iff the count exceeds the threshold.
 
-Absorbing draws stop once a trial is decided: taps go by descending mean
-(stable sort), each drawn only for the trials that released at its lag and
-are still at or below the threshold.  Counts never fall, so a trial past the
-threshold decides "1" whatever its remaining draws, and skipping them keeps
-every decision's distribution exact.  The RNG stream is consumed in this
-order, so absorbing estimates at a given seed differ from those of the former
-sampler, which drew every tap for every trial.
+Draws stop once a trial is decided: taps go by descending mean (stable sort),
+each drawn only for the trials that released at its lag and are still at or
+below the threshold.  Counts never fall, so a trial past the threshold
+decides "1" whatever its remaining draws, and skipping them keeps every
+decision's distribution exact.
+
+A tap's count is drawn by inverting a table of its CDF (``_CountTable``, a
+guide table) built once per ``simulate_ber_taps`` call.  The table covers the
+counts from mean - (10 sd + 40) up to cap = floor(threshold) + 1, or to mean
++ 10 sd + 40 when that is lower, and lumps every count at or past the cap
+into the cap: any such count decides "1" and ends the trial's draws, so the
+lump changes no decision.  Each tail a table drops holds less than 2^-60.  A
+tap keeps numpy's ``binomial``/``poisson`` draw when its table would hold
+more counts than 1/8 of the call's trials or than _MAX_TABLE_WIDTH, or Q
+passes 2^53 (the 1-trial rows of a design sweep; Q up to 2^63 - 1), so the
+choice depends on the input alone.  The RNG stream is consumed in this
+order, so exact estimates at a given seed differ from those of earlier
+versions, which drew every count with numpy (the passive one as one Poisson
+of the summed rate).
 
 Reproducibility: trials are split into fixed-size chunks, each with its own
 RNG stream spawned from the master seed.  Results are summed over chunks,
@@ -30,6 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc, betaincc, pdtr, pdtrc
 
 from .channel import Receiver, SystemParams, TapProfile, window_taps, DetectionWindow
 from .errors import ConfigError
@@ -54,6 +68,9 @@ _Z95 = 1.959963984540054
 
 # numpy draws a Binomial count as a 64-bit integer
 _MAX_DRAW_Q = np.iinfo(np.int64).max
+# a count table: at most this many values, and Q - k an exact double
+_MAX_TABLE_WIDTH = 1 << 12
+_MAX_TABLE_Q = 2**53
 
 
 @dataclass(frozen=True)
@@ -97,39 +114,134 @@ def _pool_workers(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, os.cpu_count() or 1)
 
 
+@dataclass(frozen=True)
+class _CountTable:
+    """Guide-table inversion of one tap's count CDF (Chen & Asau 1974).
+
+    ``steps[i]`` is P(count <= lo + i) for the values below the table's top,
+    then a 2.0 sentinel; a uniform u maps to lo + searchsorted(steps, u,
+    "right").  Bucket b of the m = ``guide.size`` (a power of two) buckets
+    covers [b/m, (b+1)/m): ``guide[b]`` is the answer at its left edge and,
+    unless the bucket is ``wide`` (it holds more than one CDF step), one
+    comparison settles the answer for every u in it.
+    """
+
+    lo: int
+    steps: np.ndarray
+    guide: np.ndarray
+    wide: np.ndarray
+
+    @classmethod
+    def from_cdf(cls, lo: int, cdf: np.ndarray) -> "_CountTable":
+        m = 1 << (2 * (cdf.size + 1) - 1).bit_length()
+        edges = np.searchsorted(cdf, np.arange(m + 1) / m, "right")
+        return cls(lo, np.append(cdf, 2.0), edges[:-1], np.diff(edges) > 1)
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """lo + searchsorted(cdf, u, "right") for u in [0, 1), bit for bit."""
+        b = (u * self.guide.size).astype(np.intp)  # exact: m is a power of two
+        i = self.guide[b]
+        i += self.steps[i] <= u
+        wide = np.flatnonzero(self.wide[b])
+        if wide.size:
+            i[wide] = np.searchsorted(self.steps, u[wide], "right")
+        if self.lo:
+            i += self.lo
+        return i
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.steps.size == 1:  # one value: nothing to draw
+            return np.full(size, self.lo)
+        return self.invert(rng.random(size))
+
+
+@dataclass(frozen=True)
+class _NumpyDraw:
+    """numpy's own sampler, ``rng.binomial(Q, p)`` or ``rng.poisson(Q*rate)``."""
+
+    method: str
+    args: tuple
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return getattr(rng, self.method)(*self.args, size=size)
+
+
+def _binomial_cdf(k, n: int, p: float):
+    """P(Binomial(n, p) <= k) as I_p(k+1, n-k) taken at p itself, for k < n.
+
+    scipy's ``bdtr`` takes it at 1 - p: its error grows with n (3.9e-12 at
+    n = 1e4, 2.8e-10 at 1e6) and it is NaN past a 32-bit n.
+    """
+    k = np.asarray(k, dtype=float)
+    return betaincc(k + 1.0, n - k, p)
+
+
+def _binomial_sf(k, n: int, p: float):
+    """P(Binomial(n, p) > k), 0 at k = n."""
+    return betainc(k + 1.0, n - k, p) if k < n else 0.0
+
+
+def _tap_sampler(
+    params: SystemParams, mean: float, var: float, threshold: float, trials: int
+) -> _CountTable | _NumpyDraw:
+    """The count sampler of one tap: a table lumped at cap = floor(threshold) + 1
+    when it holds at most trials/8 and _MAX_TABLE_WIDTH counts, else numpy's.
+
+    The table covers [lo, min(hi, cap)], with [lo, hi] the mean -/+ (10 sd +
+    40) clipped to the possible counts; every count >= cap decides "1", so
+    lumping them into cap changes no decision.  By Bernstein's inequality
+    each dropped tail is below exp(-50); the check below keeps a table from
+    ever dropping 2^-60.
+    """
+    q = int(params.Q)
+    binomial = params.receiver is Receiver.ABSORBING
+    args = (q, mean) if binomial else (q * mean,)
+    numpy_draw = _NumpyDraw("binomial" if binomial else "poisson", args)
+    center, margin = q * mean, 10.0 * math.sqrt(q * var) + 40.0
+    lo = max(0, math.floor(center - margin))
+    top = math.ceil(center + margin)
+    if binomial:
+        top = min(top, q)
+    capped = math.isfinite(threshold) and math.floor(threshold) + 1 <= top
+    if capped:
+        top = math.floor(threshold) + 1
+    lo = min(lo, top)
+    width = top - lo + 1
+    if 8 * width > trials or width > _MAX_TABLE_WIDTH or q > _MAX_TABLE_Q:
+        return numpy_draw
+    cdf, sf = (_binomial_cdf, _binomial_sf) if binomial else (pdtr, pdtrc)
+    dropped = (cdf(lo - 1, *args) if lo > 0 else 0.0) + (0.0 if capped else sf(top, *args))
+    if not dropped < 2.0**-60:
+        return numpy_draw
+    return _CountTable.from_cdf(lo, cdf(np.arange(lo, top), *args))
+
+
 def _chunk_errors(
     params: SystemParams,
     taps: TapProfile,
     threshold: float,
     n_trials: int,
     warmup: int,
-    exact: bool,
+    samplers: list | None,
     seed_seq: np.random.SeedSequence,
 ) -> int:
     rng = np.random.default_rng(seed_seq)
     has_future = -1 in taps.lags
     n_bits = warmup + n_trials + (1 if has_future else 0)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
-    q = int(params.Q)
 
-    if exact:
-        if params.receiver is Receiver.ABSORBING:
-            counts = np.zeros(n_trials, dtype=np.int64)
-            undecided = np.ones(n_trials, dtype=bool)
-            for j in np.argsort(-taps.mean, kind="stable"):
-                lag = taps.lags[j]
-                released = bits[warmup - lag : warmup - lag + n_trials] == 1
-                drawn = np.flatnonzero(undecided & released)
-                counts[drawn] += rng.binomial(q, float(taps.mean[j]), size=drawn.size)
-                undecided[drawn] = counts[drawn] <= threshold
-        else:
-            lam = np.zeros(n_trials)
-            for j, lag in enumerate(taps.lags):
-                active = bits[warmup - lag : warmup - lag + n_trials]
-                lam += active * (q * float(taps.mean[j]))
-            counts = rng.poisson(lam)
+    if samplers is not None:
+        ones = bits == 1
+        counts = np.zeros(n_trials, dtype=np.int64)
+        undecided = np.ones(n_trials, dtype=bool)
+        for lag, sampler in samplers:
+            drawn = np.flatnonzero(undecided & ones[warmup - lag : warmup - lag + n_trials])
+            drawn_counts = counts[drawn] + sampler.draw(rng, drawn.size)
+            counts[drawn] = drawn_counts
+            undecided[drawn] = drawn_counts <= threshold
         decisions = counts > threshold
     else:
+        q = int(params.Q)
         mu = np.zeros(n_trials)
         var = np.zeros(n_trials)
         for j, lag in enumerate(taps.lags):
@@ -162,8 +274,14 @@ def simulate_ber_taps(
         min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS) for i in range(n_chunks)
     ]
     streams = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
+    samplers = None
+    if cfg.exact_counts:
+        samplers = [
+            (taps.lags[j], _tap_sampler(params, float(taps.mean[j]), float(taps.var[j]), threshold, cfg.trials))
+            for j in np.argsort(-taps.mean, kind="stable")
+        ]
     jobs = [
-        (params, taps, threshold, size, warmup, cfg.exact_counts, stream)
+        (params, taps, threshold, size, warmup, samplers, stream)
         for size, stream in zip(sizes, streams)
     ]
     pool_size = _pool_workers(workers, n_chunks)

@@ -630,30 +630,36 @@ def _least_ber(
     _FLOOR_BLOCK elements; it lowers the incumbent every round and skips
     (+inf) a column that provably cannot reach it.  Both tests allow a
     rounding slack, so a skipped column is strictly worse than the
-    incumbent, which only falls: every tie reaches ``_argbest``.
+    incumbent, which only falls: every tie reaches ``_argbest``.  When no
+    molecule is ever counted (every Q * mean is 0), every column's BER is
+    1/2 at threshold 0 and the tie-break picks without a scan.
     """
     q = float(params.Q)
-    coarse = _coarse_floors(q, mean, var)
-    seed = int(np.argmin(coarse))
     values = np.full(i1.size, math.inf)
     thresholds = np.zeros(i1.size, dtype=int)
-    thresholds[seed], ber = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))
-    values[seed] = incumbent = ber.value
-    floors = np.full(i1.size, math.inf)
-    alive = coarse <= incumbent
-    floors[alive] = ber_floors(q, mean[:, alive], var[:, alive])
-    floors[seed] = math.inf
-    order = np.flatnonzero(floors <= incumbent)
-    order = order[np.argsort(floors[order], kind="stable")]
-    # a column holds its 2^K sequence statistics and up to a few dozen thresholds
-    step = max(1, _FLOOR_BLOCK >> max(mean.shape[0] - 1, 6))
-    for start in range(0, order.size, step):
-        block = order[start : start + step]
-        block = block[floors[block] <= incumbent]
-        if block.size == 0:
-            break
-        thresholds[block], values[block] = best_thresholds(q, mean[:, block], var[:, block], incumbent)
-        incumbent = min(incumbent, values[block].min())
+    if not np.any(q * mean):
+        # no molecule is ever counted: every column decides "0", BER 1/2 at threshold 0
+        values[:] = 0.5
+    else:
+        coarse = _coarse_floors(q, mean, var)
+        seed = int(np.argmin(coarse))
+        thresholds[seed], ber = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))
+        values[seed] = incumbent = ber.value
+        floors = np.full(i1.size, math.inf)
+        alive = coarse <= incumbent
+        floors[alive] = ber_floors(q, mean[:, alive], var[:, alive])
+        floors[seed] = math.inf
+        order = np.flatnonzero(floors <= incumbent)
+        order = order[np.argsort(floors[order], kind="stable")]
+        # a column holds its 2^K sequence statistics and up to a few dozen thresholds
+        step = max(1, _FLOOR_BLOCK >> max(mean.shape[0] - 1, 6))
+        for start in range(0, order.size, step):
+            block = order[start : start + step]
+            block = block[floors[block] <= incumbent]
+            if block.size == 0:
+                break
+            thresholds[block], values[block] = best_thresholds(q, mean[:, block], var[:, block], incumbent)
+            incumbent = min(incumbent, values[block].min())
     best = _argbest(values, i1, i2, maximize=False)
     ber = BerEstimate(float(values[best]), float(thresholds[best]), BerSource.ANALYTICAL)
     taps = TapProfile(lags, mean[:, best].copy(), var[:, best].copy())

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.optimize import minimize_scalar
 
 from mcdwin import (
     ContinuousWindow,
+    DomainError,
     Receiver,
     SampledWindow,
     SystemParams,
@@ -147,6 +150,13 @@ class TestHittingDensity:
         sign_changes = np.count_nonzero(np.diff(np.sign(diffs)) != 0)
         assert sign_changes == 1
 
+    def test_overflowing_time_is_zero_without_warnings(self, table1_absorbing):
+        # t^3 overflows to inf at t = 1e300; the limit h = 0 needs no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hitting_density(table1_absorbing, 1e300) == 0.0
+            assert np.all(hitting_density(table1_absorbing, np.array([1e200, 1e300])) == 0.0)
+
 
 class TestAbsorbedFraction:
     def test_empty_interval(self, table1_absorbing):
@@ -258,6 +268,20 @@ class TestPassiveProbability:
         diffs = np.diff(passive_probability(table1_passive, grid))
         sign_changes = np.count_nonzero(np.diff(np.sign(diffs)) != 0)
         assert sign_changes == 1
+
+    def test_underflowed_spread_names_D(self):
+        # (4 pi D t)^1.5 underflows to 0 at D = 1e-300, and V/0 * 0 is NaN
+        params = replace(passive_params(T_s=1.0, L=2), D=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"D = 1e-300"):
+                passive_probability(params, np.array([0.0, 0.05, 1.0]))
+            assert passive_probability(params, 0.0) == 0.0
+
+    def test_overflowing_spread_is_zero_without_warnings(self, table1_passive):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert passive_probability(replace(table1_passive, D=1e300), 1e300) == 0.0
 
 
 class TestSampleProbability:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -390,6 +391,35 @@ class TestInputValidation:
         assert "EnumerationTooLarge: threshold range [0, " in done.stderr
         assert "passes 2^53" in done.stderr
         assert not out.exists()
+
+    def test_underflowed_passive_density_names_D(self, pa_cfg_file, capsys):
+        # (4 pi D t)^1.5 underflows to 0 at D = 1e-300, which made every tap NaN
+        settings = ["t_s=0.05", "L=2", "D=1e-300", "Q=1000", "method=full"]
+        argv = ["simulate", "-c", pa_cfg_file]
+        for setting in settings:
+            argv += ["-s", setting]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err
+        assert "D = 1e-300" in err
+
+    @pytest.mark.parametrize("policy", ["sixth", "floor-seconds"])
+    def test_underflowed_sampling_interval_advice(self, pa_cfg_file, capsys, policy):
+        # t_max/6 itself underflows: no policy helps, only an explicit t_s
+        argv = ["simulate", "-c", pa_cfg_file, "-s", "d_um=1e-300", "-s", "r_um=1e-300"]
+        assert main([*argv, "-s", f"t_s_policy={policy}"]) == 2
+        err = capsys.readouterr().err
+        assert "t_max/6 = (d + r)^2 / 36D underflows to 0 s" in err
+        assert "give t_s explicitly" in err
+        assert "t_s_policy" not in err
+
+    def test_floored_sampling_interval_advice(self, pa_cfg_file, capsys):
+        # Table-1 t_max/6 = 0.035 s floors to 0 s; the sixth policy would not
+        assert main(["simulate", "-c", pa_cfg_file, "-s", "t_s_policy=floor-seconds"]) == 2
+        err = capsys.readouterr().err
+        assert "floor(0.0347222) = 0 s is degenerate; use t_s_policy = sixth" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.3"])
     def test_grid_step_outside_the_symbol_rejected(self, ab_cfg_file, tmp_path, capsys, value):

@@ -2,10 +2,13 @@ import math
 import os
 from dataclasses import replace
 
+import mpmath
+import numpy as np
 import pytest
 
 from mcdwin import (
     ConfigError,
+    Receiver,
     Scheme,
     TrialConfig,
     full_window,
@@ -13,11 +16,13 @@ from mcdwin import (
     select_window,
     simulate_ber,
     sweep,
+    window_taps,
 )
 from mcdwin import montecarlo, reception
 from mcdwin.montecarlo import _pool_workers, wilson_halfwidth
 from mcdwin.reception import BerSource
-from conftest import absorbing_params
+from conftest import absorbing_params, passive_params
+from test_acceptance import _exact_binomial_ber
 
 
 class TestTrialConfig:
@@ -247,3 +252,161 @@ class TestSweep:
         monkeypatch.undo()
         alone = sweep(table1_absorbing, [500, 2000], schemes, cfg)
         assert [r.mc for r in shared] == [r.mc for r in alone]
+
+
+def _sampler(params, tap, threshold, trials=1_000_000):
+    taps = window_taps(params, full_window(params))
+    return montecarlo._tap_sampler(params, float(taps.mean[tap]), float(taps.var[tap]), threshold, trials)
+
+
+# (params, tap, threshold): Binomial and Poisson taps, lumped at the
+# threshold's cap or reaching their upper tail, including a cap below lo
+TABLE_CASES = [
+    (absorbing_params(T_s=0.2, L=4, Q=1000), 0, 150.0),
+    (absorbing_params(T_s=0.2, L=4, Q=1000), 1, 150.0),
+    (absorbing_params(T_s=0.2, L=4, Q=60), 0, 9.5),
+    (absorbing_params(T_s=0.2, L=4, Q=10_000), 0, 1000.0),
+    (absorbing_params(T_s=0.2, L=4, Q=10_000), 3, math.inf),
+    (passive_params(T_s=1.0, L=2, Q=10_000), 0, 44.0),
+    (passive_params(T_s=1.0, L=2, Q=10_000), 2, math.inf),
+    (passive_params(T_s=1.0, L=2, Q=200), 0, 0.0),
+]
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("params, tap, threshold", TABLE_CASES)
+    def test_inversion_equals_searchsorted(self, params, tap, threshold):
+        table = _sampler(params, tap, threshold)
+        assert isinstance(table, montecarlo._CountTable)
+        cdf = table.steps[:-1]
+        m = table.guide.size
+        rng = np.random.default_rng(11)
+        u = np.concatenate(
+            (
+                rng.random(200_000),
+                np.arange(m) / m,  # bucket edges
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 1.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+            )
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(table.invert(u), table.lo + np.searchsorted(cdf, u, "right"))
+
+    @pytest.mark.parametrize("params, tap, threshold", TABLE_CASES)
+    def test_pmf_matches_oracle(self, params, tap, threshold):
+        table = _sampler(params, tap, threshold)
+        q = int(params.Q)
+        mean = float(window_taps(params, full_window(params)).mean[tap])
+        top = table.lo + table.steps.size - 1
+        with mpmath.workdps(40):
+            if params.receiver is Receiver.ABSORBING:
+                # math.comb keeps the binomial coefficient exact
+                p = mpmath.mpf(mean)
+                pmf = [mpmath.mpf(math.comb(q, k)) * p**k * (1 - p) ** (q - k) for k in range(top)]
+            else:
+                lam = q * mpmath.mpf(mean)
+                pmf = [mpmath.exp(-lam) * lam**k / mpmath.factorial(k) for k in range(top)]
+            # the table's values lo .. top: lo takes the mass below it, top the mass above
+            cdf = [0] + [mpmath.fsum(pmf[: k + 1]) for k in range(table.lo, top)] + [1]
+            expected = [float(b - a) for a, b in zip(cdf, cdf[1:])]
+        got = np.diff(np.concatenate(([0.0], table.steps[:-1], [1.0])))
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_top_is_the_cap_and_decides_one(self):
+        params = absorbing_params(T_s=0.2, L=4, Q=1000)
+        for threshold in (150.0, 150.5):
+            table = _sampler(params, 0, threshold)
+            cap = math.floor(threshold) + 1
+            assert table.lo + table.steps.size - 1 == cap
+            # u at or past P(count < cap) draws the lump, a count > threshold
+            assert table.invert(np.array([table.steps[-2], np.nextafter(1.0, 0.0)])).tolist() == [cap, cap]
+            assert cap > threshold
+            assert table.invert(np.nextafter(table.steps[-2:-1], 0.0))[0] == cap - 1
+
+    def test_lumped_draws_decide_exactly(self):
+        # L = 0: BER = P(count <= xi) / 2 with count ~ Binomial(Q, F), and at
+        # xi = 5 below the signal mean ~11 most draws are lumped at the cap
+        params = absorbing_params(T_s=0.2, L=0, Q=60)
+        xi = 5.0
+        table = _sampler(params, 0, xi)
+        assert table.lo + table.steps.size - 1 == 6
+        mean = float(window_taps(params, full_window(params)).mean[0])
+        exact = 0.5 * sum(math.comb(60, k) * mean**k * (1 - mean) ** (60 - k) for k in range(6))
+        est = simulate_ber(params, full_window(params), xi, TrialConfig(trials=400_000, seed=12))
+        assert abs(est.value - exact) <= 4 * est.ci_halfwidth
+
+    def test_constant_table_draws_nothing(self):
+        # Q = 0: every count is 0, and no uniform is drawn for it
+        params = absorbing_params(T_s=0.2, L=2, Q=0)
+        table = _sampler(params, 0, 0.0)
+        assert (table.lo, table.steps.size) == (0, 1)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert np.array_equal(table.draw(rng, 5), np.zeros(5, dtype=int))
+        assert rng.bit_generator.state == state
+
+    def test_choice_depends_on_trials_and_width(self):
+        params = absorbing_params(T_s=0.2, L=4, Q=1000)
+        table = _sampler(params, 0, 150.0)
+        width = table.steps.size
+        assert isinstance(_sampler(params, 0, 150.0, trials=8 * width), montecarlo._CountTable)
+        assert isinstance(_sampler(params, 0, 150.0, trials=8 * width - 1), montecarlo._NumpyDraw)
+        # wider than _MAX_TABLE_WIDTH at Q = 1e7 and 1e12
+        assert isinstance(_sampler(absorbing_params(Q=10**7), 0, math.inf, 10**9), montecarlo._NumpyDraw)
+        assert isinstance(_sampler(absorbing_params(Q=10**12), 4, math.inf, 10**9), montecarlo._NumpyDraw)
+        # a narrow tap past 2^53 molecules, where Q - k is no longer an exact double
+        huge = absorbing_params(Q=2**60)
+        narrow = montecarlo._tap_sampler(huge, 1e-17, 1e-17, math.inf, 10**9)
+        assert isinstance(narrow, montecarlo._NumpyDraw)
+        assert isinstance(
+            montecarlo._tap_sampler(absorbing_params(Q=2**52), 1e-15, 1e-15, math.inf, 10**9), montecarlo._CountTable
+        )
+
+    def test_numpy_path_at_few_trials(self):
+        # 1 and 7 trials per call: no table serves 8 draws per entry
+        params = absorbing_params(T_s=0.2, L=2, Q=60)
+        for trials in (1, 7):
+            assert all(isinstance(_sampler(params, j, 5.0, trials), montecarlo._NumpyDraw) for j in range(3))
+        w = full_window(params)
+        xi, analytic = optimal_threshold(params, w)
+        errors = sum(
+            round(simulate_ber(params, w, xi, TrialConfig(trials=7, seed=s)).value * 7) for s in range(3000)
+        )
+        exact = _exact_binomial_ber(params, w, xi)
+        pooled = 7 * 3000
+        assert abs(errors / pooled - exact) <= 4 * wilson_halfwidth(errors, pooled)
+
+    def test_numpy_path_at_huge_q(self):
+        # Q = 1e12: every tap too wide for a table; with xi at the signal
+        # mean and L = 0 the BER is P(count <= mean) / 2 ~ 1/4
+        params = absorbing_params(T_s=0.2, L=0, Q=10**12)
+        w = full_window(params)
+        taps = window_taps(params, w)
+        xi = math.floor(params.Q * float(taps.mean[0]))
+        assert isinstance(_sampler(params, 0, float(xi), trials=10**6), montecarlo._NumpyDraw)
+        est = simulate_ber(params, w, float(xi), TrialConfig(trials=100_000, seed=13))
+        sd = math.sqrt(params.Q * float(taps.var[0]))
+        expected = 0.5 * 0.5 * math.erfc(-(xi + 0.5 - params.Q * float(taps.mean[0])) / (sd * math.sqrt(2)))
+        assert abs(est.value - expected) <= 4 * est.ci_halfwidth
+
+    @pytest.mark.parametrize("xi", [0.0, 3.0, 12.0])
+    def test_passive_early_stop_is_exact(self, xi):
+        # passive taps are drawn one by one, like absorbing ones, and stop
+        # once a trial passes the threshold; the oracle is the Poisson of the
+        # summed rate of each bit pattern
+        from scipy.stats import poisson
+
+        params = passive_params(T_s=1.0, L=2, Q=200)
+        w = full_window(params)
+        taps = window_taps(params, w)
+        exact = 0.0
+        for pattern in range(4):
+            for sent in (0, 1):
+                bits = {0: sent, 1: pattern & 1, 2: pattern >> 1}
+                lam = sum(params.Q * taps.mean[j] for j, lag in enumerate(taps.lags) if bits[lag])
+                p_one = float(poisson.sf(xi, lam))
+                exact += 0.125 * (p_one if sent == 0 else 1.0 - p_one)
+        est = simulate_ber(params, w, xi, TrialConfig(trials=300_000, seed=14))
+        assert abs(est.value - exact) <= 4 * est.ci_halfwidth

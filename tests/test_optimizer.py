@@ -45,6 +45,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin import metrics, optimizer, reception
+from mcdwin.reception import BerEstimate, BerSource
 from mcdwin.channel import _response_table
 from mcdwin.optimizer import _argbest, _start_time
 from conftest import absorbing_params, passive_params, assert_rel
@@ -930,6 +931,30 @@ class TestCascadedBounds:
         res = shift_tau_search(absorbing_params(L=8, Q=10_000), dt=0.2 / 80)
         assert res.tau == pytest.approx(0.0223, abs=1e-4)
         assert sum(columns) <= 8
+
+
+class TestNoMolecules:
+    """At Q = 0 every window's BER is 1/2: the searches return the tie-break
+    window at threshold 0 without a threshold scan (results as before)."""
+
+    CASES = [
+        (absorbing_params(T_s=0.2, L=4, Q=0), 0.2 / 40, ContinuousWindow(0.0, 0.2)),
+        (passive_params(T_s=2.0, L=8, Q=0), None, SampledWindow(0, 57)),
+    ]
+
+    @pytest.mark.parametrize("params, dt, window", CASES)
+    @pytest.mark.parametrize("search", [exhaustive_ber_search, shift_tau_search])
+    def test_tie_break_window_at_coin_flip(self, monkeypatch, search, params, dt, window):
+        columns = _scanned_columns(monkeypatch)
+        res = search(params, dt)
+        assert columns == []
+        assert (res.window, res.threshold, res.objective_value) == (window, 0, 0.5)
+        assert res.ber == BerEstimate(0.5, 0.0, BerSource.ANALYTICAL)
+        if search is shift_tau_search:
+            assert res.tau == 0.0
+            assert np.array_equal(res.taps.mean, shift_taps(params, 0.0).mean)
+        else:
+            assert np.array_equal(res.taps.mean, window_taps(params, window).mean)
 
 
 class TestSearchMemory:
