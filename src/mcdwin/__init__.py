@@ -71,14 +71,10 @@ from .optimizer import (
 from .reception import (
     BerEstimate,
     BerSource,
-    CountStatistics,
-    IsiSequence,
     analytic_ber,
     ber_from_stats,
     ber_from_taps,
-    count_stats,
     optimal_threshold,
-    q_function,
     threshold_from_taps,
 )
 

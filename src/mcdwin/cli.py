@@ -37,7 +37,7 @@ from . import metrics as metrics_mod
 from . import optimizer as opt
 from .channel import ContinuousWindow, Receiver, SystemParams
 from .errors import ConfigError, DomainError
-from .montecarlo import CHUNK_TRIALS, SweepRow, TrialConfig, sweep, sweep_row
+from .montecarlo import SweepRow, TrialConfig, sweep, sweep_row
 from .optimizer import Scheme
 from .reception import MAX_ENUMERATION_L
 
@@ -230,8 +230,6 @@ _KEYS: dict[str, _Key] = {
     "trial.trials": _Key(_integer(1), 100_000, "trial.trials"),
     "trial.seed": _Key(_integer(0), 0, "trial.seed"),
     "trial.exact_counts": _Key(_choice(_BOOLS), True, "trial.exact_counts"),
-    # warmup bits are drawn per chunk: at most one chunk's worth
-    "trial.warmup_symbols": _Key(_integer(0, CHUNK_TRIALS), None, "trial.warmup_symbols"),
     "search.dt": _Key(_real, None, "search_dt"),
     "workers": _Key(_integer(1), None, "workers"),
     "output.path": _Key(lambda key, text: text, None, "output_path"),
@@ -331,7 +329,6 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
             trials=v["trial.trials"],
             seed=v["trial.seed"],
             exact_counts=v["trial.exact_counts"],
-            warmup_symbols=v["trial.warmup_symbols"],
         ),
         method=v["method"],
         search_dt=search_dt,
@@ -395,12 +392,12 @@ def _positive_workers(value: int | None, source: str) -> int | None:
     return value
 
 
-def _resolve_workers(config: ExperimentConfig, args) -> int:
-    """--workers, else the workers key, else $MCDWIN_WORKERS, else 1."""
+def _resolve_workers(args, configured: int | None = None) -> int:
+    """--workers, else the workers key (``configured``), else $MCDWIN_WORKERS, else 1."""
     if args.workers is not None:
         return _positive_workers(args.workers, "--workers")
-    if config.workers is not None:
-        return config.workers
+    if configured is not None:
+        return configured
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -493,7 +490,7 @@ def _sweep_rows(config: ExperimentConfig, rows: list[SweepRow]) -> Iterable[tupl
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     params = config.system
-    workers = _resolve_workers(config, args)
+    workers = _resolve_workers(args, config.workers)
     row = sweep_row(params, config.method, config.trial, config.search_dt, workers)
     result, mc = row.result, row.mc
     _print_fields(
@@ -513,7 +510,7 @@ def cmd_sweep(args) -> int:
     out = args.output or config.output_path
     if out is None:
         raise ConfigError("sweep needs an output path (-o or output.path)")
-    workers = _resolve_workers(config, args)
+    workers = _resolve_workers(args, config.workers)
     rows = sweep(
         config.system,
         config.q_values,
@@ -609,7 +606,7 @@ def cmd_reproduce(args) -> int:
     ts_values, l_values = _FIGURE_TS_L[kind]
     q_values = _geometric_q(args.q_min, args.q_max, args.q_points)
     trial = TrialConfig(trials=args.trials, seed=args.seed)
-    workers = 1 if args.workers is None else _positive_workers(args.workers, "--workers")
+    workers = _resolve_workers(args)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -668,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--grid-divisions", type=int, default=80)
     p_rep.add_argument("--trials", type=int, default=50_000)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=int)
+    p_rep.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -23,7 +23,6 @@ from .channel import (
     Receiver,
     SystemParams,
     full_window,
-    sample_probability,
     window_taps,
 )
 from .errors import GFactorPole, InfiniteSinar, InfiniteSir, NoFiniteQhat
@@ -148,21 +147,16 @@ def q_hat(params: SystemParams, window: DetectionWindow) -> int:
 def alphas(params: SystemParams) -> tuple[float, float]:
     """Worst-case noise-to-signal amplitude ratios of the signal and first ISI tap.
 
-    Absorbing: sqrt((1-F)/F) with F the whole-symbol absorbed fraction for
-    the current (alpha1) and previous (alpha2) symbol.  Passive: the
-    reciprocal root of the whole-symbol observation-rate sums.
+    Both come from the whole-symbol taps of one ``window_taps`` call: the
+    current-symbol (alpha1) and previous-symbol (alpha2) fraction F.
+    Absorbing: sqrt((1-F)/F) of the absorbed fraction.  Passive: 1/sqrt(F)
+    of the observation-rate sum, the same sample sum every passive window
+    search scores.
     """
+    f_now, f_prev = window_taps(replace(params, L=1), full_window(params)).mean.tolist()
     if params.receiver is Receiver.ABSORBING:
-        f_now, f_prev = window_taps(replace(params, L=1), full_window(params)).mean.tolist()
         return math.sqrt((1.0 - f_now) / f_now), math.sqrt((1.0 - f_prev) / f_prev)
-    # Sample by sample on purpose: numpy may round the array power in
-    # passive_probability differently from the scalar one, and g(Q) moves
-    # every high-count passive closed form.
-    assert params.N is not None
-    ns = range(params.N + 1)
-    rate0 = float(np.sum([sample_probability(params, n, 0) for n in ns]))
-    rate1 = float(np.sum([sample_probability(params, n, 1) for n in ns]))
-    return 1.0 / math.sqrt(rate0), 1.0 / math.sqrt(rate1)
+    return 1.0 / math.sqrt(f_now), 1.0 / math.sqrt(f_prev)
 
 
 def g_factor(params: SystemParams, q: float) -> float:

@@ -75,24 +75,17 @@ _MAX_TABLE_Q = 2**53
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Monte Carlo protocol knobs.
-
-    ``warmup_symbols`` defaults to L (the minimum that fills the ISI
-    pipeline before scoring starts).
-    """
+    """Monte Carlo protocol knobs."""
 
     trials: int
     seed: int
     exact_counts: bool = True
-    warmup_symbols: int | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.warmup_symbols is not None and self.warmup_symbols < 0:
-            raise ConfigError("warmup_symbols must be >= 0")
 
 
 def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
@@ -221,11 +214,12 @@ def _chunk_errors(
     taps: TapProfile,
     threshold: float,
     n_trials: int,
-    warmup: int,
     samplers: list | None,
     seed_seq: np.random.SeedSequence,
 ) -> int:
     rng = np.random.default_rng(seed_seq)
+    # L warmup bits fill the ISI pipeline before the first scored symbol
+    warmup = params.L
     has_future = -1 in taps.lags
     n_bits = warmup + n_trials + (1 if has_future else 0)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
@@ -265,10 +259,6 @@ def simulate_ber_taps(
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if cfg.exact_counts and params.receiver is Receiver.ABSORBING and params.Q > _MAX_DRAW_Q:
         raise ValueError(f"exact absorbing draws need Q <= 2^63 - 1 (a 64-bit count), got Q = {params.Q:.6g}")
-    warmup = params.L if cfg.warmup_symbols is None else cfg.warmup_symbols
-    if warmup < params.L:
-        raise ConfigError(f"warmup_symbols must be >= L ({warmup} < {params.L})")
-
     n_chunks = _chunk_count(cfg.trials)
     sizes = [
         min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS) for i in range(n_chunks)
@@ -281,7 +271,7 @@ def simulate_ber_taps(
             for j in np.argsort(-taps.mean, kind="stable")
         ]
     jobs = [
-        (params, taps, threshold, size, warmup, samplers, stream)
+        (params, taps, threshold, size, samplers, stream)
         for size, stream in zip(sizes, streams)
     ]
     pool_size = _pool_workers(workers, n_chunks)

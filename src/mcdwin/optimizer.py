@@ -689,18 +689,30 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     The delayed window overhangs into the next symbol; that symbol's leakage
     is counted as interference alongside the L past taps.  The delays are
     the columns of one ``_shifted_means`` table searched by ``_least_ber``;
-    tau k starts window k, so ties keep the first tau.
+    tau k starts window k, so ties keep the first tau.  Refuses
+    (EnumerationTooLarge) a table over MAX_GRID_ELEMENTS, before building
+    anything: (L+2) x delays, times the N+1 sample rates each passive
+    column sums.
     """
     consts = derived(params)
     if params.receiver is Receiver.ABSORBING:
         step = default_grid_step(params) if dt is None else dt
-        n_tau = max(1, int(round(consts.t_max / step)))
-        taus = np.linspace(0.0, consts.t_max, n_tau + 1)
-        edges, offset = np.concatenate((taus, taus + params.T_s)), taus.size
+        n_tau, samples = max(1.0, float(np.rint(consts.t_max / step))), 1
     else:
         assert params.t_s is not None and params.N is not None
-        n_tau = int(math.ceil(consts.t_max / params.t_s))
-        taus = np.arange(0, n_tau + 1, dtype=float) * params.t_s
+        step, samples = params.t_s, params.N + 1
+        n_tau = float(np.ceil(consts.t_max / step))
+    if (params.L + 2) * (n_tau + 1) * samples > MAX_GRID_ELEMENTS:
+        raise EnumerationTooLarge(
+            f"shift-tau step {step:g} gives {n_tau + 1:,.0f} delays of {params.L + 2} taps"
+            + (f" x {samples:,} samples" if samples > 1 else "")
+            + f", over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
+        )
+    if params.receiver is Receiver.ABSORBING:
+        taus = np.linspace(0.0, consts.t_max, int(n_tau) + 1)
+        edges, offset = np.concatenate((taus, taus + params.T_s)), taus.size
+    else:
+        taus = np.arange(n_tau + 1.0) * step
         edges, offset = None, params.N
     i1 = np.arange(taus.size)
     i2 = i1 + offset

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
@@ -26,38 +25,22 @@ from .channel import DetectionWindow, SystemParams, TapProfile, window_taps
 from .errors import EnumerationTooLarge
 
 __all__ = [
-    "IsiSequence",
-    "CountStatistics",
     "BerSource",
     "BerEstimate",
-    "count_stats",
     "analytic_ber",
     "ber_from_taps",
     "ber_from_stats",
     "optimal_threshold",
     "threshold_from_taps",
-    "q_function",
 ]
 
 # Exact enumeration refuses beyond this ISI length; use Monte Carlo there.
 MAX_ENUMERATION_L = 24
 
-IsiSequence = Sequence[int]
-
 
 class BerSource(enum.Enum):
     ANALYTICAL = "analytical"
     MONTE_CARLO = "monte-carlo"
-
-
-@dataclass(frozen=True)
-class CountStatistics:
-    """Window-count mean/variance under each current-bit hypothesis."""
-
-    mu0: float
-    mu1: float
-    var0: float
-    var1: float
 
 
 @dataclass(frozen=True)
@@ -75,33 +58,6 @@ def _gaussian_tail(z: np.ndarray) -> np.ndarray:
     erfc(z, out=z)
     z *= 0.5
     return z
-
-
-def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return _gaussian_tail(np.array(x, dtype=float))[()]
-
-
-def _validate_isi(isi: IsiSequence, L: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in isi)
-    if len(bits) != L:
-        raise ValueError(f"ISI sequence must have exactly L={L} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("ISI bits must be 0 or 1")
-    return bits
-
-
-def count_stats(params: SystemParams, window: DetectionWindow, isi: IsiSequence) -> CountStatistics:
-    """Count mean/variance for one ISI sequence, under both hypotheses.
-
-    ``isi`` lists the L past bits oldest first (x_{k-L} .. x_{k-1}); bit
-    age - 1 of the ``_hypothesis_stats`` pattern is the one ``age`` symbols old.
-    """
-    bits = _validate_isi(isi, params.L)
-    pattern = sum(bits[params.L - age] << (age - 1) for age in range(1, params.L + 1))
-    taps = window_taps(params, window)
-    mu0, var0, mu1, var1 = (float(a[pattern]) for a in _hypothesis_stats(float(params.Q), taps))
-    return CountStatistics(mu0=mu0, mu1=mu1, var0=var0, var1=var1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +99,6 @@ def _tap_table(taps: TapProfile) -> tuple[np.ndarray, np.ndarray]:
     sig = taps.signal_index
     order = [sig] + [j for j in range(len(taps.lags)) if j != sig]
     return tuple(np.asarray(a, dtype=float)[order] for a in (taps.mean, taps.var))
-
-
-def _hypothesis_stats(q: float, taps: TapProfile) -> tuple[np.ndarray, ...]:
-    """mu0, var0, mu1, var1 over every ISI sequence of one profile."""
-    return _sequence_stats(q, *_tap_table(taps))
 
 
 def _upper_tail(x, mu, sd):
@@ -198,7 +149,7 @@ def ber_from_taps(params: SystemParams, taps: TapProfile, threshold: float) -> B
     """Analytical BER for an arbitrary tap profile at a fixed threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    mu0, var0, mu1, var1 = _hypothesis_stats(float(params.Q), taps)
+    mu0, var0, mu1, var1 = _sequence_stats(float(params.Q), *_tap_table(taps))
     value = ber_from_stats(mu0, np.sqrt(var0), mu1, np.sqrt(var1), threshold)
     return BerEstimate(value=value, threshold=threshold, source=BerSource.ANALYTICAL)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mcdwin import ContinuousWindow, Receiver, Scheme, msinar, optimizer, prop2_interval
+from mcdwin import ContinuousWindow, Receiver, Scheme, cli, msinar, optimizer, prop2_interval
 from mcdwin.cli import (
     CMP_HEADER,
     CONV_HEADER,
@@ -450,6 +450,20 @@ class TestInputValidation:
         assert "cap of 1,000 table elements" in err
         assert not out.exists()
 
+    def test_shift_tau_over_the_delay_cap_exits_3(self, monkeypatch, ab_cfg_file, tmp_path, capsys):
+        def build(*args):
+            raise AssertionError("the delay table was built")
+
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", 10)
+        monkeypatch.setattr(optimizer, "_shifted_means", build)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out), "-s", "sweep.methods=shift-tau"]) == 3
+        err = capsys.readouterr().err
+        assert "EnumerationTooLarge" in err
+        assert "shift-tau step 0.004 gives" in err
+        assert "delays of 6 taps, over the cap of 10 table elements" in err
+        assert not out.exists()
+
 
 class TestKeyTable:
     """Every key is read, range-checked and defaulted by the key table."""
@@ -506,7 +520,6 @@ class TestKeyTable:
             ("t_s_policy = bogus", "key t_s_policy: expected one of sixth, floor-seconds, got 'bogus'"),
             ("N = 0", "key N: must be in [1, 8190], got '0'"),
             ("t_s = -1", "key t_s: must be > 0, got '-1'"),
-            ("trial.warmup_symbols = 65537", "key trial.warmup_symbols: must be in [0, 65536], got '65537'"),
             ("receiver = bogus", "key receiver: expected one of absorbing, passive, got 'bogus'"),
             ("trial.exact_counts = maybe", "key trial.exact_counts: expected one of true, yes, 1, false, no, 0"),
         ],
@@ -615,6 +628,37 @@ class TestReproduce:
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert main(["reproduce", "nope", "-o", str(tmp_path)]) == 2
+
+    def test_bad_worker_env_var_rejected(self, tmp_path, monkeypatch, capsys):
+        # --workers, else $MCDWIN_WORKERS, else 1, as for the other subcommands
+        out = tmp_path / "rep"
+        small = ["--q-points", "1", "--q-min", "400", "--q-max", "400", "--grid-divisions", "10"]
+        monkeypatch.setenv("MCDWIN_WORKERS", "abc")
+        assert main(["reproduce", "conv-ab", "-o", str(out), *small]) == 2
+        assert "MCDWIN_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+        # the flag wins over a bad environment value
+        assert main(["reproduce", "conv-ab", "-o", str(out), *small, "--workers", "1"]) == 0
+
+    def test_worker_env_var_keeps_csv(self, tmp_path, monkeypatch):
+        # 70,000 trials are two RNG chunks, so two workers split every row
+        seen = []
+        original = cli.sweep
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", recording)
+        small = ["--q-points", "1", "--q-min", "2000", "--q-max", "2000", "--grid-divisions", "10", "--trials", "70000"]
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MCDWIN_WORKERS", workers)
+            out = tmp_path / workers
+            assert main(["reproduce", "ver-ab", "-o", str(out), *small]) == 0
+            outputs.append((out / "ver-ab.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert seen == [1] * 8 + [2] * 8  # one sweep per (T_s, L)
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -12,6 +12,7 @@ from mcdwin import (
     Metric,
     NoFiniteQhat,
     alphas,
+    full_window,
     g_factor,
     hitting_density,
     metric_report,
@@ -25,7 +26,7 @@ from mcdwin import (
 )
 from mcdwin.metrics import metric_values_from_taps
 from mcdwin.optimizer import _continuous_grid, numeric_metric_search, prop2_interval
-from conftest import absorbing_params, assert_rel
+from conftest import absorbing_params, assert_rel, passive_params
 
 WINDOW = ContinuousWindow(0.03, 0.2)
 
@@ -196,6 +197,13 @@ class TestAlphasAndG:
         rate1 = sum(sample_probability(table1_passive, n, 1) for n in range(table1_passive.N + 1))
         assert a1 == pytest.approx(1.0 / math.sqrt(rate0))
         assert a2 == pytest.approx(1.0 / math.sqrt(rate1))
+
+    @pytest.mark.parametrize("T_s, L", [(1.0, 2), (2.0, 10), (2.0, 0)])
+    def test_alphas_passive_from_full_window_taps(self, T_s, L):
+        # the same whole-symbol sample sums every passive window search scores
+        params = passive_params(T_s=T_s, L=L)
+        taps = window_taps(replace(params, L=1), full_window(params))
+        assert alphas(params) == (1.0 / math.sqrt(taps.mean[0]), 1.0 / math.sqrt(taps.mean[1]))
 
     def test_g_limit(self, table1_absorbing):
         assert g_factor(table1_absorbing, 1e9) - 1.0 < 1e-3

@@ -34,11 +34,6 @@ class TestTrialConfig:
         with pytest.raises(ConfigError, match="seed"):
             TrialConfig(trials=10, seed=-1)
 
-    def test_rejects_insufficient_warmup(self, table1_absorbing):
-        cfg = TrialConfig(trials=100, seed=1, warmup_symbols=2)
-        with pytest.raises(ConfigError):
-            simulate_ber(table1_absorbing, full_window(table1_absorbing), 10.0, cfg)
-
 
     def test_rejects_exact_draws_past_64_bit_counts(self):
         # numpy draws a Binomial count as a 64-bit integer
@@ -123,18 +118,12 @@ class TestSimulateBer:
         parallel = simulate_ber(table1_absorbing, w, 300.0, cfg, workers=3)
         assert serial.value == parallel.value
 
-    def test_warmup_does_not_shift_statistics(self, table1_absorbing):
+    def test_estimate_matches_analytic(self, table1_absorbing):
+        # L warmup bits fill the ISI pipeline, so every scored symbol sees all L taps
         w = full_window(table1_absorbing)
         xi, analytic = optimal_threshold(table1_absorbing, w)
-        short = simulate_ber(
-            table1_absorbing, w, xi, TrialConfig(trials=100_000, seed=7, warmup_symbols=4)
-        )
-        long = simulate_ber(
-            table1_absorbing, w, xi, TrialConfig(trials=100_000, seed=7, warmup_symbols=16)
-        )
-        combined = short.ci_halfwidth + long.ci_halfwidth
-        assert abs(short.value - long.value) <= 4 * combined
-        assert abs(short.value - analytic.value) <= 4 * short.ci_halfwidth
+        est = simulate_ber(table1_absorbing, w, xi, TrialConfig(trials=100_000, seed=7))
+        assert abs(est.value - analytic.value) <= 4 * est.ci_halfwidth
 
     def test_gaussian_mode_matches_analytic(self, table1_absorbing):
         w = full_window(table1_absorbing)

@@ -876,6 +876,38 @@ class TestWindowCap:
         with pytest.raises(EnumerationTooLarge, match="candidate windows"):
             exhaustive_ber_search(params)
 
+    @staticmethod
+    def _no_shift_table(monkeypatch):
+        def build(*args):
+            raise AssertionError("the delay table was built")
+
+        monkeypatch.setattr(optimizer, "_shifted_means", build)
+
+    def test_fine_shift_tau_step_refused_before_building(self, monkeypatch):
+        # t_max / 1e-300 delays, far past any array numpy can size
+        self._no_shift_table(monkeypatch)
+        with pytest.raises(EnumerationTooLarge, match="shift-tau step 1e-300 gives"):
+            shift_tau_search(absorbing_params(L=2), dt=1e-300)
+
+    def test_lowered_cap_counts_delays_of_l_plus_2_taps(self, monkeypatch):
+        params = absorbing_params(L=2)
+        n_tau = round(derived(params).t_max / (0.2 / 50))
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", 4 * (n_tau + 1) - 1)
+        with pytest.raises(EnumerationTooLarge) as info:
+            shift_tau_search(params, dt=0.2 / 50)
+        assert f"gives {n_tau + 1:,} delays of 4 taps, over the cap" in str(info.value)
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", 4 * (n_tau + 1))
+        shift_tau_search(params, dt=0.2 / 50)
+
+    def test_passive_shift_tau_counts_samples(self, monkeypatch, table1_passive):
+        # each passive delay column sums N + 1 sample rates of L + 2 taps
+        p = table1_passive
+        n_tau = math.ceil(derived(p).t_max / p.t_s)
+        monkeypatch.setattr(optimizer, "MAX_GRID_ELEMENTS", (p.L + 2) * (n_tau + 1) * (p.N + 1) - 1)
+        self._no_shift_table(monkeypatch)
+        with pytest.raises(EnumerationTooLarge, match=rf"delays of 4 taps x {p.N + 1} samples"):
+            shift_tau_search(p)
+
     def test_default_grid_fits_at_the_enumeration_cap(self):
         steps = optimizer.GRID_DIVISIONS
         assert 25 * steps * (steps + 1) // 2 <= optimizer.MAX_GRID_ELEMENTS

@@ -18,7 +18,6 @@ from mcdwin import (
     analytic_ber,
     ber_from_stats,
     ber_from_taps,
-    count_stats,
     exhaustive_ber_search,
     optimal_threshold,
     threshold_from_taps,
@@ -29,56 +28,73 @@ from mcdwin.optimizer import _continuous_grid, _sampled_grid
 from mcdwin.reception import (
     BerSource,
     _coarse_floors,
-    _hypothesis_stats,
+    _gaussian_tail,
     _pair_minima,
     _pe_curve,
+    _sequence_stats,
     _tap_table,
     ber_floor_from_taps,
     ber_floors,
     best_thresholds,
-    q_function,
 )
 from conftest import absorbing_params, passive_params
 
 
+def _stats(params, taps: TapProfile):
+    """mu0, var0, mu1, var1 of every ISI pattern of one profile."""
+    return _sequence_stats(float(params.Q), *_tap_table(taps))
+
+
 class TestCountStats:
+    """Per-pattern count statistics: bit age - 1 of a pattern index is the
+    past bit ``age`` symbols old."""
+
+    @staticmethod
+    def _pattern(params, window, pattern: int):
+        return tuple(float(a[pattern]) for a in _stats(params, window_taps(params, window)))
+
     def test_all_zero_isi(self, table1_absorbing):
-        stats = count_stats(table1_absorbing, ContinuousWindow(0.0, 0.2), (0, 0, 0, 0))
-        assert stats.mu0 == 0.0
-        assert stats.var0 == 0.0
-        assert stats.mu1 > 0.0
+        mu0, var0, mu1, _ = self._pattern(table1_absorbing, ContinuousWindow(0.0, 0.2), 0)
+        assert mu0 == 0.0
+        assert var0 == 0.0
+        assert mu1 > 0.0
 
     def test_no_isi_single_term(self):
         params = absorbing_params(L=0, Q=1000)
-        stats = count_stats(params, ContinuousWindow(0.0, 0.2), ())
+        _, _, mu1, var1 = self._pattern(params, ContinuousWindow(0.0, 0.2), 0)
         f0 = window_taps(params, ContinuousWindow(0.0, 0.2)).mean[0]
-        assert stats.mu1 == pytest.approx(1000 * f0)
-        assert stats.var1 == pytest.approx(1000 * f0 * (1 - f0))
-
-    def test_rejects_wrong_length(self, table1_absorbing):
-        with pytest.raises(ValueError):
-            count_stats(table1_absorbing, ContinuousWindow(0.0, 0.2), (1, 0))
-        with pytest.raises(ValueError):
-            count_stats(table1_absorbing, ContinuousWindow(0.0, 0.2), (1, 0, 2, 0))
+        assert mu1 == pytest.approx(1000 * f0)
+        assert var1 == pytest.approx(1000 * f0 * (1 - f0))
 
     def test_passive_variance_equals_mean(self, table1_passive):
-        stats = count_stats(table1_passive, SampledWindow(0, table1_passive.N), (1, 1))
-        assert stats.var0 == pytest.approx(stats.mu0)
-        assert stats.var1 == pytest.approx(stats.mu1)
+        # both past bits set
+        mu0, var0, mu1, var1 = self._pattern(table1_passive, SampledWindow(0, table1_passive.N), 0b11)
+        assert var0 == pytest.approx(mu0)
+        assert var1 == pytest.approx(mu1)
+
+    def test_pattern_bits_are_ages(self, table1_absorbing):
+        # pattern 0b0100 sets only the bit three symbols old
+        params, window = table1_absorbing, ContinuousWindow(0.0, 0.2)
+        taps = window_taps(params, window)
+        mu0, var0, mu1, var1 = self._pattern(params, window, 0b0100)
+        assert mu0 == params.Q * taps.mean[3]
+        assert var0 == params.Q * taps.var[3]
+        assert mu1 == mu0 + params.Q * taps.mean[0]
+        assert var1 == var0 + params.Q * taps.var[0]
 
     def test_against_binomial_sampling(self):
         # L=1, ISI bit set: Y = B(Q, F0)*x_k + B(Q, F1)
         params = absorbing_params(L=1, Q=1000)
         window = ContinuousWindow(0.0, 0.2)
-        stats = count_stats(params, window, (1,))
+        mu0, var0, mu1, var1 = self._pattern(params, window, 1)
         taps = window_taps(params, window)
         rng = np.random.default_rng(2024)
         n = 1_000_000
         isi_draw = rng.binomial(1000, taps.mean[1], size=n)
         sig_draw = rng.binomial(1000, taps.mean[0], size=n)
         for mu, var, sample in (
-            (stats.mu0, stats.var0, isi_draw),
-            (stats.mu1, stats.var1, isi_draw + sig_draw),
+            (mu0, var0, isi_draw),
+            (mu1, var1, isi_draw + sig_draw),
         ):
             se_mean = math.sqrt(var / n)
             assert abs(sample.mean() - mu) <= 3 * se_mean
@@ -229,9 +245,7 @@ class TestOptimalThreshold:
         window = ContinuousWindow(0.0, 0.2)
         xi, est = optimal_threshold(params, window)
         taps = window_taps(params, window)
-        from mcdwin.reception import _hypothesis_stats
-
-        mu0, var0, mu1, var1 = _hypothesis_stats(500.0, taps)
+        mu0, var0, mu1, var1 = _stats(params, taps)
         sigma_max = math.sqrt(max(var0.max(), var1.max()))
         hi = math.ceil(mu1.max()) + math.ceil(6 * sigma_max)
         fine = np.arange(0.0, hi + 0.1, 0.1)
@@ -305,7 +319,7 @@ class TestBerFloor:
 
 
 def _scan_range(q: float, taps: TapProfile):
-    mu0, var0, mu1, var1 = _hypothesis_stats(q, taps)
+    mu0, var0, mu1, var1 = _sequence_stats(q, *_tap_table(taps))
     hi = math.ceil(mu1.max()) + math.ceil(6 * math.sqrt(max(var0.max(), var1.max())))
     return hi, mu0, var0, mu1, var1
 
@@ -354,7 +368,7 @@ class TestDeepTail:
         xi, est = optimal_threshold(params, DEEP_TAIL_WINDOW)
         assert xi == expected_xi
         taps = window_taps(params, DEEP_TAIL_WINDOW)
-        stats = _hypothesis_stats(float(params.Q), taps)
+        stats = _stats(params, taps)
         with mpmath.workdps(50):
             exact = self._mp_ber(*stats, xi)
             assert est.value == pytest.approx(float(exact), rel=1e-12)
@@ -642,5 +656,10 @@ class TestBoundedScan:
 
 
 def test_q_function_basics():
-    assert q_function(0.0) == pytest.approx(0.5)
-    assert q_function(9.0) == pytest.approx(norm.sf(9.0), rel=1e-12)
+    # the Gaussian tail Q(x), computed in place in its float array
+    z = np.array([0.0, 9.0, -2.0])
+    out = _gaussian_tail(z)
+    assert out is z
+    assert out[0] == pytest.approx(0.5)
+    assert out[1] == pytest.approx(norm.sf(9.0), rel=1e-12)
+    assert out[2] == pytest.approx(norm.sf(-2.0), rel=1e-15)
