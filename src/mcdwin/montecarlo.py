@@ -28,19 +28,19 @@ versions, which drew every count with numpy (the passive one as one Poisson
 of the summed rate).
 
 Reproducibility: trials are split into fixed-size chunks, each with its own
-RNG stream spawned from the master seed.  Results are summed over chunks,
-so identical seeds give identical error counts for any worker count.
+RNG stream spawned from the master seed; a pool task draws a few consecutive
+chunks, and a sweep's rows overlap on one pool.  Results are summed over
+chunks, so identical seeds give identical error counts for any worker count.
 Gaussian-approximate draws are available behind ``exact_counts=False``.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincc, pdtr, pdtrc
@@ -63,6 +63,8 @@ __all__ = [
 # Trials per RNG chunk.  Fixed: the chunk layout (not the worker count)
 # determines the draws.
 CHUNK_TRIALS = 1 << 16
+# Consecutive chunks per pool task at most; a task ships its count tables once
+_TASK_CHUNKS = 4
 
 _Z95 = 1.959963984540054
 
@@ -101,10 +103,12 @@ def _chunk_count(trials: int) -> int:
 
 
 def _pool_workers(workers: int, n_chunks: int) -> int:
-    """Worker processes to start: no more than there are chunks or CPUs."""
+    """Worker processes to start: no more than there are chunks or CPUs this
+    process may run on."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    return min(workers, n_chunks, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, n_chunks, cpus or 1)
 
 
 @dataclass(frozen=True)
@@ -227,12 +231,13 @@ def _chunk_errors(
     if samplers is not None:
         ones = bits == 1
         counts = np.zeros(n_trials, dtype=np.int64)
-        undecided = np.ones(n_trials, dtype=bool)
+        undecided = np.empty(n_trials, dtype=bool)
         for lag, sampler in samplers:
-            drawn = np.flatnonzero(undecided & ones[warmup - lag : warmup - lag + n_trials])
-            drawn_counts = counts[drawn] + sampler.draw(rng, drawn.size)
-            counts[drawn] = drawn_counts
-            undecided[drawn] = drawn_counts <= threshold
+            # a trial is undecided while its count is at most the threshold (>= 0)
+            np.less_equal(counts, threshold, out=undecided)
+            undecided &= ones[warmup - lag : warmup - lag + n_trials]
+            drawn = np.flatnonzero(undecided)
+            counts[drawn] += sampler.draw(rng, drawn.size)
         decisions = counts > threshold
     else:
         q = int(params.Q)
@@ -247,6 +252,66 @@ def _chunk_errors(
     return int(np.count_nonzero(decisions != sent))
 
 
+def _task_errors(params, taps, threshold, samplers, chunks) -> int:
+    """Errors over consecutive chunks, each (trials, seed sequence): one pool task."""
+    return sum(_chunk_errors(params, taps, threshold, n, samplers, seed_seq) for n, seed_seq in chunks)
+
+
+class _Inline:
+    """Runs each task as it is submitted: the one-process stand-in for a pool."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@contextmanager
+def _open_pool(workers: int, trials: int):
+    """(pool, size): a pool of ``_pool_workers`` processes, or ``_Inline`` if
+    that is one.  Leaving cancels the tasks no worker has started (only an
+    error leaves any) and joins the workers."""
+    size = _pool_workers(workers, _chunk_count(trials))
+    if size == 1:
+        yield _Inline(), 1
+        return
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        yield pool, size
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _start_draws(
+    params: SystemParams, taps: TapProfile, threshold: float, cfg: TrialConfig, pool, size: int
+) -> Callable[[], BerEstimate]:
+    """Check the inputs, build the count samplers once and submit to ``pool``
+    (``size`` workers) tasks of consecutive chunks, one a worker or more;
+    returns the wait step, which sums the error counts into the estimate."""
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if cfg.exact_counts and params.receiver is Receiver.ABSORBING and params.Q > _MAX_DRAW_Q:
+        raise ValueError(f"exact absorbing draws need Q <= 2^63 - 1 (a 64-bit count), got Q = {params.Q:.6g}")
+    n_chunks = _chunk_count(cfg.trials)
+    streams = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
+    chunks = [(min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS), stream) for i, stream in enumerate(streams)]
+    samplers = None
+    if cfg.exact_counts:
+        samplers = [
+            (taps.lags[j], _tap_sampler(params, float(taps.mean[j]), float(taps.var[j]), threshold, cfg.trials))
+            for j in np.argsort(-taps.mean, kind="stable")
+        ]
+    per_task = min(_TASK_CHUNKS, -(-n_chunks // size))
+    tasks = (chunks[i : i + per_task] for i in range(0, n_chunks, per_task))
+    futures = [pool.submit(_task_errors, params, taps, threshold, samplers, task) for task in tasks]
+
+    def wait() -> BerEstimate:
+        errors, n = sum(future.result() for future in futures), cfg.trials
+        return BerEstimate(errors / n, threshold, BerSource.MONTE_CARLO, wilson_halfwidth(errors, n), trials=n)
+
+    return wait
+
+
 def simulate_ber_taps(
     params: SystemParams,
     taps: TapProfile,
@@ -255,75 +320,8 @@ def simulate_ber_taps(
     workers: int = 1,
 ) -> BerEstimate:
     """Monte Carlo BER for an arbitrary tap profile."""
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if cfg.exact_counts and params.receiver is Receiver.ABSORBING and params.Q > _MAX_DRAW_Q:
-        raise ValueError(f"exact absorbing draws need Q <= 2^63 - 1 (a 64-bit count), got Q = {params.Q:.6g}")
-    n_chunks = _chunk_count(cfg.trials)
-    sizes = [
-        min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS) for i in range(n_chunks)
-    ]
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    samplers = None
-    if cfg.exact_counts:
-        samplers = [
-            (taps.lags[j], _tap_sampler(params, float(taps.mean[j]), float(taps.var[j]), threshold, cfg.trials))
-            for j in np.argsort(-taps.mean, kind="stable")
-        ]
-    jobs = [
-        (params, taps, threshold, size, samplers, stream)
-        for size, stream in zip(sizes, streams)
-    ]
-    pool_size = _pool_workers(workers, n_chunks)
-    if pool_size > 1:
-        with _pool(pool_size) as pool:
-            errors = sum(pool.map(_chunk_errors_job, jobs))
-    else:
-        errors = sum(_chunk_errors_job(job) for job in jobs)
-    return BerEstimate(
-        value=errors / cfg.trials,
-        threshold=threshold,
-        source=BerSource.MONTE_CARLO,
-        ci_halfwidth=wilson_halfwidth(errors, cfg.trials),
-        trials=cfg.trials,
-    )
-
-
-def _chunk_errors_job(job) -> int:
-    return _chunk_errors(*job)
-
-
-# (workers, pool) a running ``sweep`` lends the ``simulate_ber_taps`` calls
-# of its rows, so a sweep starts one pool and the public signature stays
-_SWEEP_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = ContextVar(
-    "_SWEEP_POOL", default=None
-)
-
-
-@contextmanager
-def _pool(size: int):
-    """The running sweep's pool when it has ``size`` workers, else a new one."""
-    lent = _SWEEP_POOL.get()
-    if lent is not None and lent[0] == size:
-        yield lent[1]
-        return
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool
-
-
-@contextmanager
-def _lend_pool(trial: TrialConfig, workers: int):
-    """One pool for every row simulation of a sweep; rows all draw trial.trials."""
-    size = _pool_workers(workers, _chunk_count(trial.trials))
-    if size == 1:
-        yield
-        return
-    with _pool(size) as pool:
-        token = _SWEEP_POOL.set((size, pool))
-        try:
-            yield
-        finally:
-            _SWEEP_POOL.reset(token)
+    with _open_pool(workers, cfg.trials) as (pool, size):
+        return _start_draws(params, taps, threshold, cfg, pool, size)()
 
 
 def simulate_ber(
@@ -352,6 +350,16 @@ class SweepRow:
     mc: BerEstimate
 
 
+def _start_row(
+    params: SystemParams, scheme: Scheme, trial: TrialConfig, dt: float | None, pool, size: int
+) -> Callable[[], SweepRow]:
+    """Select the scheme's window and start the draws on the taps and threshold
+    it was scored on; returns the wait step, which gives the row."""
+    result = select_window(params, scheme, dt)
+    wait = _start_draws(params, result.taps, result.threshold, trial, pool, size)
+    return lambda: SweepRow(q=int(params.Q), scheme=scheme, result=result, mc=wait())
+
+
 def sweep_row(
     params: SystemParams,
     scheme: Scheme,
@@ -360,9 +368,8 @@ def sweep_row(
     workers: int = 1,
 ) -> SweepRow:
     """Select the scheme's window and simulate on the taps and threshold it was scored on."""
-    result = select_window(params, scheme, dt)
-    mc = simulate_ber_taps(params, result.taps, result.threshold, trial, workers)
-    return SweepRow(q=int(params.Q), scheme=scheme, result=result, mc=mc)
+    with _open_pool(workers, trial.trials) as (pool, size):
+        return _start_row(params, scheme, trial, dt, pool, size)()
 
 
 def sweep(
@@ -375,16 +382,19 @@ def sweep(
 ) -> list[SweepRow]:
     """BER versus Q for several window-selection schemes, a ``sweep_row`` per
     (Q, scheme): the window with the threshold and analytic BER its selection
-    scored (never a rescan) and a Monte Carlo estimate on the same taps.  Row
-    seeds derive deterministically from the master seed, so the output is
-    reproducible for any worker count.
+    scored (never a rescan) and a Monte Carlo estimate on the same taps.  One
+    pool serves every row, and each row's draws start before any is awaited,
+    so workers draw while later rows are searched; an error cancels the
+    queued draws.  Row seeds derive deterministically from the master seed,
+    so the output is reproducible for any worker count.
     """
     if not q_values or not schemes:
         raise ConfigError("sweep needs at least one Q value and one scheme")
     cells = [(int(q), scheme) for q in q_values for scheme in schemes]
     seeds = np.random.SeedSequence(trial.seed).generate_state(len(cells), dtype=np.uint64)
-    with _lend_pool(trial, workers):
-        return [
-            sweep_row(replace(params, Q=q), scheme, replace(trial, seed=int(seed)), dt, workers)
+    with _open_pool(workers, trial.trials) as (pool, size):
+        started = [
+            _start_row(replace(params, Q=q), scheme, replace(trial, seed=int(seed)), dt, pool, size)
             for (q, scheme), seed in zip(cells, seeds)
         ]
+        return [wait() for wait in started]

@@ -514,6 +514,11 @@ def _sampled_grid(params: SystemParams):
     return n1, n2, mean, _tap_variance(params, mean)
 
 
+def _count_text(n: float) -> str:
+    """A refused count for a message: every digit, or 4 significant ones from 1e15 up."""
+    return f"{n:,.0f}" if n < 1e15 else f"{n:.4g}"
+
+
 def _window_grid(params: SystemParams, dt: float | None):
     """Candidate windows of the grid searches: (edges or None, i1, i2, mean, var).
 
@@ -529,7 +534,7 @@ def _window_grid(params: SystemParams, dt: float | None):
     windows = n * (n + 1) / 2
     if (params.L + 1) * windows > MAX_GRID_ELEMENTS:
         raise EnumerationTooLarge(
-            f"search grid step {step:g} gives {windows:,.0f} candidate windows of {params.L + 1} "
+            f"search grid step {step:g} gives {_count_text(windows)} candidate windows of {params.L + 1} "
             f"taps, over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
         )
     if params.receiver is Receiver.ABSORBING:
@@ -704,8 +709,8 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
         n_tau = float(np.ceil(consts.t_max / step))
     if (params.L + 2) * (n_tau + 1) * samples > MAX_GRID_ELEMENTS:
         raise EnumerationTooLarge(
-            f"shift-tau step {step:g} gives {n_tau + 1:,.0f} delays of {params.L + 2} taps"
-            + (f" x {samples:,} samples" if samples > 1 else "")
+            f"shift-tau step {step:g} gives {_count_text(n_tau + 1)} delays of {params.L + 2} taps"
+            + (f" x {_count_text(samples)} samples" if samples > 1 else "")
             + f", over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
         )
     if params.receiver is Receiver.ABSORBING:

@@ -464,6 +464,16 @@ class TestInputValidation:
         assert "delays of 6 taps, over the cap of 10 table elements" in err
         assert not out.exists()
 
+    def test_astronomical_delay_count_reads_short(self, ab_cfg_file, tmp_path, capsys):
+        # t_max / 1e-300 delays: 4 significant figures, not a 299-digit count
+        out = tmp_path / "out.csv"
+        args = ["sweep", "-c", ab_cfg_file, "-o", str(out), "-s", "sweep.methods=shift-tau", "-s", "search.dt=1e-300"]
+        assert main(args) == 3
+        err = capsys.readouterr().err.strip()
+        assert "EnumerationTooLarge" in err and "e+298 delays of 6 taps" in err
+        assert len(err) < 200
+        assert not out.exists()
+
 
 class TestKeyTable:
     """Every key is read, range-checked and defaulted by the key table."""

@@ -8,6 +8,7 @@ import pytest
 
 from mcdwin import (
     ConfigError,
+    EnumerationTooLarge,
     Receiver,
     Scheme,
     TrialConfig,
@@ -42,13 +43,24 @@ class TestTrialConfig:
             simulate_ber(params, full_window(params), 0.0, TrialConfig(trials=10, seed=1))
 
 
+def _allow_cpus(monkeypatch, count: int) -> None:
+    """Let this process run on ``count`` CPUs, as far as ``_pool_workers`` sees."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestPoolWorkers:
-    def test_clamped_to_chunks_and_cpus(self):
-        cpus = os.cpu_count() or 1
+    def test_clamped_to_chunks_and_cpus(self, monkeypatch):
+        _allow_cpus(monkeypatch, 6)
         # only the returned count is checked; no pool is started
-        assert _pool_workers(10**6, 3) == min(3, cpus)
-        assert _pool_workers(10**6, 10**6) == cpus
+        assert _pool_workers(10**6, 3) == 3
+        assert _pool_workers(10**6, 10**6) == 6
         assert _pool_workers(1, 50) == 1
+
+    def test_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        # a cpuset of one CPU on a 64-CPU host: one worker, not eight
+        _allow_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _pool_workers(8, 10) == 1
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one(self, workers):
@@ -233,7 +245,7 @@ class TestSweep:
             return executor(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         cfg = TrialConfig(trials=montecarlo.CHUNK_TRIALS + 1, seed=4)  # two chunks per row
         schemes = [Scheme.FULL_WINDOW, Scheme.CLOSED_FORM]
         shared = sweep(table1_absorbing, [500, 2000], schemes, cfg, workers=2)
@@ -241,6 +253,81 @@ class TestSweep:
         monkeypatch.undo()
         alone = sweep(table1_absorbing, [500, 2000], schemes, cfg)
         assert [r.mc for r in shared] == [r.mc for r in alone]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: logs every call, and runs a task in
+    process only when its result is awaited."""
+
+    log: list = []
+
+    def __init__(self, max_workers):
+        self.tasks: list[_RecordedTask] = []
+
+    def submit(self, fn, *args):
+        task = _RecordedTask(fn, args)
+        self.tasks.append(task)
+        self.log.append(("submit", task))
+        return task
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.log.append(("shutdown", cancel_futures))
+        for task in self.tasks:
+            if cancel_futures and not task.ran:
+                task.cancelled = True
+
+
+class _RecordedTask:
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+        self.ran = self.cancelled = False
+
+    def result(self):
+        assert not self.cancelled
+        _RecordingPool.log.append(("result", self))
+        self.ran = True
+        return self.fn(*self.args)
+
+
+class TestPipelinedSweep:
+    """A sweep submits every row's tasks before it awaits any, in tasks of
+    several chunks, and cancels the queued ones when a row cannot start."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "log", [])
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        _allow_cpus(monkeypatch, 2)
+        return _RecordingPool.log
+
+    @pytest.mark.parametrize("workers", [2, 8])  # 8 asked, 2 CPUs: tasks are sized for 2 workers
+    def test_rows_overlap_in_tasks_of_several_chunks(self, log, table1_absorbing, workers):
+        cfg = TrialConfig(trials=3 * montecarlo.CHUNK_TRIALS, seed=17)  # three chunks per row
+        schemes = [Scheme.FULL_WINDOW, Scheme.CLOSED_FORM]
+        piped = sweep(table1_absorbing, [500, 2000], schemes, cfg, workers=workers)
+        events = [kind for kind, _ in log]
+        submits = [task for kind, task in log if kind == "submit"]
+        assert events.index("result") == len(submits)  # every submit precedes the first await
+        assert events[-1] == "shutdown"
+        # a task's arguments end with the row's samplers and its chunks
+        by_row: dict[int, list[int]] = {}
+        for task in submits:
+            by_row.setdefault(id(task.args[-2]), []).append(len(task.args[-1]))
+        assert len(by_row) == 4
+        assert all(sum(chunks) == 3 and len(chunks) < 3 for chunks in by_row.values())
+        alone = sweep(table1_absorbing, [500, 2000], schemes, cfg, workers=1)
+        assert [r.mc for r in piped] == [r.mc for r in alone]
+
+    def test_row_that_cannot_start_cancels_queued_tasks(self, log):
+        # the exhaustive BER search refuses L = 13 after the full row has started
+        params = absorbing_params(T_s=0.2, L=13, Q=500)
+        cfg = TrialConfig(trials=2 * montecarlo.CHUNK_TRIALS, seed=18)
+        with pytest.raises(EnumerationTooLarge):
+            sweep(params, [500], [Scheme.FULL_WINDOW, Scheme.EXHAUSTIVE_BER], cfg, workers=2)
+        submits = [task for kind, task in log if kind == "submit"]
+        assert submits and all(task.cancelled for task in submits)
+        assert ("shutdown", True) in log
+        assert not any(kind == "result" for kind, _ in log)
 
 
 def _sampler(params, tap, threshold, trials=1_000_000):
