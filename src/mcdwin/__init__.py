@@ -58,12 +58,7 @@ from .optimizer import (
     Scheme,
     closed_form_interval,
     exhaustive_ber_search,
-    full_window_result,
     numeric_metric_search,
-    prop1_interval,
-    prop2_interval,
-    prop3_interval,
-    prop4_interval,
     regime_q_hat,
     select_window,
     shift_tau_search,
@@ -71,8 +66,6 @@ from .optimizer import (
 from .reception import (
     BerEstimate,
     BerSource,
-    analytic_ber,
-    ber_from_stats,
     ber_from_taps,
     optimal_threshold,
     threshold_from_taps,

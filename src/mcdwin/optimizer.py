@@ -17,15 +17,17 @@ T_s.  In the high-count regime every ISI ratio is inflated by the noise
 factor g(Q) evaluated at Q = g(q_hat) * q_hat, and the ratios are anchored
 on the low-count window; below q_hat the inflation is the identity.
 
-Props 1-4 are one solver (``_closed_form``) over a small receiver adapter
-(``_ClosedFormReceiver``).  The adapter supplies what differs between the
-receivers: m^2 (absorbing) or m_hat^2 = (d+r)^2/4D (passive); the ratio sum
-of first-hitting densities or of observation probabilities; the quantizers
-that turn a start time and an end root into window units (seconds as they
-are, or ceil(t/t_s) and ceil(x N) sample indices); and the units the
-anchors are measured in.  Prop 1/2 (absorbing, L = 1 / L > 1) and the
-low-count half of Prop 4 run it with g = 1; Prop 3 and the high-count half
-of Prop 4 run it with g(Q).
+``closed_form_interval`` is the one closed-form entry point: it dispatches
+on the receiver and on Q against q_hat, and ``result.method`` names the
+Prop it took.  Props 1-4 are one solver (``_closed_form``) over a small
+receiver adapter (``_ClosedFormReceiver``).  The adapter supplies what
+differs between the receivers: m^2 (absorbing) or m_hat^2 = (d+r)^2/4D
+(passive); the ratio sum of first-hitting densities or of observation
+probabilities; the quantizers that turn a start time and an end root into
+window units (seconds as they are, or ceil(t/t_s) and ceil(x N) sample
+indices); and the units the anchors are measured in.  Prop 1/2 (absorbing,
+L = 1 / L > 1) and the low-count half of Prop 4 run it with g = 1; Prop 3
+and the high-count half of Prop 4 run it with g(Q).
 
 Closed-form outputs falling outside [0, T_s] (or [0, N]) are clamped and
 flagged; an empty window after clamping raises DegenerateWindow.
@@ -46,6 +48,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import astuple, dataclass, replace
+from decimal import Context, Decimal
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -79,16 +83,11 @@ __all__ = [
     "Scheme",
     "ClosedFormIntermediates",
     "OptimizationResult",
-    "prop1_interval",
-    "prop2_interval",
-    "prop3_interval",
-    "prop4_interval",
     "closed_form_interval",
     "regime_q_hat",
     "numeric_metric_search",
     "exhaustive_ber_search",
     "shift_tau_search",
-    "full_window_result",
     "select_window",
     "default_grid_step",
 ]
@@ -163,8 +162,8 @@ class ClosedFormIntermediates:
 class OptimizationResult:
     """A selected window; ``taps`` (shifted for shift-tau), ``threshold`` and
     the analytic ``ber`` there are what it is scored on.  The BER searches
-    and ``select_window`` fill them; the ``prop*`` functions and
-    ``closed_form_interval`` leave them None."""
+    and ``select_window`` fill them; ``closed_form_interval`` and
+    ``numeric_metric_search`` leave them None."""
 
     window: DetectionWindow
     method: Method
@@ -279,11 +278,6 @@ def _msinar_objective(params: SystemParams, window: DetectionWindow, q_eff: int)
         return None
 
 
-def _require_receiver(params: SystemParams, kind: Receiver, where: str) -> None:
-    if params.receiver is not kind:
-        raise ValueError(f"{where} applies to the {kind.value} receiver")
-
-
 # ---------------------------------------------------------------------------
 # Closed-form intervals
 # ---------------------------------------------------------------------------
@@ -341,26 +335,25 @@ def _closed_form_receiver(params: SystemParams) -> _ClosedFormReceiver:
 
 
 def _closed_form(
-    params: SystemParams,
-    method: Method,
-    below: DetectionWindow | None = None,
-    q_hat: int | None = None,
+    params: SystemParams, below: DetectionWindow | None = None, q_hat: int | None = None
 ) -> OptimizationResult:
     """The one closed-form solver: the Pade start root, then T_s or the end cubic.
 
-    Low-count regime (``below`` None): g = 1, and the ISI ratios are
-    anchored at the unit-ratio start and midway between t_max and T_s.
-    High-count regime: the ratios are anchored on the low-count window
-    ``below`` and inflated by g evaluated at Q = g(q_hat) * q_hat.
+    Low-count regime (``below`` None; Prop 1, 2 or 4): g = 1, and the ISI
+    ratios are anchored at the unit-ratio start and midway between t_max
+    and T_s.  High-count regime (Prop 3 or 4): the ratios are anchored on
+    the low-count window ``below`` and inflated by g evaluated at
+    Q = g(q_hat) * q_hat.
     """
     rx = _closed_form_receiver(params)
     start_name, end_name, start_anchor_name, end_anchor_name = rx.names
     if below is None:
         regime, g, q_eff = Regime.BELOW_QHAT, 1.0, params.Q
+        method = Method.PROP1 if params.L == 1 else Method.PROP2
         start_anchor = float(rx.start(_start_time(rx.m2, params.T_s, 0.0)))
     else:
         assert q_hat is not None
-        regime, q_eff = Regime.ABOVE_QHAT, q_hat
+        regime, q_eff, method = Regime.ABOVE_QHAT, q_hat, Method.PROP3
         g = metrics.g_factor(params, metrics.g_factor(params, float(q_hat)) * q_hat)
         first, last = astuple(below)
         start_anchor = float(first)
@@ -397,22 +390,16 @@ def _closed_form(
         )
     return OptimizationResult(
         window=window,
-        method=method,
+        method=Method.PROP4 if params.receiver is Receiver.PASSIVE else method,
         intermediates=inter,
         objective_value=_msinar_objective(params, window, q_eff),
         clamped=clamped,
     )
 
 
-def _low_count(params: SystemParams) -> OptimizationResult:
-    if params.receiver is Receiver.PASSIVE:
-        return _closed_form(params, Method.PROP4)
-    return _closed_form(params, Method.PROP1 if params.L == 1 else Method.PROP2)
-
-
 def _regime_dispatch(params: SystemParams, q_hat: int | None) -> OptimizationResult:
     """Low-count window unless Q reaches q_hat (computed there when None)."""
-    below = _low_count(params)
+    below = _closed_form(params)
     if q_hat is None:
         try:
             q_hat = metrics.q_hat(params, below.window)
@@ -420,53 +407,7 @@ def _regime_dispatch(params: SystemParams, q_hat: int | None) -> OptimizationRes
             return below
     if params.Q < q_hat:
         return below
-    above = Method.PROP4 if params.receiver is Receiver.PASSIVE else Method.PROP3
-    return _closed_form(params, above, below.window, q_hat)
-
-
-def prop1_interval(params: SystemParams) -> OptimizationResult:
-    """Low-count closed form for the absorbing receiver with L = 1."""
-    _require_receiver(params, Receiver.ABSORBING, "prop1_interval")
-    if params.L != 1:
-        raise ValueError("prop1_interval needs L = 1")
-    return _low_count(params)
-
-
-def prop2_interval(params: SystemParams) -> OptimizationResult:
-    """Low-count closed form for the absorbing receiver with L > 1."""
-    _require_receiver(params, Receiver.ABSORBING, "prop2_interval")
-    if params.L <= 1:
-        raise ValueError("prop2_interval needs L > 1")
-    return _low_count(params)
-
-
-def prop3_interval(params: SystemParams, q_hat: int | None = None) -> OptimizationResult:
-    """High-count closed form for the absorbing receiver (Q >= q_hat).
-
-    Recomputes the low-count window to anchor the ISI ratios, then inflates
-    them by g evaluated at Q = g(q_hat) * q_hat.  ``q_hat`` may be supplied
-    to skip its computation.
-    """
-    _require_receiver(params, Receiver.ABSORBING, "prop3_interval")
-    if params.L < 1:
-        raise ValueError("prop3_interval needs L >= 1")
-    below = _low_count(params)
-    if q_hat is None:
-        q_hat = metrics.q_hat(params, below.window)
-    if params.Q < q_hat:
-        raise ValueError(
-            f"prop3_interval needs Q >= q_hat ({params.Q} < {q_hat}); "
-            "use prop1/prop2 in the low-count regime"
-        )
-    return _closed_form(params, Method.PROP3, below.window, q_hat)
-
-
-def prop4_interval(params: SystemParams, q_hat: int | None = None) -> OptimizationResult:
-    """Closed form for the passive receiver, both count regimes."""
-    _require_receiver(params, Receiver.PASSIVE, "prop4_interval")
-    if params.L < 1:
-        raise ValueError("prop4_interval needs L >= 1")
-    return _regime_dispatch(params, q_hat)
+    return _closed_form(params, below.window, q_hat)
 
 
 def regime_q_hat(params: SystemParams) -> int | None:
@@ -478,7 +419,7 @@ def regime_q_hat(params: SystemParams) -> int | None:
     if params.L < 1:
         return None
     try:
-        return metrics.q_hat(params, _low_count(params).window)
+        return metrics.q_hat(params, _closed_form(params).window)
     except DomainError:
         return None
 
@@ -514,24 +455,32 @@ def _sampled_grid(params: SystemParams):
     return n1, n2, mean, _tap_variance(params, mean)
 
 
-def _count_text(n: float) -> str:
-    """A refused count for a message: every digit, or 4 significant ones from 1e15 up."""
-    return f"{n:,.0f}" if n < 1e15 else f"{n:.4g}"
+def _step_count(span: float, step: float, rounding: Callable = round) -> int:
+    """rounding(span / step) as an int, exact where the float quotient overflows."""
+    ratio = span / step
+    return rounding(ratio if ratio < math.inf else Fraction(span) / Fraction(step))
+
+
+def _count_text(n: int) -> str:
+    """A refused count for a message: every digit, or 4 significant ones from
+    1e15 up, rounded from its digits, so a count past float range prints too."""
+    return f"{n:,}" if n < 10**15 else f"{Decimal(n).normalize(Context(prec=4)):g}"
 
 
 def _window_grid(params: SystemParams, dt: float | None):
     """Candidate windows of the grid searches: (edges or None, i1, i2, mean, var).
 
     Refuses (EnumerationTooLarge) a grid whose (L+1, windows) tap table
-    would exceed MAX_GRID_ELEMENTS, before building anything.
+    would exceed MAX_GRID_ELEMENTS, before building anything.  The windows
+    are counted as an exact int, so no step or sample count overflows them.
     """
     if params.receiver is Receiver.ABSORBING:
         step = default_grid_step(params) if dt is None else dt
-        n = float(np.rint(params.T_s / step))  # steps; a window is a pair of the n+1 edges
+        n = _step_count(params.T_s, step)  # steps; a window is a pair of the n+1 edges
     else:
         assert params.N is not None
-        step, n = params.t_s, float(params.N + 1)  # samples; a window is a pair n1 <= n2
-    windows = n * (n + 1) / 2
+        step, n = params.t_s, params.N + 1  # samples; a window is a pair n1 <= n2
+    windows = n * (n + 1) // 2
     if (params.L + 1) * windows > MAX_GRID_ELEMENTS:
         raise EnumerationTooLarge(
             f"search grid step {step:g} gives {_count_text(windows)} candidate windows of {params.L + 1} "
@@ -702,11 +651,11 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     consts = derived(params)
     if params.receiver is Receiver.ABSORBING:
         step = default_grid_step(params) if dt is None else dt
-        n_tau, samples = max(1.0, float(np.rint(consts.t_max / step))), 1
+        n_tau, samples = max(1, _step_count(consts.t_max, step)), 1
     else:
         assert params.t_s is not None and params.N is not None
         step, samples = params.t_s, params.N + 1
-        n_tau = float(np.ceil(consts.t_max / step))
+        n_tau = _step_count(consts.t_max, step, math.ceil)
     if (params.L + 2) * (n_tau + 1) * samples > MAX_GRID_ELEMENTS:
         raise EnumerationTooLarge(
             f"shift-tau step {step:g} gives {_count_text(n_tau + 1)} delays of {params.L + 2} taps"
@@ -714,7 +663,7 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
             + f", over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
         )
     if params.receiver is Receiver.ABSORBING:
-        taus = np.linspace(0.0, consts.t_max, int(n_tau) + 1)
+        taus = np.linspace(0.0, consts.t_max, n_tau + 1)
         edges, offset = np.concatenate((taus, taus + params.T_s)), taus.size
     else:
         taus = np.arange(n_tau + 1.0) * step
@@ -727,10 +676,6 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     return OptimizationResult(
         window=_grid_window(edges, i1, i2, best), method=Method.SHIFT_TAU, tau=float(taus[best]), **scored
     )
-
-
-def full_window_result(params: SystemParams) -> OptimizationResult:
-    return OptimizationResult(window=full_window(params), method=Method.FULL_WINDOW)
 
 
 _NUMERIC_SCHEMES = {
@@ -750,7 +695,7 @@ def select_window(
     if scheme is Scheme.EXHAUSTIVE_BER:
         return exhaustive_ber_search(params, dt)
     if scheme is Scheme.FULL_WINDOW:
-        result = full_window_result(params)
+        result = OptimizationResult(window=full_window(params), method=Method.FULL_WINDOW)
     elif scheme is Scheme.CLOSED_FORM:
         result = closed_form_interval(params)
     else:

@@ -27,9 +27,7 @@ from .errors import EnumerationTooLarge
 __all__ = [
     "BerSource",
     "BerEstimate",
-    "analytic_ber",
     "ber_from_taps",
-    "ber_from_stats",
     "optimal_threshold",
     "threshold_from_taps",
 ]
@@ -121,45 +119,27 @@ def _lower_tail(x, mu, sd):
     return np.where(spread, _gaussian_tail(z), x >= mu)
 
 
-def ber_from_stats(
-    mu0: np.ndarray,
-    sigma0: np.ndarray,
-    mu1: np.ndarray,
-    sigma1: np.ndarray,
-    threshold: float,
-) -> float:
-    """Equal-prior error probability for explicit per-sequence statistics.
+def _ber_at(mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray, x) -> float:
+    """Equal-prior error probability of the per-sequence statistics at threshold x.
 
-    Averages P(miss "0") = P(count > threshold) and P(miss "1") =
-    P(count <= threshold) over the supplied sequences.  Each is its own
-    Gaussian tail, so a BER far below 1e-16 keeps its relative accuracy.
-    The per-term sum is compensated (math.fsum), so the result does not
-    depend on the enumeration order.
+    Averages P(miss "0") = P(count > x) and P(miss "1") = P(count <= x) over
+    the sequences.  Each is its own Gaussian tail, so a BER far below 1e-16
+    keeps its relative accuracy, and the per-term sum is compensated
+    (math.fsum), so the result does not depend on the enumeration order.
     """
-    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
-    sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
-    p_err0 = _upper_tail(threshold, mu0, sigma0)
-    p_err1 = _lower_tail(threshold, mu1, sigma1)
-    return math.fsum(0.5 * (p_err0 + p_err1)) / mu0.size
+    return math.fsum(0.5 * (_upper_tail(x, mu0, sd0) + _lower_tail(x, mu1, sd1))) / mu0.size
 
 
 def ber_from_taps(params: SystemParams, taps: TapProfile, threshold: float) -> BerEstimate:
-    """Analytical BER for an arbitrary tap profile at a fixed threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    mu0, var0, mu1, var1 = _sequence_stats(float(params.Q), *_tap_table(taps))
-    value = ber_from_stats(mu0, np.sqrt(var0), mu1, np.sqrt(var1), threshold)
-    return BerEstimate(value=value, threshold=threshold, source=BerSource.ANALYTICAL)
-
-
-def analytic_ber(params: SystemParams, window: DetectionWindow, threshold: float) -> BerEstimate:
-    """Analytical BER of threshold detection on ``window``.
+    """Analytical BER of a tap profile at a fixed threshold.
 
     Enumerates all 2^L ISI sequences; refuses L > 24.
     """
-    return ber_from_taps(params, window_taps(params, window), threshold)
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    mu0, var0, mu1, var1 = _sequence_stats(float(params.Q), *_tap_table(taps))
+    value = _ber_at(mu0, np.sqrt(var0), mu1, np.sqrt(var1), threshold)
+    return BerEstimate(value=value, threshold=threshold, source=BerSource.ANALYTICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +182,6 @@ def _tail_sums(
     return s0, s1
 
 
-def _pe_curve(
-    xis: np.ndarray,
-    mu0: np.ndarray,
-    var0: np.ndarray,
-    mu1: np.ndarray,
-    var1: np.ndarray,
-) -> np.ndarray:
-    """P_e of one set of sequences at each candidate threshold."""
-    stats = (a[None] for a in (mu0, np.sqrt(var0), mu1, np.sqrt(var1)))
-    s0, s1 = _tail_sums(xis, np.zeros(xis.size, dtype=int), *stats)
-    return 0.5 * (s0 + s1) / mu0.size
-
-
 def best_thresholds(
     q: float, mean: np.ndarray, var: np.ndarray, beat: float = math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +203,8 @@ def best_thresholds(
     best value is 0, only gaps below its first zero are searched: nothing
     is below 0, and ties go to the smaller threshold.
 
-    A column's result is exactly the smallest np.argmin of its full
-    ``_pe_curve``, with the BER re-summed there (``ber_from_stats``), or
+    A column's result is exactly the smallest np.argmin of its P_e at every
+    threshold 0..hi, with the BER re-summed there (``_ber_at``), or
     +inf when every value exceeds the final incumbent (plus the slack).
     A range reaching 2^53 is refused (EnumerationTooLarge) before any tail
     is evaluated.
@@ -302,14 +269,22 @@ def best_thresholds(
         s1 = np.concatenate((s1, t1))[order]
     values = np.full(g.size, math.inf)
     for c in np.flatnonzero(low <= incumbent * (1.0 + _BOUND_SLACK)):
-        values[c] = ber_from_stats(mu0[c], sd0[c], mu1[c], sd1[c], xs[where[c]])
+        values[c] = _ber_at(mu0[c], sd0[c], mu1[c], sd1[c], xs[where[c]])
     return xs[where].astype(int), values
 
 
 def ber_floors(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """``ber_floor_from_taps`` of every column of an (L+1, W) tap table.
+    """Lower bound on the threshold-optimized BER of each column of an (L+1, W) tap table.
 
-    Bit-identical to the one-profile floor (see ``_sequence_stats``).
+    Pair each "0" sequence (mu0, s0) with a "1" sequence (mu1, s1) and let
+    f(x) = Q((x - mu0) / s0) + Q((mu1 - x) / s1).  Any perfect matching of
+    the sequences bounds the BER at every threshold by the mean of half the
+    pairs' f, so by the mean of half their minima over x.  The floor
+    matches each ISI pattern with its complement, so the heaviest-ISI "0"
+    meets the cleanest "1", and bounds each pair's minimum by
+    ``_pair_minima``.  Lets window searches skip provably worse candidates.
+
+    A column's floor does not depend on the others (see ``_sequence_stats``).
     Windows go in blocks of at most _FLOOR_BLOCK windows x sequences.  The
     floors are lowered by the rounding slack _BOUND_SLACK, so a window
     whose BER ties the floor is never pruned by a plain comparison.
@@ -337,8 +312,25 @@ def _floor_block(q: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
 
 def _pair_minima(gap: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """Per pair, min(1/2, a certified lower bound on min over x of
-    Q((x - mu0) / s0) + Q((mu1 - x) / s1)), for gap = mu1 - mu0 and the
-    variances v0, v1 (see ``ber_floor_from_taps``)."""
+    f(x) = Q((x - mu0) / s0) + Q((mu1 - x) / s1)), for gap G = mu1 - mu0 and
+    the variances v0, v1.
+
+    With G > 0 and both spreads positive: outside [mu0, mu1] one term
+    exceeds 1/2.  Inside, both arguments are >= 0 and affine in x, and Q is
+    convex on [0, inf), so f is convex there.  Its stationary point
+    phi(a) / s0 = phi(b) / s1, with a = (x - mu0) / s0 and b = (mu1 - x) / s1,
+    solves (v0 - v1) a^2 - 2 B a + C = 0 for B = G s0 and C = G^2 +
+    v1 ln(v1 / v0); the root a = C / (B + sqrt(B^2 + (v1 - v0) C)) stays
+    finite as v1 -> v0, where it gives the midpoint, and B^2 + (v1 - v0) C =
+    v1 (G^2 + (v1 - v0) ln(v1 / v0)) >= 0 is computed in that
+    cancellation-free form.  Clip a to [0, G / s0] and take x^ = mu0 + s0 a.
+    Convexity puts f above its tangent at x^, so on [mu0, mu1] f >= f(x^) -
+    |f'(x^)| max(x^ - mu0, mu1 - x^): the term min(1/2, max(0, that)) bounds
+    the pair's minimum wherever rounding puts x^, and equals it when x^ is
+    the stationary point.  With a zero spread or G <= 0 the term is
+    Q(G / (s0 + s1)) under the indicator limits, which is exact (or at least
+    1/2).
+    """
     s0 = np.sqrt(v0)
     s1 = np.sqrt(v1)
     rough = (gap <= 0.0) | (s0 == 0.0) | (s1 == 0.0)
@@ -426,43 +418,17 @@ def _jensen_terms(gap: np.ndarray, v0: np.ndarray, v1: np.ndarray, rest) -> np.n
 
 
 def ber_floor_from_taps(params: SystemParams, taps: TapProfile) -> float:
-    """Lower bound on the threshold-optimized BER of a tap profile.
-
-    Pair each "0" sequence (mu0, s0) with a "1" sequence (mu1, s1) and let
-    f(x) = Q((x - mu0) / s0) + Q((mu1 - x) / s1).  Any perfect matching of
-    the sequences bounds the BER at every threshold by the mean of half the
-    pairs' f, so by the mean of half their minima over x.  The floor
-    matches each ISI pattern with its complement, so the heaviest-ISI "0"
-    meets the cleanest "1", and bounds each pair's minimum as follows.
-
-    With the gap G = mu1 - mu0 > 0 and both spreads positive: outside
-    [mu0, mu1] one term exceeds 1/2.  Inside, both arguments are >= 0 and
-    affine in x, and Q is convex on [0, inf), so f is convex there.  Its
-    stationary point phi(a) / s0 = phi(b) / s1, with a = (x - mu0) / s0 and
-    b = (mu1 - x) / s1, solves (v0 - v1) a^2 - 2 B a + C = 0 for B = G s0
-    and C = G^2 + v1 ln(v1 / v0); the root a = C / (B + sqrt(B^2 +
-    (v1 - v0) C)) stays finite as v1 -> v0, where it gives the midpoint,
-    and B^2 + (v1 - v0) C = v1 (G^2 + (v1 - v0) ln(v1 / v0)) >= 0 is
-    computed in that cancellation-free form.  Clip a to [0, G / s0] and
-    take x^ = mu0 + s0 a.  Convexity puts f above its tangent at x^, so on
-    [mu0, mu1] f >= f(x^) - |f'(x^)| max(x^ - mu0, mu1 - x^): the term
-    min(1/2, max(0, that)) bounds the pair's minimum wherever rounding puts
-    x^, and equals it when x^ is the stationary point.  With a zero spread
-    or G <= 0 the term is Q(G / (s0 + s1)) under the indicator limits, which
-    is exact (or at least 1/2).  Lets window searches skip provably worse
-    candidates.  A one-column ``ber_floors``.
-    """
-    mean, var = _tap_table(taps)
-    return float(ber_floors(float(params.Q), mean[:, None], var[:, None])[0])
+    """Lower bound on the threshold-optimized BER of a tap profile: a one-column ``ber_floors``."""
+    return float(ber_floors(float(params.Q), *(a[:, None] for a in _tap_table(taps)))[0])
 
 
 def threshold_from_taps(params: SystemParams, taps: TapProfile) -> tuple[int, BerEstimate]:
     """BER-minimizing integer threshold for an arbitrary tap profile.
 
     The range is xi in [0, ceil(mu1_max) + 6*sigma_max]; a bounded scan
-    returns exactly the smallest minimizer of the full-range ``_pe_curve``
+    returns exactly the smallest minimizer of P_e over the full range
     without evaluating every integer, and the BER is re-summed exactly
-    (``ber_from_stats``) at that threshold.  A one-column ``best_thresholds``.
+    (``_ber_at``) at that threshold.  A one-column ``best_thresholds``.
     """
     mean, var = _tap_table(taps)
     xis, values = best_thresholds(float(params.Q), mean[:, None], var[:, None])

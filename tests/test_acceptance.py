@@ -19,19 +19,19 @@ from scipy.stats import binom
 
 from mcdwin import (
     ContinuousWindow,
+    Method,
     Metric,
     Receiver,
     Scheme,
     SystemParams,
     TrialConfig,
+    closed_form_interval,
     derived,
     exhaustive_ber_search,
     full_window,
     hitting_density,
     numeric_metric_search,
     optimal_threshold,
-    prop1_interval,
-    prop2_interval,
     select_window,
     shift_taps,
     simulate_ber,
@@ -77,7 +77,10 @@ _CRIT1_CELLS = [
 def _crit1_roots(T_s: float, L: int):
     p = absorbing_params(T_s=T_s, L=L)
     c = derived(p)
-    res = prop1_interval(p) if L == 1 else prop2_interval(p)
+    # the low-count closed form: its window does not depend on Q, and Q = 1
+    # is below q_hat on every cell
+    res = closed_form_interval(replace(p, Q=1))
+    assert res.method is (Method.PROP1 if L == 1 else Method.PROP2)
 
     def crossing(t):
         return hitting_density(p, t) - sum(

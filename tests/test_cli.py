@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mcdwin import ContinuousWindow, Receiver, Scheme, cli, msinar, optimizer, prop2_interval
+from mcdwin import ContinuousWindow, Method, Receiver, Scheme, cli, closed_form_interval, msinar, optimizer
 from mcdwin.cli import (
     CMP_HEADER,
     CONV_HEADER,
@@ -213,7 +213,8 @@ class TestOptimizeCommand:
         )
         # drive the library with the identically parsed parameters: the
         # printed 17-digit values then round-trip exactly
-        res = prop2_interval(parse_config(text).system)
+        res = closed_form_interval(parse_config(text).system)
+        assert res.method is Method.PROP2
         assert float(out["delta1"]) == res.intermediates.delta1
         assert float(out["delta2"]) == res.intermediates.delta2
         assert float(out["t1"]) == res.window.t1

@@ -9,6 +9,7 @@ from mcdwin import (
     ContinuousWindow,
     GFactorPole,
     InfiniteSinar,
+    Method,
     Metric,
     NoFiniteQhat,
     alphas,
@@ -25,7 +26,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin.metrics import metric_values_from_taps
-from mcdwin.optimizer import _continuous_grid, numeric_metric_search, prop2_interval
+from mcdwin.optimizer import _continuous_grid, closed_form_interval, numeric_metric_search
 from conftest import absorbing_params, assert_rel, passive_params
 
 WINDOW = ContinuousWindow(0.03, 0.2)
@@ -120,7 +121,9 @@ class TestMsinar:
     def test_equals_one_at_q_hat(self):
         for (T_s, L) in ((0.2, 4), (0.2, 8), (0.3, 5)):
             p = absorbing_params(T_s=T_s, L=L, Q=100)
-            window = prop2_interval(p).window
+            res = closed_form_interval(p)
+            assert res.method is Method.PROP2
+            window = res.window
             qh = q_hat(p, window)
             value = msinar(replace(p, Q=qh), window)
             assert 1.0 <= value <= 1.05
@@ -172,7 +175,9 @@ class TestQHat:
     def test_self_consistency(self):
         for (T_s, L) in ((0.2, 4), (0.3, 5)):
             p = absorbing_params(T_s=T_s, L=L, Q=100)
-            window = prop2_interval(p).window
+            res = closed_form_interval(p)
+            assert res.method is Method.PROP2
+            window = res.window
             qh = q_hat(p, window)
             assert msinar(replace(p, Q=qh), window) >= 1.0
             assert msinar(replace(p, Q=max(1, int(0.9 * qh))), window) < 1.0

@@ -32,10 +32,6 @@ from mcdwin import (
     numeric_metric_search,
     optimal_threshold,
     passive_probability,
-    prop1_interval,
-    prop2_interval,
-    prop3_interval,
-    prop4_interval,
     q_hat,
     regime_q_hat,
     select_window,
@@ -47,7 +43,7 @@ from mcdwin import (
 from mcdwin import metrics, optimizer, reception
 from mcdwin.reception import BerEstimate, BerSource
 from mcdwin.channel import _response_table
-from mcdwin.optimizer import _argbest, _start_time
+from mcdwin.optimizer import _argbest, _regime_dispatch, _start_time
 from conftest import absorbing_params, passive_params, assert_rel
 
 D_ABS, R_ABS, DIFF = 5e-6, 5e-6, 80e-12
@@ -139,31 +135,39 @@ def _oracle_g(params, q):
     return (math.sqrt(q) + math.sqrt(2) * a2) / (math.sqrt(q) - math.sqrt(2) * a1)
 
 
+def _low_count(params, method):
+    """``closed_form_interval`` of ``params``' link below q_hat, which took Prop
+    ``method``.  The low-count window does not depend on Q, and Q = 1 is below
+    q_hat of every link here (the least is 3, at T_s = 1e6 and L = 1)."""
+    res = closed_form_interval(replace(params, Q=1))
+    assert (res.method, res.intermediates.regime) == (method, Regime.BELOW_QHAT)
+    return res
+
+
 class TestProp1:
     def test_table1_arithmetic(self):
         p = absorbing_params(T_s=0.2, L=1)
-        res = prop1_interval(p)
+        res = _low_count(p, Method.PROP1)
         assert res.window.t1 == pytest.approx(0.4375 / 18.21875, rel=1e-12)
         assert res.window.t1 == pytest.approx(0.02401, rel=1e-3)
         assert res.window.t2 == p.T_s
-        assert res.method is Method.PROP1
 
     @pytest.mark.parametrize("T_s", [0.2, 0.3])
     def test_start_below_peak(self, T_s):
         p = absorbing_params(T_s=T_s, L=1)
-        res = prop1_interval(p)
+        res = _low_count(p, Method.PROP1)
         assert 0.0 < res.window.t1 < derived(p).t_max
 
     def test_long_symbol_limit(self):
         p = absorbing_params(T_s=1e6, L=1)
-        res = prop1_interval(p)
+        res = _low_count(p, Method.PROP1)
         assert res.window.t1 == pytest.approx(28 * M2 / 120, rel=1e-5)
 
     def test_short_symbol_rejected(self):
         # denominator 120*T_s - 74*m^2 <= 0
         p = absorbing_params(T_s=74 * M2 / 120, L=1)
         with pytest.raises(SymbolTooShort):
-            prop1_interval(p)
+            closed_form_interval(p)
 
     def test_against_pade_quartic_root(self):
         # the same Pade substitutions without the linear truncation give
@@ -171,7 +175,7 @@ class TestProp1:
         # in x = t1/T_s; the truncated solution sits ~11% above its root
         T_s = 0.2
         p = absorbing_params(T_s=T_s, L=1)
-        res = prop1_interval(p)
+        res = _low_count(p, Method.PROP1)
         poly = lambda x: (
             15 * T_s * x**4
             + 6 * T_s * x**3
@@ -182,24 +186,18 @@ class TestProp1:
         root = brentq(poly, 1e-6, 1.0)
         assert_rel(res.window.t1 / T_s, root, 0.15, "prop1 vs quartic root")
 
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            prop1_interval(absorbing_params(L=2))
-        with pytest.raises(ValueError):
-            prop1_interval(passive_params(L=1))
-
 
 class TestProp2:
     def test_unit_ratio_reduces_to_prop1(self):
         p = absorbing_params(T_s=0.2, L=1)
-        p1 = prop1_interval(p)
+        p1 = _low_count(p, Method.PROP1)
         m2 = derived(p).m ** 2
         assert _start_time(m2, 0.2, math.log(1.0)) == p1.window.t1
 
     @pytest.mark.parametrize("T_s,L", [(0.2, 4), (0.2, 5), (0.2, 8), (0.3, 6)])
     def test_matches_independent_reimplementation(self, T_s, L):
         p = absorbing_params(T_s=T_s, L=L)
-        res = prop2_interval(p)
+        res = _low_count(p, Method.PROP2)
         t1, t2, ratio_i, ratio_v, disc = _oracle_prop2(p)
         inter = res.intermediates
         assert res.window.t1 == pytest.approx(t1, rel=1e-12)
@@ -231,7 +229,7 @@ class TestProp2:
     def test_against_bisection_roots(self, T_s, L, tol1, tol2):
         p = absorbing_params(T_s=T_s, L=L)
         c = derived(p)
-        res = prop2_interval(p)
+        res = _low_count(p, Method.PROP2)
 
         def crossing(t):
             return hitting_density(p, t) - sum(
@@ -249,7 +247,7 @@ class TestProp2:
     def test_branch_sign_matches_exact_discriminant(self, T_s, L):
         """sign(delta1) agrees with the root-based cubic discriminant."""
         p = absorbing_params(T_s=T_s, L=L)
-        inter = prop2_interval(p).intermediates
+        inter = _low_count(p, Method.PROP2).intermediates
         assert inter.branch is not Branch.COND_TS
         ln_v = math.log(inter.v_ratio)
         M = M2 / T_s
@@ -261,10 +259,6 @@ class TestProp2:
         disc = disc.real  # conjugate pairs leave a real product
         assert (inter.delta1 >= 0) == (disc >= 0)
 
-    def test_needs_multiple_taps(self):
-        with pytest.raises(ValueError):
-            prop2_interval(absorbing_params(L=1))
-
 
 class TestProp3:
     def test_reduces_to_prop2_when_g_is_one(self):
@@ -273,8 +267,9 @@ class TestProp3:
         # form anchors at the low-count window rather than the L=1 start), a
         # ~3e-3 relative shift at this configuration
         p = absorbing_params(T_s=0.2, L=4, Q=10**16)
-        res2 = prop2_interval(p)
-        res3 = prop3_interval(p, q_hat=10**15)
+        res2 = _low_count(p, Method.PROP2)
+        res3 = _regime_dispatch(p, 10**15)
+        assert res3.method is Method.PROP3
         assert res3.window.t1 == pytest.approx(res2.window.t1, rel=1e-2)
         assert res3.window.t2 == pytest.approx(res2.window.t2, rel=2e-2)
         # with matched anchors the substitution identity is exact
@@ -285,19 +280,16 @@ class TestProp3:
     @pytest.mark.parametrize("T_s,L", [(0.2, 1), (0.2, 4), (0.3, 5)])
     def test_start_not_earlier_than_low_count_regime(self, T_s, L):
         p = absorbing_params(T_s=T_s, L=L, Q=10**7)
-        below = prop1_interval(p) if L == 1 else prop2_interval(p)
-        above = prop3_interval(p)
+        below = _low_count(p, Method.PROP1 if L == 1 else Method.PROP2)
+        above = closed_form_interval(p)
+        assert above.method is Method.PROP3
         assert above.window.t1 >= below.window.t1
         assert above.intermediates.regime is Regime.ABOVE_QHAT
 
-    def test_rejects_low_count_regime(self):
-        p = absorbing_params(T_s=0.2, L=4, Q=100)
-        with pytest.raises(ValueError):
-            prop3_interval(p)
-
     def test_full_pipeline_against_independent_reimplementation(self):
         p = absorbing_params(T_s=0.3, L=5, Q=10**6)
-        res = prop3_interval(p)
+        res = closed_form_interval(p)
+        assert res.method is Method.PROP3
 
         # oracle: below-regime window, q_hat there, inflated ratios
         t1_sub, t2_sub, _, _, _ = _oracle_prop2(p)
@@ -338,7 +330,8 @@ class TestProp3:
         # the closed form approximates the regime-clamped mSINAR argmax;
         # measured gaps at this configuration: |dt1| ~ 4.0e-3, |dt2| ~ 5.7e-2
         p = absorbing_params(T_s=0.3, L=5, Q=10**6)
-        res = prop3_interval(p)
+        res = closed_form_interval(p)
+        assert res.method is Method.PROP3
         num = numeric_metric_search(p, Metric.MSINAR)
         assert abs(res.window.t1 - num.window.t1) < 0.006
         assert abs(res.window.t2 - num.window.t2) < 0.08
@@ -351,7 +344,7 @@ class TestProp3:
 class TestProp4:
     def test_l1_structural_formula(self):
         p = passive_params(T_s=1.0, L=1, Q=100)  # low-count regime
-        res = prop4_interval(p)
+        res = closed_form_interval(p)
         m2 = derived(p).m_hat ** 2
         n1 = math.ceil(28 * m2 * p.T_s / ((120 * p.T_s - 74 * m2) * p.t_s))
         assert res.window == SampledWindow(n1, p.N)
@@ -359,7 +352,8 @@ class TestProp4:
 
     def test_matches_independent_reimplementation(self):
         p = passive_params(T_s=1.0, L=2, Q=500)
-        res = prop4_interval(p)
+        res = closed_form_interval(p)
+        assert res.method is Method.PROP4
         m2 = derived(p).m_hat ** 2
         n1_hat = math.ceil(_oracle_t1(m2, p.T_s, 0.0) / p.t_s)
         ratio_w = sum(
@@ -372,7 +366,8 @@ class TestProp4:
 
     def test_start_against_bisection(self):
         p = passive_params(T_s=1.0, L=2, Q=500)
-        res = prop4_interval(p)
+        res = closed_form_interval(p)
+        assert res.method is Method.PROP4
 
         def crossing(u):
             return passive_probability(p, u) - sum(
@@ -387,24 +382,22 @@ class TestProp4:
         p = passive_params(T_s=T_s, L=L, Q=100)
         m2 = derived(p).m_hat ** 2
         assert _oracle_cond(m2, T_s, L)
-        res = prop4_interval(p)
+        res = closed_form_interval(p)
+        assert res.method is Method.PROP4
         assert res.window.n2 == p.N
         assert res.intermediates.branch is Branch.COND_TS
 
     def test_high_count_regime_shrinks_window(self):
         p = passive_params(T_s=1.0, L=5, Q=500)
-        below = prop4_interval(p)
+        below = closed_form_interval(p)
         qh = regime_q_hat(p)
-        above = prop4_interval(replace(p, Q=10 * qh))
+        above = closed_form_interval(replace(p, Q=10 * qh))
+        assert below.method is above.method is Method.PROP4
         assert above.intermediates.regime is Regime.ABOVE_QHAT
         assert below.intermediates.regime is Regime.BELOW_QHAT
         assert above.window.n1 >= below.window.n1
         assert above.window.n2 <= below.window.n2
         assert 0 <= above.window.n1 <= above.window.n2 <= p.N
-
-    def test_needs_passive(self):
-        with pytest.raises(ValueError):
-            prop4_interval(absorbing_params(L=2))
 
 
 class TestClosedFormDispatch:
@@ -415,6 +408,11 @@ class TestClosedFormDispatch:
         assert high.method is Method.PROP3
         single = closed_form_interval(absorbing_params(T_s=0.2, L=1, Q=50))
         assert single.method is Method.PROP1
+
+    @pytest.mark.parametrize("params", [absorbing_params(L=0), passive_params(L=0)])
+    def test_needs_an_isi_tap(self, params):
+        with pytest.raises(ValueError, match="closed forms need L >= 1"):
+            closed_form_interval(params)
 
     def test_underflowed_isi_ratio_names_the_symbol_time(self):
         # at T_s = 1e300 the density one symbol back underflows to 0, and the
@@ -569,12 +567,7 @@ class TestClosedFormPins:
     def test_window_branch_and_regime(self, row):
         kind, d, r, diffusion, T_s, L, Q, qh, method, regime, branch, window = row
         params = _pin_params(kind, d, r, diffusion, T_s, L, Q)
-        if qh is None:
-            res = closed_form_interval(params)
-        elif kind == "ab":
-            res = prop3_interval(params, q_hat=qh)
-        else:
-            res = prop4_interval(params, q_hat=qh)
+        res = closed_form_interval(params) if qh is None else _regime_dispatch(params, qh)
         assert res.method.value == method
         assert res.intermediates.regime.value == regime
         assert res.intermediates.branch.value == branch
@@ -867,14 +860,23 @@ class TestWindowCap:
             exhaustive_ber_search(table1_passive)
 
     def test_huge_passive_sample_count_refused(self):
-        # (N + 1)(N + 2)/2 windows are counted in float: a sample count far
-        # past any float-sized product is refused, not an OverflowError
+        # (N + 1)(N + 2)/2 windows are counted as an exact int: a sample count
+        # whose window count is past float range is refused and printed, not
+        # an OverflowError or "inf"
         params = SystemParams(
             d=9e-6, r=1e-6, D=80e-12, T_s=1.0, L=2, Q=2000,
             receiver=Receiver.PASSIVE, N=10**299, t_s=1e-300,
         )
-        with pytest.raises(EnumerationTooLarge, match="candidate windows"):
+        with pytest.raises(EnumerationTooLarge, match=r"gives 5e\+597 candidate windows of 3 taps"):
             exhaustive_ber_search(params)
+
+    @pytest.mark.parametrize("dt, count", [(1e-160, "2e+318"), (5e-324, "8.193e+644")])
+    def test_astronomical_absorbing_window_count_refused(self, dt, count):
+        # 0.2 / dt steps give a window count past float range; at 5e-324 the
+        # step count itself overflows a float and is divided exactly
+        with pytest.raises(EnumerationTooLarge) as info:
+            exhaustive_ber_search(absorbing_params(L=2, Q=500), dt)
+        assert f"gives {count} candidate windows of 3 taps" in str(info.value)
 
     @staticmethod
     def _no_shift_table(monkeypatch):

@@ -15,8 +15,6 @@ from mcdwin import (
     Receiver,
     SampledWindow,
     TapProfile,
-    analytic_ber,
-    ber_from_stats,
     ber_from_taps,
     exhaustive_ber_search,
     optimal_threshold,
@@ -27,10 +25,10 @@ from mcdwin import reception
 from mcdwin.optimizer import _continuous_grid, _sampled_grid
 from mcdwin.reception import (
     BerSource,
+    _ber_at,
     _coarse_floors,
     _gaussian_tail,
     _pair_minima,
-    _pe_curve,
     _sequence_stats,
     _tap_table,
     ber_floor_from_taps,
@@ -43,6 +41,14 @@ from conftest import absorbing_params, passive_params
 def _stats(params, taps: TapProfile):
     """mu0, var0, mu1, var1 of every ISI pattern of one profile."""
     return _sequence_stats(float(params.Q), *_tap_table(taps))
+
+
+def _pe_curve(xis, mu0, var0, mu1, var1) -> np.ndarray:
+    """Oracle: P_e of one set of sequences at each candidate threshold, from
+    the scan's own tail sums, so its argmin compares bit for bit."""
+    stats = (a[None] for a in (mu0, np.sqrt(var0), mu1, np.sqrt(var1)))
+    s0, s1 = reception._tail_sums(xis, np.zeros(xis.size, dtype=int), *stats)
+    return 0.5 * (s0 + s1) / mu0.size
 
 
 class TestCountStats:
@@ -123,8 +129,9 @@ def _mixture_oracle(mu0, sd0, mu1, sd1, xi):
 
 class TestAnalyticBer:
     def test_value_in_unit_interval(self, table1_absorbing):
+        taps = window_taps(table1_absorbing, ContinuousWindow(0.0, 0.2))
         for xi in (0.0, 50.0, 400.0, 5000.0):
-            est = analytic_ber(table1_absorbing, ContinuousWindow(0.0, 0.2), xi)
+            est = ber_from_taps(table1_absorbing, taps, xi)
             assert 0.0 <= est.value <= 1.0
             assert est.source is BerSource.ANALYTICAL
 
@@ -139,7 +146,7 @@ class TestAnalyticBer:
         sd0 = np.array([0.0, math.sqrt(q * taps.var[1])])
         mu1 = mu0 + q * taps.mean[0]
         sd1 = np.sqrt(sd0**2 + q * taps.var[0])
-        est = analytic_ber(params, window, 0.0)
+        est = ber_from_taps(params, taps, 0.0)
         assert est.value == pytest.approx(_mixture_oracle(mu0, sd0, mu1, sd1, 0.0), abs=1e-9)
 
     def test_matches_integration_oracle(self):
@@ -155,7 +162,7 @@ class TestAnalyticBer:
         mu1 = mu0 + q * taps.mean[0]
         var1 = var0 + q * taps.var[0]
         xi = 55.0
-        est = analytic_ber(params, window, xi)
+        est = ber_from_taps(params, taps, xi)
         oracle = _mixture_oracle(mu0, np.sqrt(var0), mu1, np.sqrt(var1), xi)
         assert est.value == pytest.approx(oracle, rel=1e-8)
 
@@ -163,7 +170,7 @@ class TestAnalyticBer:
         # mu0 in {0, a}, mu1 in {a, 2a}, equal sigmas:
         # P_e = 1/2 + (Q(xi/s) - Q((xi-2a)/s))/4
         a, s, xi = 30.0, 9.0, 22.0
-        value = ber_from_stats(
+        value = _ber_at(
             np.array([0.0, a]),
             np.array([s, s]),
             np.array([a, 2 * a]),
@@ -187,7 +194,13 @@ class TestAnalyticBer:
     def test_refuses_huge_enumeration(self):
         params = absorbing_params(L=25)
         with pytest.raises(EnumerationTooLarge):
-            analytic_ber(params, ContinuousWindow(0.0, 0.2), 10.0)
+            ber_from_taps(params, window_taps(params, ContinuousWindow(0.0, 0.2)), 10.0)
+        # and a threshold that is not >= 0, NaN included
+        params = absorbing_params(L=2)
+        taps = window_taps(params, ContinuousWindow(0.0, 0.2))
+        for threshold in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                ber_from_taps(params, taps, threshold)
 
     def test_permutation_invariance_exact(self, table1_absorbing):
         window = ContinuousWindow(0.01, 0.19)
@@ -203,8 +216,8 @@ class TestAnalyticBer:
 
     def test_bit_identical_repeat(self, table1_passive):
         window = SampledWindow(3, table1_passive.N)
-        first = analytic_ber(table1_passive, window, 9.0).value
-        second = analytic_ber(table1_passive, window, 9.0).value
+        first = ber_from_taps(table1_passive, window_taps(table1_passive, window), 9.0).value
+        second = ber_from_taps(table1_passive, window_taps(table1_passive, window), 9.0).value
         assert first == second
 
 
@@ -232,7 +245,7 @@ class TestOptimalThreshold:
         curve = _pe_curve(xis, mu0, s**2, mu1, s**2)
         xi = int(np.argmin(curve))
         cont = minimize_scalar(
-            lambda x: ber_from_stats(mu0, s, mu1, s, x),
+            lambda x: _ber_at(mu0, s, mu1, s, x),
             bounds=(0.0, 150.0),
             method="bounded",
             options={"xatol": 1e-10},
@@ -336,7 +349,7 @@ def _full_scan(params, taps: TapProfile) -> tuple[int, float]:
     """Reference: argmin of the curve at every integer of the scan range."""
     hi, mu0, var0, mu1, var1 = _scan_range(float(params.Q), taps)
     xi = int(np.argmin(_full_curve(hi, mu0, var0, mu1, var1)))
-    return xi, ber_from_stats(mu0, np.sqrt(var0), mu1, np.sqrt(var1), float(xi))
+    return xi, _ber_at(mu0, np.sqrt(var0), mu1, np.sqrt(var1), float(xi))
 
 
 DEEP_TAIL_WINDOW = ContinuousWindow(0.03, 0.16)

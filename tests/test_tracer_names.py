@@ -50,3 +50,14 @@ def test_traced_searches_fill_their_metrics():
     assert layers["optimizer.exhaustive.scanned"] > 0
     # 21 grid edges give 21 * 20 / 2 candidate windows
     assert layers["optimizer.exhaustive.candidates"] == 210
+
+
+def test_every_traced_name_resolves():
+    # the tracer finds its names by (module, __name__); a deleted or renamed
+    # one would read 0 without any error
+    tracer_mod = _load_tracer()
+    keys = [*tracer_mod.SPAN_NAMES, *tracer_mod.OWN_NAMESPACE]
+    keys += [(module, name) for module, name, _ in tracer_mod.COUNTED]
+    for module, name in keys:
+        value = getattr(importlib.import_module(f"mcdwin.{module}"), name, None)
+        assert getattr(value, "__name__", None) == name, f"mcdwin.{module}.{name}"
