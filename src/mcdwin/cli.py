@@ -443,18 +443,21 @@ def cmd_metrics(args) -> int:
     if out is None:
         raise ConfigError("metrics needs an output path (-o or output.path)")
 
-    edges, i1, i2, mean, var = opt._window_grid(params, config.search_dt)
-    columns = {
-        metric: metrics_mod.metric_values_from_taps(metric, float(params.Q), mean, var)
-        for metric in metrics_mod.Metric
-    }
+    edges, table, i1, i2 = opt._window_grid(params, config.search_dt)
+
+    def columns(cols):
+        taps = opt._grid_taps(params, table, i1, i2, cols)
+        return [metrics_mod.metric_values_from_taps(metric, float(params.Q), *taps) for metric in metrics_mod.Metric]
+
+    blocks = opt._blocks(i1.size)
+    first = columns(blocks[0])  # a refused metric raises before the file is opened
 
     def rows():
-        for w in range(i1.size):
-            place = _window_cells(opt._grid_window(edges, i1, i2, w))
-            yield (METRICS_SCHEMA, *place) + tuple(
-                columns[metric][w] for metric in metrics_mod.Metric
-            )
+        for cols in blocks:
+            values = first if cols is blocks[0] else columns(cols)
+            for k, w in enumerate(range(cols.start, cols.stop)):
+                place = _window_cells(opt._grid_window(edges, i1, i2, w))
+                yield (METRICS_SCHEMA, *place, *(column[k] for column in values))
 
     _write_csv(out, METRICS_HEADER, rows())
     print(f"wrote {i1.size} windows to {out}")

@@ -42,6 +42,9 @@ symbol's leakage as interference.  Both BER searches are one branch-and-bound
 (``_least_ber``) over the columns of a tap table; they return the taps,
 threshold and BER they scored the winner on, which ``select_window`` adds
 to every other scheme's window, so no caller rescans a selected window.
+The grid's taps are built a block of windows at a time (``_grid_taps``), so
+a grid search holds a few scalars per window and one block, never the whole
+(L+1, windows) table.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ import math
 from dataclasses import astuple, dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -98,10 +102,15 @@ GRID_DIVISIONS = 400
 # scan over 2^L sequences; beyond this the scan is impractical.
 MAX_BER_SEARCH_L = 12
 
-# Grid searches refuse a candidate-window table of more than this many
-# (L+1) x windows elements (256 MiB per float table).  The default grid,
-# T_s/400, has 80,200 windows: 2.0M elements at L = 24.
+# Grid searches refuse more than this many (L+1) x windows tap elements, a
+# bound on their work: they build the taps a block of windows at a time.
+# The default grid, T_s/400, has 80,200 windows: 2.0M elements at L = 24.
 MAX_GRID_ELEMENTS = 1 << 25
+
+# Windows per block of a grid search: a multiple of the column blocks of
+# ``_coarse_floors`` and ``ber_floors``, which therefore see the same blocks,
+# and give the same bits, as over the whole grid at once.
+_GRID_BLOCK = _FLOOR_BLOCK
 
 
 class Regime(enum.Enum):
@@ -437,22 +446,56 @@ def closed_form_interval(params: SystemParams) -> OptimizationResult:
 
 
 def _continuous_grid(params: SystemParams, dt: float):
+    """(edges, survival table, i1, i2): the windows [edges[i1], edges[i2]], i1 < i2."""
     steps = int(round(params.T_s / dt))
     if steps < 1:
         raise DegenerateWindow(f"grid step {dt} leaves no window inside T_s={params.T_s}")
     edges = np.linspace(0.0, params.T_s, steps + 1)
     i1, i2 = np.triu_indices(steps + 1, k=1)
-    surv = _response_table(params, edges, range(params.L + 1))
-    mean = surv[:, i1] - surv[:, i2]
-    return edges, i1, i2, mean, _tap_variance(params, mean)
+    return edges, _response_table(params, edges, range(params.L + 1)), i1, i2
 
 
 def _sampled_grid(params: SystemParams):
+    """(rate table, n1, n2): the sample windows [n1, n2], n1 <= n2."""
     assert params.N is not None and params.t_s is not None
     rates = _response_table(params, np.arange(0, params.N + 1, dtype=float), range(params.L + 1))
-    n1, n2 = np.triu_indices(params.N + 1, k=0)
-    mean = _sample_sums(rates, range(params.N + 1))
-    return n1, n2, mean, _tap_variance(params, mean)
+    return (rates, *np.triu_indices(params.N + 1, k=0))
+
+
+def _grid_taps(params: SystemParams, table: np.ndarray, i1: np.ndarray, i2: np.ndarray, cols):
+    """Tap means and variances, each (L+1, len(cols)), of the grid windows
+    ``cols`` (an index array or a slice) from the per-lag response ``table``
+    of ``_window_grid``: a difference of two survival columns, or a column
+    of the ``_sample_sums`` of the window's start sample, taken for a run
+    of starts at a time that holds about _GRID_BLOCK sums.  A column does
+    not depend on the others, so it is bit for bit the one ``window_taps``
+    gives.
+    """
+    first, last = i1[cols], i2[cols]
+    if params.receiver is Receiver.ABSORBING:
+        mean = table[:, first] - table[:, last]
+        return mean, _tap_variance(params, mean)
+    starts, inverse = np.unique(first, return_inverse=True)
+    widths = table.shape[1] - starts
+    offsets = np.cumsum(widths) - widths  # of each start's sums, were they all concatenated
+    heads = np.flatnonzero(np.diff(offsets // _GRID_BLOCK, prepend=-1))
+    order = np.argsort(inverse, kind="stable")
+    runs = np.split(order, np.searchsorted(inverse[order], heads[1:]))
+    mean = np.empty((table.shape[0], first.size))
+    for head, end, at in zip(heads, [*heads[1:], starts.size], runs):
+        sums = _sample_sums(table, starts[head:end])
+        mean[:, at] = sums[:, offsets[inverse[at]] - offsets[head] + last[at] - first[at]]
+    return mean, _tap_variance(params, mean)
+
+
+def _blocks(n: int):
+    """Slices of _GRID_BLOCK of the n columns; a last slice of one column
+    joins the one before, as numpy sums one column down its rows in another
+    order than several."""
+    starts = list(range(0, n, _GRID_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
 def _step_count(span: float, step: float, rounding: Callable = round) -> int:
@@ -468,11 +511,12 @@ def _count_text(n: int) -> str:
 
 
 def _window_grid(params: SystemParams, dt: float | None):
-    """Candidate windows of the grid searches: (edges or None, i1, i2, mean, var).
+    """Candidate windows of the grid searches: (edges or None, response
+    table, i1, i2), their taps built a block at a time by ``_grid_taps``.
 
-    Refuses (EnumerationTooLarge) a grid whose (L+1, windows) tap table
-    would exceed MAX_GRID_ELEMENTS, before building anything.  The windows
-    are counted as an exact int, so no step or sample count overflows them.
+    Refuses (EnumerationTooLarge) a grid whose (L+1, windows) taps would
+    exceed MAX_GRID_ELEMENTS, before building anything.  The windows are
+    counted as an exact int, so no step or sample count overflows them.
     """
     if params.receiver is Receiver.ABSORBING:
         step = default_grid_step(params) if dt is None else dt
@@ -526,8 +570,11 @@ def numeric_metric_search(
         if metric is metrics.Metric.MSINAR:
             q_eff = _msinar_q(params)
 
-    edges, i1, i2, mean, var = _window_grid(params, dt)
-    values = metrics.metric_values_from_taps(metric, float(q_eff), mean, var)
+    edges, table, i1, i2 = _window_grid(params, dt)
+    values = np.empty(i1.size)
+    for cols in _blocks(i1.size):
+        taps = _grid_taps(params, table, i1, i2, cols)
+        values[cols] = metrics.metric_values_from_taps(metric, float(q_eff), *taps)
     values[np.isnan(values)] = -np.inf
     idx = _argbest(values, i1, i2, maximize=True)
 
@@ -566,15 +613,12 @@ def _msinar_q(params: SystemParams) -> int:
 
 
 def _least_ber(
-    params: SystemParams,
-    lags: tuple[int, ...],
-    i1: np.ndarray,
-    i2: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
+    params: SystemParams, lags: tuple[int, ...], i1: np.ndarray, i2: np.ndarray, columns: Callable
 ) -> tuple[int, dict]:
     """Column of an (lags, W) tap table with the least threshold-optimized
     BER, and the result fields it was scored on (taps, threshold and BER).
+    ``columns(cols)`` gives the (mean, var) of the columns ``cols``, so the
+    table is built a block at a time, and only per-column scalars are kept.
 
     A branch-and-bound seeded by a scan of the column of least coarse
     bound.  Bounds cascade: the cheap coarse bound of every column first,
@@ -589,35 +633,47 @@ def _least_ber(
     1/2 at threshold 0 and the tie-break picks without a scan.
     """
     q = float(params.Q)
-    values = np.full(i1.size, math.inf)
-    thresholds = np.zeros(i1.size, dtype=int)
-    if not np.any(q * mean):
+    coarse = np.empty(i1.size)
+    counted = False
+    for cols in _blocks(i1.size):
+        mean, var = columns(cols)
+        counted = counted or bool(np.any(q * mean))
+        coarse[cols] = _coarse_floors(q, mean, var)
+    if not counted:
         # no molecule is ever counted: every column decides "0", BER 1/2 at threshold 0
-        values[:] = 0.5
+        scanned = [(np.arange(i1.size), np.zeros(i1.size, dtype=int), np.full(i1.size, 0.5))]
     else:
-        coarse = _coarse_floors(q, mean, var)
         seed = int(np.argmin(coarse))
-        thresholds[seed], ber = threshold_from_taps(params, TapProfile(lags, mean[:, seed], var[:, seed]))
-        values[seed] = incumbent = ber.value
-        floors = np.full(i1.size, math.inf)
-        alive = coarse <= incumbent
-        floors[alive] = ber_floors(q, mean[:, alive], var[:, alive])
-        floors[seed] = math.inf
-        order = np.flatnonzero(floors <= incumbent)
-        order = order[np.argsort(floors[order], kind="stable")]
+        mean, var = columns([seed])
+        threshold, ber = threshold_from_taps(params, TapProfile(lags, mean[:, 0], var[:, 0]))
+        incumbent = ber.value
+        scanned = [(np.array([seed]), np.array([threshold]), np.array([incumbent]))]
+        alive = np.flatnonzero(coarse <= incumbent)
+        del coarse
+        floors = np.empty(alive.size)
+        for at in _blocks(alive.size):
+            floors[at] = ber_floors(q, *columns(alive[at]))
+        floors[alive == seed] = math.inf
+        keep = floors <= incumbent
+        order, floors = alive[keep], floors[keep]
+        ranked = np.argsort(floors, kind="stable")
+        order, floors = order[ranked], floors[ranked]
         # a column holds its 2^K sequence statistics and up to a few dozen thresholds
-        step = max(1, _FLOOR_BLOCK >> max(mean.shape[0] - 1, 6))
+        step = max(1, _FLOOR_BLOCK >> max(len(lags) - 1, 6))
         for start in range(0, order.size, step):
-            block = order[start : start + step]
-            block = block[floors[block] <= incumbent]
+            block = order[start : start + step][floors[start : start + step] <= incumbent]
             if block.size == 0:
                 break
-            thresholds[block], values[block] = best_thresholds(q, mean[:, block], var[:, block], incumbent)
-            incumbent = min(incumbent, values[block].min())
-    best = _argbest(values, i1, i2, maximize=False)
-    ber = BerEstimate(float(values[best]), float(thresholds[best]), BerSource.ANALYTICAL)
-    taps = TapProfile(lags, mean[:, best].copy(), var[:, best].copy())
-    return best, dict(objective_value=ber.value, taps=taps, threshold=int(thresholds[best]), ber=ber)
+            thresholds, values = best_thresholds(q, *columns(block), incumbent)
+            scanned.append((block, thresholds, values))
+            incumbent = min(incumbent, values.min())
+    cols, thresholds, values = (np.concatenate(parts) for parts in zip(*scanned))
+    pick = _argbest(values, i1[cols], i2[cols], maximize=False)
+    best = int(cols[pick])
+    ber = BerEstimate(float(values[pick]), float(thresholds[pick]), BerSource.ANALYTICAL)
+    mean, var = columns([best])
+    taps = TapProfile(lags, mean[:, 0], var[:, 0])
+    return best, dict(objective_value=ber.value, taps=taps, threshold=int(thresholds[pick]), ber=ber)
 
 
 def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> OptimizationResult:
@@ -632,8 +688,9 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
         raise EnumerationTooLarge(
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
-    edges, i1, i2, mean, var = _window_grid(params, dt)
-    best, scored = _least_ber(params, tuple(range(params.L + 1)), i1, i2, mean, var)
+    edges, table, i1, i2 = _window_grid(params, dt)
+    columns = partial(_grid_taps, params, table, i1, i2)
+    best, scored = _least_ber(params, tuple(range(params.L + 1)), i1, i2, columns)
     return OptimizationResult(window=_grid_window(edges, i1, i2, best), method=Method.EXHAUSTIVE_BER, **scored)
 
 
@@ -671,8 +728,9 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     i1 = np.arange(taus.size)
     i2 = i1 + offset
     mean = _shifted_means(params, taus)
+    var = _tap_variance(params, mean)
     lags = tuple(range(params.L + 1)) + (-1,)
-    best, scored = _least_ber(params, lags, i1, i2, mean, _tap_variance(params, mean))
+    best, scored = _least_ber(params, lags, i1, i2, lambda cols: (mean[:, cols], var[:, cols]))
     return OptimizationResult(
         window=_grid_window(edges, i1, i2, best), method=Method.SHIFT_TAU, tau=float(taus[best]), **scored
     )

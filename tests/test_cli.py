@@ -160,6 +160,16 @@ class TestMetricsCommand:
         window = SampledWindow(int(probe["n1"]), int(probe["n2"]))
         assert float(probe["msinar"]) == msinar(params, window)
 
+    @pytest.mark.parametrize("block", [9, 8, 135])
+    def test_csv_does_not_depend_on_the_block_size(self, monkeypatch, ab_cfg_file, tmp_path, block):
+        # 136 windows of 10 taps, in blocks of 9, 8 or 135 columns: the CSV
+        # is the one of the whole table, bit for bit
+        argv = ["metrics", "-c", ab_cfg_file, "-s", "L=9", "-s", "search.dt=0.0125", "-o"]
+        assert main([*argv, str(tmp_path / "whole.csv")]) == 0
+        monkeypatch.setattr(optimizer, "_GRID_BLOCK", block)
+        assert main([*argv, str(tmp_path / "blocks.csv")]) == 0
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_msinar_argmax_matches_numeric_search(self, ab_cfg_file, tmp_path):
         # Q = 500 sits below q_hat here, so the emitted column and the
         # regime-clamped search agree on the argmax

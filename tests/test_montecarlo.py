@@ -1,5 +1,6 @@
 import math
 import os
+import types
 from dataclasses import replace
 
 import mpmath
@@ -260,9 +261,11 @@ class _RecordingPool:
     process only when its result is awaited."""
 
     log: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.tasks: list[_RecordedTask] = []
+        self.initializers.append(initializer)
 
     def submit(self, fn, *args):
         task = _RecordedTask(fn, args)
@@ -328,6 +331,50 @@ class TestPipelinedSweep:
         assert submits and all(task.cancelled for task in submits)
         assert ("shutdown", True) in log
         assert not any(kind == "result" for kind, _ in log)
+
+
+class TestHeapPolicy:
+    """A process sets glibc's mmap and trim thresholds once before it draws
+    full chunks or forks the workers, and every worker sets them as it starts."""
+
+    @pytest.fixture
+    def mallopt(self, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
+        monkeypatch.setattr(montecarlo, "_heap_policy_set", False)
+        monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda name: libc)
+        return calls
+
+    POLICY = [(-1, 64 << 20), (-3, 4 << 20)]
+
+    def test_pool_workers_get_the_policy(self, monkeypatch, mallopt, table1_absorbing):
+        monkeypatch.setattr(_RecordingPool, "log", [])
+        monkeypatch.setattr(_RecordingPool, "initializers", [])
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        _allow_cpus(monkeypatch, 2)
+        cfg = TrialConfig(trials=2 * montecarlo.CHUNK_TRIALS, seed=5)
+        simulate_ber(table1_absorbing, full_window(table1_absorbing), 100.0, cfg, workers=2)
+        assert _RecordingPool.initializers == [montecarlo._set_heap_policy]
+        assert mallopt == self.POLICY
+
+    def test_inline_path_sets_it_once(self, mallopt, table1_absorbing):
+        window = full_window(table1_absorbing)
+        simulate_ber(table1_absorbing, window, 100.0, TrialConfig(trials=1000, seed=6))
+        assert mallopt == []  # no full chunk drawn
+        for seed in (7, 8):
+            simulate_ber(table1_absorbing, window, 100.0, TrialConfig(trials=montecarlo.CHUNK_TRIALS, seed=seed))
+        assert mallopt == self.POLICY
+
+    @pytest.mark.parametrize("libc", [OSError("no C library"), types.SimpleNamespace()])
+    def test_without_mallopt_it_does_nothing(self, monkeypatch, libc):
+        def load(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(montecarlo, "_heap_policy_set", False)
+        monkeypatch.setattr(montecarlo.ctypes, "CDLL", load)
+        assert montecarlo._set_heap_policy() is None
 
 
 def _sampler(params, tap, threshold, trials=1_000_000):

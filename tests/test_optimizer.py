@@ -784,11 +784,23 @@ class TestGridTaps:
 
     @pytest.mark.parametrize("params, dt", GRID_CASES)
     def test_grid_columns_equal_window_taps(self, params, dt):
-        edges, i1, i2, mean, var = optimizer._window_grid(params, dt)
+        edges, table, i1, i2 = optimizer._window_grid(params, dt)
+        mean, var = optimizer._grid_taps(params, table, i1, i2, slice(None))
         for w in range(i1.size):
             taps = window_taps(params, optimizer._grid_window(edges, i1, i2, w))
             assert taps.mean.tobytes() == mean[:, w].tobytes()
             assert taps.var.tobytes() == var[:, w].tobytes()
+
+    def test_blocks_cover_the_columns_without_a_lone_last_one(self, monkeypatch):
+        # numpy sums a one-column table down its rows in another order than
+        # several (pairwise from 8 rows), so only a one-window grid has one
+        monkeypatch.setattr(optimizer, "_GRID_BLOCK", 8)
+        for n in range(1, 40):
+            blocks = optimizer._blocks(n)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+            assert n == 1 or min(b.stop - b.start for b in blocks) > 1
+            assert max(b.stop - b.start for b in blocks) <= 9
 
     @pytest.mark.parametrize(
         "params", [pytest.param(params, id=name) for name, params, dt in _grid_cases() if dt is None]
@@ -797,7 +809,8 @@ class TestGridTaps:
         # a running sum of n non-negative terms is within (n - 1) u of the
         # exact sum; u = 2^-53
         rates = _response_table(params, np.arange(params.N + 1, dtype=float), range(params.L + 1))
-        _, i1, i2, mean, _ = optimizer._window_grid(params, None)
+        _, table, i1, i2 = optimizer._window_grid(params, None)
+        mean = optimizer._grid_taps(params, table, i1, i2, slice(None))[0]
         for w in range(i1.size):
             n = i2[w] - i1[w] + 1
             for lag in range(params.L + 1):
@@ -992,6 +1005,21 @@ class TestNoMolecules:
 
 
 class TestSearchMemory:
+    @pytest.mark.parametrize("search, L, divisions", [(numeric_metric_search, 8, 1000), (exhaustive_ber_search, 4, 600)])
+    def test_grid_search_peaks_below_one_tap_table(self, search, L, divisions):
+        # the taps are built a block of windows at a time; what is kept is a
+        # few scalars per window, less than one (L+1) x windows float table
+        params = absorbing_params(L=L, Q=2000)
+        args = (Metric.MSINAR,) if search is numeric_metric_search else ()
+        windows = divisions * (divisions + 1) // 2
+        tracemalloc.start()
+        try:
+            search(params, *args, dt=params.T_s / divisions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (L + 1) * windows * 8
+
     @pytest.mark.parametrize("L, Q", [(12, 100), (1, 100_000)])
     def test_traced_peak_is_bounded(self, L, Q):
         # the scans go in blocks sized by the sequence statistics and by

@@ -22,7 +22,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin import reception
-from mcdwin.optimizer import _continuous_grid, _sampled_grid
+from mcdwin.optimizer import _grid_taps, _window_grid
 from mcdwin.reception import (
     BerSource,
     _ber_at,
@@ -36,6 +36,12 @@ from mcdwin.reception import (
     best_thresholds,
 )
 from conftest import absorbing_params, passive_params
+
+
+def _all_grid_taps(params, dt=None):
+    """(mean, var) tap tables of every window of a search grid."""
+    _, table, i1, i2 = _window_grid(params, dt)
+    return _grid_taps(params, table, i1, i2, slice(None))
 
 
 def _stats(params, taps: TapProfile):
@@ -304,10 +310,10 @@ class TestBerFloor:
     def test_batched_floor_is_bit_identical(self, receiver, L):
         if receiver == "absorbing":
             params = absorbing_params(L=L, Q=2000)
-            mean, var = _continuous_grid(params, 0.2 / 40)[3:]
+            mean, var = _all_grid_taps(params, 0.2 / 40)
         else:
             params = passive_params(L=L, Q=2000)
-            mean, var = _sampled_grid(params)[2:]
+            mean, var = _all_grid_taps(params)
         floors = ber_floors(float(params.Q), mean, var)
         lags = tuple(range(L + 1))
         for w in range(mean.shape[1]):
@@ -325,7 +331,7 @@ class TestBerFloor:
         # through to a threshold scan
         params = absorbing_params(L=8, Q=100)
         dt = 0.2 / 80
-        mean, var = _continuous_grid(params, dt)[3:]
+        mean, var = _all_grid_taps(params, dt)
         floors = ber_floors(float(params.Q), mean, var)
         best = exhaustive_ber_search(params, dt).objective_value
         assert np.count_nonzero(floors <= best) <= 400
@@ -551,7 +557,7 @@ class TestCascadedBounds:
 
     def test_coarse_bound_is_below_every_floor(self):
         params = passive_params(T_s=2.0, L=10, Q=1000)
-        mean, var = _sampled_grid(params)[2:]
+        mean, var = _all_grid_taps(params)
         floors = ber_floors(float(params.Q), mean, var)
         coarse = _coarse_floors(float(params.Q), mean, var)
         assert np.all(coarse <= floors * (1.0 + 1e-12))
@@ -646,7 +652,7 @@ class TestBoundedScan:
         params = absorbing_params(L=L, Q=Q)
         dt = 0.2 / 40
         best = exhaustive_ber_search(params, dt).objective_value
-        mean, var = _continuous_grid(params, dt)[3:]
+        mean, var = _all_grid_taps(params, dt)
         tail_sums = reception._tail_sums
         checked = 0
         for w in range(0, mean.shape[1], 5):
