@@ -43,8 +43,9 @@ symbol's leakage as interference.  Both BER searches are one branch-and-bound
 threshold and BER they scored the winner on, which ``select_window`` adds
 to every other scheme's window, so no caller rescans a selected window.
 The grid's taps are built a block of windows at a time (``_grid_taps``), so
-a grid search holds a few scalars per window and one block, never the whole
-(L+1, windows) table.
+a grid search holds its int32 window indices (8 bytes a window), a bound a
+window in the BER searches, and one block, never the whole (L+1, windows)
+table.
 """
 from __future__ import annotations
 
@@ -107,10 +108,13 @@ MAX_BER_SEARCH_L = 12
 # The default grid, T_s/400, has 80,200 windows: 2.0M elements at L = 24.
 MAX_GRID_ELEMENTS = 1 << 25
 
-# Windows per block of a grid search: a multiple of the column blocks of
-# ``_coarse_floors`` and ``ber_floors``, which therefore see the same blocks,
-# and give the same bits, as over the whole grid at once.
-_GRID_BLOCK = _FLOOR_BLOCK
+# Windows per block of every grid search.  A column's bounds and metric do
+# not depend on which other columns (at least 2) share its block, and this
+# is a multiple of each inner column block of ``_coarse_floors`` and
+# ``ber_floors`` from K = 2 up, where a lone column could differ; at K <= 1
+# their inner blocks (4,096 and 8,192 columns) are larger.  So every block
+# gives the same bits as the whole grid at once.
+_GRID_BLOCK = _FLOOR_BLOCK >> 2
 
 
 class Regime(enum.Enum):
@@ -445,21 +449,32 @@ def closed_form_interval(params: SystemParams) -> OptimizationResult:
 # ---------------------------------------------------------------------------
 
 
+def _pair_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)`` as int32, 8 bytes a pair, built without its
+    int64 arrays: the pairs i + k <= j < n, by i, then j.  Each j comes from a
+    running sum of ones that jumps back at every i's first pair."""
+    counts = np.arange(n - k, 0, -1)  # pairs of each i
+    i1 = np.repeat(np.arange(n - k, dtype=np.int32), counts)
+    i2 = np.ones(i1.size, dtype=np.int32)
+    i2[np.cumsum(counts) - counts] = np.arange(n - k) + (k - (n - 1))  # from n - 1 back to i + k
+    i2[0] = k
+    return i1, np.cumsum(i2, dtype=np.int32, out=i2)
+
+
 def _continuous_grid(params: SystemParams, dt: float):
     """(edges, survival table, i1, i2): the windows [edges[i1], edges[i2]], i1 < i2."""
     steps = int(round(params.T_s / dt))
     if steps < 1:
         raise DegenerateWindow(f"grid step {dt} leaves no window inside T_s={params.T_s}")
     edges = np.linspace(0.0, params.T_s, steps + 1)
-    i1, i2 = np.triu_indices(steps + 1, k=1)
-    return edges, _response_table(params, edges, range(params.L + 1)), i1, i2
+    return (edges, _response_table(params, edges, range(params.L + 1)), *_pair_indices(steps + 1, 1))
 
 
 def _sampled_grid(params: SystemParams):
     """(rate table, n1, n2): the sample windows [n1, n2], n1 <= n2."""
     assert params.N is not None and params.t_s is not None
     rates = _response_table(params, np.arange(0, params.N + 1, dtype=float), range(params.L + 1))
-    return (rates, *np.triu_indices(params.N + 1, k=0))
+    return (rates, *_pair_indices(params.N + 1, 0))
 
 
 def _grid_taps(params: SystemParams, table: np.ndarray, i1: np.ndarray, i2: np.ndarray, cols):
@@ -543,11 +558,11 @@ def _grid_window(edges: np.ndarray | None, i1: np.ndarray, i2: np.ndarray, w: in
 
 
 def _argbest(values: np.ndarray, i1: np.ndarray, i2: np.ndarray, maximize: bool) -> int:
-    """Index of the best window; ties go to the smaller start, then larger end."""
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    """Index of the best finite value; ties go to the smaller start, then larger end."""
+    finite = np.isfinite(values)
+    if not finite.any():
         raise DegenerateWindow("no window produced a finite objective")
-    best = finite.max() if maximize else finite.min()
+    best = values.max(where=finite, initial=-np.inf) if maximize else values.min(where=finite, initial=np.inf)
     ties = np.flatnonzero(values == best)
     order = np.lexsort((-i2[ties], i1[ties]))
     return int(ties[order[0]])
@@ -571,27 +586,33 @@ def numeric_metric_search(
             q_eff = _msinar_q(params)
 
     edges, table, i1, i2 = _window_grid(params, dt)
-    values = np.empty(i1.size)
+    # each block's best window, then ``_argbest`` of those: the same rule
+    # over the whole grid, without a value per window
+    picks, best = [], []
     for cols in _blocks(i1.size):
-        taps = _grid_taps(params, table, i1, i2, cols)
-        values[cols] = metrics.metric_values_from_taps(metric, float(q_eff), *taps)
-    values[np.isnan(values)] = -np.inf
-    idx = _argbest(values, i1, i2, maximize=True)
+        values = metrics.metric_values_from_taps(metric, float(q_eff), *_grid_taps(params, table, i1, i2, cols))
+        if np.isfinite(values).any():
+            pick = _argbest(values, i1[cols], i2[cols], maximize=True)
+            picks.append(cols.start + pick)
+            best.append(values[pick])
+    picks, best = np.array(picks, dtype=int), np.array(best)
+    pick = _argbest(best, i1[picks], i2[picks], maximize=True)
+    idx, value = int(picks[pick]), float(best[pick])
 
     # difference metrics can be nonpositive everywhere (ISI swamps the
     # signal at every candidate window); fall back to a one-step window at
     # the response peak so downstream BER evaluation stays well-defined
-    if metric in (metrics.Metric.SID, metrics.Metric.MSID) and values[idx] <= 0.0:
+    if metric in (metrics.Metric.SID, metrics.Metric.MSID) and value <= 0.0:
         return OptimizationResult(
             window=_peak_fallback_window(params, edges),
             method=Method.NUMERIC_METRIC,
-            objective_value=float(values[idx]),
+            objective_value=value,
             degenerate=True,
         )
     return OptimizationResult(
         window=_grid_window(edges, i1, i2, idx),
         method=Method.NUMERIC_METRIC,
-        objective_value=float(values[idx]),
+        objective_value=value,
     )
 
 

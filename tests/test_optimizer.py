@@ -803,6 +803,73 @@ class TestGridTaps:
             assert max(b.stop - b.start for b in blocks) <= 9
 
     @pytest.mark.parametrize(
+        "params, dt, k",
+        [
+            pytest.param(absorbing_params(), None, 1, id="absorbing-default"),
+            pytest.param(absorbing_params(), 0.2, 1, id="absorbing-one-window"),
+            pytest.param(passive_params(T_s=2.0, L=3), None, 0, id="passive"),
+        ],
+    )
+    def test_window_indices_are_int32_triu_indices(self, params, dt, k):
+        _, table, i1, i2 = optimizer._window_grid(params, dt)
+        expected = np.triu_indices(table.shape[1], k=k)
+        assert i1.dtype == i2.dtype == np.int32
+        assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_pair_indices_match_triu_indices_on_small_grids(self, k):
+        # n = 1, k = 0 is the one-sample grid; n = 2, k = 1 the one-window one
+        for n in range(1 + k, 40):
+            i1, i2 = optimizer._pair_indices(n, k)
+            expected = np.triu_indices(n, k=k)
+            assert i1.dtype == i2.dtype == np.int32
+            assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
+
+    def test_grid_cap_keeps_indices_in_int32(self):
+        # a grid under the cap has fewer windows, so fewer edges or samples
+        assert optimizer.MAX_GRID_ELEMENTS < 2**31
+
+    @pytest.mark.parametrize("K, width", [(0, 8193), (1, 8193), (2, 4097), (12, 2051)])
+    def test_bounds_do_not_depend_on_the_blocks(self, K, width):
+        # at K <= 1 the whole table's inner blocks (4,096 and 8,192 columns)
+        # end in a lone column, which sums its K + 1 rows in the same order
+        rng = np.random.default_rng(K)
+        mean = rng.uniform(0.0, 0.02, (K + 1, width)) * rng.uniform(0.0, 1.0, (K + 1, 1))
+        mean[0] += 0.05
+        var = mean * (1.0 - mean)
+        blocks = optimizer._blocks(width)
+        assert len(blocks) > 1
+        for bound in (reception._coarse_floors, reception.ber_floors):
+            for q in (40.0, 2000.0):
+                whole = bound(q, mean, var)
+                parts = np.concatenate([bound(q, mean[:, cols], var[:, cols]) for cols in blocks])
+                assert whole.tobytes() == parts.tobytes()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_block_winners_pick_the_whole_grid_winner(self, monkeypatch, seed):
+        # values on 2 to 4 levels tie across blocks of 8, some with the same
+        # start; NaN, +-inf and whole blocks of them are never picked
+        monkeypatch.setattr(optimizer, "_GRID_BLOCK", 8)
+        params = absorbing_params()
+        edges, _, i1, i2 = optimizer._window_grid(params, 0.2 / 10)
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2 + seed % 3, i1.size).astype(float)
+        values[rng.random(i1.size) < 0.2] = rng.choice([np.nan, np.inf, -np.inf])
+        values[8 * rng.integers(0, i1.size // 8) :][:8] = np.nan
+        monkeypatch.setattr(optimizer, "_grid_taps", lambda params, table, i1, i2, cols: (np.arange(i1.size)[cols],))
+        monkeypatch.setattr(metrics, "metric_values_from_taps", lambda metric, q, at: values[at])
+        res = numeric_metric_search(params, Metric.SINAR, dt=0.2 / 10)
+        best = _argbest(values, i1, i2, maximize=True)
+        assert res.window == optimizer._grid_window(edges, i1, i2, best)
+        assert res.objective_value == values[best]
+
+    def test_no_finite_block_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_GRID_BLOCK", 8)
+        monkeypatch.setattr(metrics, "metric_values_from_taps", lambda metric, q, mean, var: np.full(mean.shape[1], np.nan))
+        with pytest.raises(DegenerateWindow):
+            numeric_metric_search(absorbing_params(), Metric.SINAR, dt=0.2 / 10)
+
+    @pytest.mark.parametrize(
         "params", [pytest.param(params, id=name) for name, params, dt in _grid_cases() if dt is None]
     )
     def test_passive_taps_within_sequential_bound(self, params):
@@ -1019,6 +1086,20 @@ class TestSearchMemory:
         finally:
             tracemalloc.stop()
         assert peak < (L + 1) * windows * 8
+
+    @pytest.mark.parametrize("divisions", [400, 1000])
+    def test_numeric_search_holds_about_eight_bytes_a_window(self, divisions):
+        # the window indices are int32 and each block keeps only its best
+        # window: no value or int64 index per window
+        params = absorbing_params(L=8, Q=2000)
+        windows = divisions * (divisions + 1) // 2
+        tracemalloc.start()
+        try:
+            numeric_metric_search(params, Metric.MSINAR, dt=params.T_s / divisions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * 2**20 if divisions == 400 else 10 * windows + 2**20)
 
     @pytest.mark.parametrize("L, Q", [(12, 100), (1, 100_000)])
     def test_traced_peak_is_bounded(self, L, Q):
