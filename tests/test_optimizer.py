@@ -815,6 +815,8 @@ class TestGridTaps:
         expected = np.triu_indices(table.shape[1], k=k)
         assert i1.dtype == i2.dtype == np.int32
         assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
+        # a grid under the cap has fewer windows, so fewer edges or samples
+        assert optimizer.MAX_GRID_ELEMENTS < 2**31
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_pair_indices_match_triu_indices_on_small_grids(self, k):
@@ -824,10 +826,6 @@ class TestGridTaps:
             expected = np.triu_indices(n, k=k)
             assert i1.dtype == i2.dtype == np.int32
             assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
-
-    def test_grid_cap_keeps_indices_in_int32(self):
-        # a grid under the cap has fewer windows, so fewer edges or samples
-        assert optimizer.MAX_GRID_ELEMENTS < 2**31
 
     @pytest.mark.parametrize("K, width", [(0, 8193), (1, 8193), (2, 4097), (12, 2051)])
     def test_bounds_do_not_depend_on_the_blocks(self, K, width):
@@ -856,6 +854,7 @@ class TestGridTaps:
         values = rng.integers(0, 2 + seed % 3, i1.size).astype(float)
         values[rng.random(i1.size) < 0.2] = rng.choice([np.nan, np.inf, -np.inf])
         values[8 * rng.integers(0, i1.size // 8) :][:8] = np.nan
+        # each block's "taps" are its window numbers, and its metric their values
         monkeypatch.setattr(optimizer, "_grid_taps", lambda params, table, i1, i2, cols: (np.arange(i1.size)[cols],))
         monkeypatch.setattr(metrics, "metric_values_from_taps", lambda metric, q, at: values[at])
         res = numeric_metric_search(params, Metric.SINAR, dt=0.2 / 10)
