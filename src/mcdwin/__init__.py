@@ -13,13 +13,10 @@ from .channel import (
     SampledWindow,
     SystemParams,
     TapProfile,
-    absorbed_fraction,
     derived,
     full_window,
     hitting_density,
-    isi_fraction,
     passive_probability,
-    sample_probability,
     shift_taps,
     window_taps,
 )
@@ -37,10 +34,8 @@ from .errors import (
 )
 from .metrics import (
     Metric,
-    MetricReport,
     alphas,
     g_factor,
-    metric_report,
     msid,
     msinar,
     q_hat,

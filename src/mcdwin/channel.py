@@ -27,10 +27,7 @@ __all__ = [
     "TapProfile",
     "derived",
     "hitting_density",
-    "absorbed_fraction",
-    "isi_fraction",
     "passive_probability",
-    "sample_probability",
     "window_taps",
     "shift_taps",
     "full_window",
@@ -108,29 +105,25 @@ class DerivedConstants:
     """Length/time scales derived from :class:`SystemParams`.
 
     ``t_max`` is the true peak time of this receiver's response
-    (d^2/6D absorbing, (d+r)^2/6D passive).  ``t_max_stated`` is the
-    (d+r)^2/6D value quoted for both receivers in the source material;
-    it differs from the absorbing argmax and is kept only for audits.
+    (d^2/6D absorbing, (d+r)^2/6D passive).
     """
 
     m: float
     m_hat: float
     t_max: float
-    t_max_stated: float
     V: float | None
 
 
 def derived(params: SystemParams) -> DerivedConstants:
     m = params.d / math.sqrt(4.0 * params.D)
     m_hat = (params.d + params.r) / math.sqrt(4.0 * params.D)
-    stated = (params.d + params.r) ** 2 / (6.0 * params.D)
     if params.receiver is Receiver.ABSORBING:
         t_max = params.d**2 / (6.0 * params.D)
         volume = None
     else:
-        t_max = stated
+        t_max = (params.d + params.r) ** 2 / (6.0 * params.D)
         volume = 4.0 / 3.0 * math.pi * params.r**3
-    return DerivedConstants(m=m, m_hat=m_hat, t_max=t_max, t_max_stated=stated, V=volume)
+    return DerivedConstants(m=m, m_hat=m_hat, t_max=t_max, V=volume)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +215,8 @@ def _survival(params: SystemParams, t) -> np.ndarray:
     """r/(d+r) * erf(d / sqrt(4Dt)), the mass not yet absorbed by time t.
 
     Continuously extended with erf(inf) = 1 at t = 0 and erf(0) = 0 at
-    t = inf, so absorbed_fraction(a, b) = _survival(a) - _survival(b).
+    t = inf, so the fraction absorbed during [a, b] is _survival(a) -
+    _survival(b).
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
@@ -238,31 +232,6 @@ def _survival(params: SystemParams, t) -> np.ndarray:
             out=arg,
         )
     return params.r / (params.d + params.r) * erf(arg)
-
-
-def absorbed_fraction(params: SystemParams, t1: float, t2: float) -> float:
-    """Expected fraction of released molecules absorbed during [t1, t2].
-
-    t1 = 0 and t2 = inf are valid limits; the result is monotone in the
-    interval and bounded by the total hitting probability r/(d+r).
-    """
-    if t1 < 0 or t1 > t2:
-        raise ValueError(f"need 0 <= t1 <= t2, got ({t1}, {t2})")
-    return float(_survival(params, t1) - _survival(params, t2))
-
-
-def isi_fraction(params: SystemParams, window: DetectionWindow, k: int) -> float:
-    """Fraction of the k-symbols-old release captured in this symbol's window.
-
-    Continuous windows only; the passive analogue is a sample sum, see
-    :func:`window_taps`.
-    """
-    if k < 0:
-        raise ValueError("tap index k must be >= 0")
-    if not isinstance(window, ContinuousWindow):
-        raise ValueError("isi_fraction is defined for continuous windows")
-    shift = k * params.T_s
-    return absorbed_fraction(params, window.t1 + shift, window.t2 + shift)
 
 
 def passive_probability(params: SystemParams, t):
@@ -297,20 +266,6 @@ def passive_probability(params: SystemParams, t):
             0.0,
         )
     return out if isinstance(t, np.ndarray) else float(out)
-
-
-def sample_probability(params: SystemParams, n: float, i: int) -> float:
-    """p_{n,i}: observation probability at sample n of the i-symbols-old release.
-
-    Evaluates p(n*t_s + i*T_s).  (n=0, i=0) maps to p(0) = 0 by convention.
-    Fractional n is allowed; closed-form anchors use it.
-    """
-    if params.receiver is not Receiver.PASSIVE:
-        raise ValueError("sample_probability needs passive params")
-    if n < 0 or i < 0:
-        raise ValueError("sample and tap indices must be >= 0")
-    assert params.t_s is not None
-    return passive_probability(params, n * params.t_s + i * params.T_s)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal, InvalidOperation
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -121,7 +122,6 @@ class ExperimentConfig:
     search_dt: float | None
     workers: int | None
     output_path: str | None
-    output_format: str
 
 
 def _parse_kv_text(text: str, source: str) -> dict[str, str]:
@@ -159,11 +159,17 @@ def _positive(key: str, text: str) -> float:
 
 
 def _integer(lo: int, hi: float = math.inf) -> Callable[[str, str], int]:
-    """Reader of a whole number in [lo, hi]."""
+    """Reader of a whole number in [lo, hi], taken exactly as written (a
+    double would round 2^53 + 1); it must still be a finite double."""
 
     def read(key: str, text: str) -> int:
-        value = _real(key, text)
-        if value != int(value):
+        _real(key, text)
+        try:
+            value = Decimal(text)
+            whole = value == value.to_integral_value()
+        except InvalidOperation:  # an exponent past Decimal's range
+            whole = False
+        if not whole:
             raise ConfigError(f"key {key}: expected an integer, got {text!r}")
         if not lo <= value <= hi:
             bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
@@ -204,7 +210,6 @@ class _Key(NamedTuple):
 
 
 _REQUIRED = object()
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _SCHEME = _choice({scheme.value: scheme for scheme in Scheme})
 # a passive grid has (N+1)(N+2)/2 windows; the most samples whose grid fits the cap
 _MAX_N = (math.isqrt(8 * opt.MAX_GRID_ELEMENTS + 1) - 3) // 2
@@ -229,11 +234,9 @@ _KEYS: dict[str, _Key] = {
     "method": _Key(_SCHEME, Scheme.CLOSED_FORM, "method"),
     "trial.trials": _Key(_integer(1), 100_000, "trial.trials"),
     "trial.seed": _Key(_integer(0), 0, "trial.seed"),
-    "trial.exact_counts": _Key(_choice(_BOOLS), True, "trial.exact_counts"),
     "search.dt": _Key(_real, None, "search_dt"),
     "workers": _Key(_integer(1), None, "workers"),
     "output.path": _Key(lambda key, text: text, None, "output_path"),
-    "output.format": _Key(_choice({"csv": "csv"}), "csv", "output_format"),
 }
 
 
@@ -325,16 +328,11 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
         system=system,
         q_values=v["sweep.q_values"],
         schemes=v["sweep.methods"],
-        trial=TrialConfig(
-            trials=v["trial.trials"],
-            seed=v["trial.seed"],
-            exact_counts=v["trial.exact_counts"],
-        ),
+        trial=TrialConfig(trials=v["trial.trials"], seed=v["trial.seed"]),
         method=v["method"],
         search_dt=search_dt,
         workers=v["workers"],
         output_path=v["output.path"],
-        output_format=v["output.format"],
     )
 
 
@@ -548,8 +546,8 @@ def _reproduce_params(kind: str, T_s: float, L: int) -> SystemParams:
 
 
 def _geometric_q(lo: float, hi: float, points: int) -> list[int]:
-    qs = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
-    return [int(q) for q in qs]
+    # Python ints: a numpy int64 cast wraps at 2^63
+    return sorted({int(q) for q in np.rint(np.geomspace(lo, hi, points))})
 
 
 # the two searches a convergence row runs; only their windows are printed

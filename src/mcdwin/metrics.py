@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import GFactorPole, InfiniteSinar, InfiniteSir, NoFiniteQhat
 
 __all__ = [
     "Metric",
-    "MetricReport",
     "sir",
     "sid",
     "sinar",
@@ -38,7 +37,6 @@ __all__ = [
     "q_hat",
     "alphas",
     "g_factor",
-    "metric_report",
     "metric_values_from_taps",
 ]
 
@@ -51,21 +49,8 @@ class Metric(enum.Enum):
     MSID = "msid"
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    sir: float
-    sid: float
-    sinar: float
-    msinar: float
-    msid: float
-    q_hat: int | None
-    g_factor: float
-    alpha1: float
-    alpha2: float
-
-
-def _require_isi(params: SystemParams) -> None:
-    if params.L < 1:
+def _require_isi(L: int) -> None:
+    if L < 1:
         raise ValueError("metrics need at least one ISI tap (L >= 1)")
 
 
@@ -97,7 +82,7 @@ _FORMULAS = {
 
 
 def _metric(metric: Metric, params: SystemParams, window: DetectionWindow) -> float:
-    _require_isi(params)
+    _require_isi(params.L)
     _require_q(metric, params.Q)
     num, den = _FORMULAS[metric](float(params.Q), *_components(params, window))
     if den == 0.0:
@@ -134,7 +119,7 @@ def msid(params: SystemParams, window: DetectionWindow) -> float:
 
 def q_hat(params: SystemParams, window: DetectionWindow) -> int:
     """Molecule count at which mSINAR at ``window`` reaches 1 (ceiling-valued)."""
-    _require_isi(params)
+    _require_isi(params.L)
     f0, interference, noise_amp = _components(params, window)
     margin = f0 - interference
     if margin <= 0.0:
@@ -171,38 +156,6 @@ def g_factor(params: SystemParams, q: float) -> float:
     return (root + math.sqrt(2.0) * a2) / (root - math.sqrt(2.0) * a1)
 
 
-def metric_report(params: SystemParams, window: DetectionWindow) -> MetricReport:
-    """All metrics plus regime quantities at one window.
-
-    ``q_hat`` is None when mSINAR cannot reach 1; ``g_factor`` is NaN at or
-    below its pole.
-    """
-    a1, a2 = alphas(params)
-    try:
-        qh: int | None = q_hat(params, window)
-    except NoFiniteQhat:
-        qh = None
-    try:
-        g = g_factor(params, float(params.Q))
-    except GFactorPole:
-        g = math.nan
-    try:
-        sir_value = sir(params, window)
-    except InfiniteSir:
-        sir_value = math.inf
-    return MetricReport(
-        sir=sir_value,
-        sid=sid(params, window),
-        sinar=sinar(params, window),
-        msinar=msinar(params, window),
-        msid=msid(params, window),
-        q_hat=qh,
-        g_factor=g,
-        alpha1=a1,
-        alpha2=a2,
-    )
-
-
 def metric_values_from_taps(
     metric: Metric, q: float, mean: np.ndarray, var: np.ndarray
 ) -> np.ndarray:
@@ -210,10 +163,12 @@ def metric_values_from_taps(
 
     ``mean`` and ``var`` are (L+1, n_windows) per-tap fraction arrays
     (tap 0 = signal).  Windows where the metric is undefined (0/0) come back
-    as NaN; unbounded ratios as +inf.  The noise-aware metrics need q >= 1.
+    as NaN; unbounded ratios as +inf.  Every metric needs an ISI tap (L >= 1),
+    and the noise-aware ones need q >= 1.
     """
     if metric not in _FORMULAS:
         raise ValueError(f"unknown metric {metric!r}")
+    _require_isi(mean.shape[0] - 1)
     _require_q(metric, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         num, den = _FORMULAS[metric](q, *_tap_sums(mean, var))

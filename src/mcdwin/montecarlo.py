@@ -31,7 +31,6 @@ Reproducibility: trials are split into fixed-size chunks, each with its own
 RNG stream spawned from the master seed; a pool task draws a few consecutive
 chunks, and a sweep's rows overlap on one pool.  Results are summed over
 chunks, so identical seeds give identical error counts for any worker count.
-Gaussian-approximate draws are available behind ``exact_counts=False``.
 """
 from __future__ import annotations
 
@@ -88,7 +87,6 @@ class TrialConfig:
 
     trials: int
     seed: int
-    exact_counts: bool = True
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -247,46 +245,35 @@ def _tap_sampler(
 
 def _chunk_errors(
     params: SystemParams,
-    taps: TapProfile,
     threshold: float,
     n_trials: int,
-    samplers: list | None,
+    samplers: list,
     seed_seq: np.random.SeedSequence,
 ) -> int:
     rng = np.random.default_rng(seed_seq)
     # L warmup bits fill the ISI pipeline before the first scored symbol
     warmup = params.L
-    has_future = -1 in taps.lags
+    has_future = any(lag == -1 for lag, _ in samplers)
     n_bits = warmup + n_trials + (1 if has_future else 0)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
 
-    if samplers is not None:
-        ones = bits == 1
-        counts = np.zeros(n_trials, dtype=np.int64)
-        undecided = np.empty(n_trials, dtype=bool)
-        for lag, sampler in samplers:
-            # a trial is undecided while its count is at most the threshold (>= 0)
-            np.less_equal(counts, threshold, out=undecided)
-            undecided &= ones[warmup - lag : warmup - lag + n_trials]
-            drawn = np.flatnonzero(undecided)
-            counts[drawn] += sampler.draw(rng, drawn.size)
-        decisions = counts > threshold
-    else:
-        q = int(params.Q)
-        mu = np.zeros(n_trials)
-        var = np.zeros(n_trials)
-        for j, lag in enumerate(taps.lags):
-            active = bits[warmup - lag : warmup - lag + n_trials]
-            mu += active * (q * float(taps.mean[j]))
-            var += active * (q * float(taps.var[j]))
-        decisions = rng.normal(mu, np.sqrt(var)) > threshold
+    ones = bits == 1
+    counts = np.zeros(n_trials, dtype=np.int64)
+    undecided = np.empty(n_trials, dtype=bool)
+    for lag, sampler in samplers:
+        # a trial is undecided while its count is at most the threshold (>= 0)
+        np.less_equal(counts, threshold, out=undecided)
+        undecided &= ones[warmup - lag : warmup - lag + n_trials]
+        drawn = np.flatnonzero(undecided)
+        counts[drawn] += sampler.draw(rng, drawn.size)
+    decisions = counts > threshold
     sent = bits[warmup : warmup + n_trials].astype(bool)
     return int(np.count_nonzero(decisions != sent))
 
 
-def _task_errors(params, taps, threshold, samplers, chunks) -> int:
+def _task_errors(params, threshold, samplers, chunks) -> int:
     """Errors over consecutive chunks, each (trials, seed sequence): one pool task."""
-    return sum(_chunk_errors(params, taps, threshold, n, samplers, seed_seq) for n, seed_seq in chunks)
+    return sum(_chunk_errors(params, threshold, n, samplers, seed_seq) for n, seed_seq in chunks)
 
 
 class _Inline:
@@ -326,20 +313,18 @@ def _start_draws(
     returns the wait step, which sums the error counts into the estimate."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if cfg.exact_counts and params.receiver is Receiver.ABSORBING and params.Q > _MAX_DRAW_Q:
+    if params.receiver is Receiver.ABSORBING and params.Q > _MAX_DRAW_Q:
         raise ValueError(f"exact absorbing draws need Q <= 2^63 - 1 (a 64-bit count), got Q = {params.Q:.6g}")
     n_chunks = _chunk_count(cfg.trials)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     chunks = [(min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS), stream) for i, stream in enumerate(streams)]
-    samplers = None
-    if cfg.exact_counts:
-        samplers = [
-            (taps.lags[j], _tap_sampler(params, float(taps.mean[j]), float(taps.var[j]), threshold, cfg.trials))
-            for j in np.argsort(-taps.mean, kind="stable")
-        ]
+    samplers = [
+        (taps.lags[j], _tap_sampler(params, float(taps.mean[j]), float(taps.var[j]), threshold, cfg.trials))
+        for j in np.argsort(-taps.mean, kind="stable")
+    ]
     per_task = min(_TASK_CHUNKS, -(-n_chunks // size))
     tasks = (chunks[i : i + per_task] for i in range(0, n_chunks, per_task))
-    futures = [pool.submit(_task_errors, params, taps, threshold, samplers, task) for task in tasks]
+    futures = [pool.submit(_task_errors, params, threshold, samplers, task) for task in tasks]
 
     def wait() -> BerEstimate:
         errors, n = sum(future.result() for future in futures), cfg.trials

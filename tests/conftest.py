@@ -1,6 +1,6 @@
 import pytest
 
-from mcdwin import Receiver, SystemParams
+from mcdwin import Receiver, SystemParams, passive_probability
 
 # Table-1 geometries
 ABSORBING_GEOM = dict(d=5e-6, r=5e-6, D=80e-12)
@@ -24,6 +24,12 @@ def passive_params(T_s: float = 1.0, L: int = 2, Q: int = 2000) -> SystemParams:
         N=int(T_s / PASSIVE_T_SAMPLE),
         t_s=PASSIVE_T_SAMPLE,
     )
+
+
+def sample_probability(params: SystemParams, n: float, i: int) -> float:
+    """p_{n,i} = p(n t_s + i T_s), sample n of the release i symbols old: the
+    per-sample reference the passive taps are checked against."""
+    return passive_probability(params, n * params.t_s + i * params.T_s)
 
 
 @pytest.fixture

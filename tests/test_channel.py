@@ -16,17 +16,15 @@ from mcdwin import (
     Receiver,
     SampledWindow,
     SystemParams,
-    absorbed_fraction,
     derived,
     full_window,
     hitting_density,
-    isi_fraction,
     passive_probability,
-    sample_probability,
     shift_taps,
     window_taps,
 )
-from conftest import absorbing_params, passive_params, assert_rel
+from mcdwin.channel import _response_table, _survival
+from conftest import absorbing_params, passive_params, assert_rel, sample_probability
 
 
 class TestSystemParams:
@@ -89,13 +87,12 @@ class TestDerivedConstants:
         assert c.m == pytest.approx(5e-6 / math.sqrt(4 * 80e-12))
         assert c.m_hat > c.m > 0
         assert c.t_max == pytest.approx(((5e-6) ** 2) / (6 * 80e-12))
-        assert c.t_max_stated == pytest.approx(((1e-5) ** 2) / (6 * 80e-12))
         assert c.V is None
 
     def test_passive_volume(self, table1_passive):
         c = derived(table1_passive)
         assert c.V == pytest.approx(4 / 3 * math.pi * (1e-6) ** 3)
-        assert c.t_max == c.t_max_stated
+        assert c.t_max == pytest.approx(((1e-5) ** 2) / (6 * 80e-12))
 
     @pytest.mark.parametrize("make", [absorbing_params, passive_params])
     def test_t_max_is_golden_section_argmax(self, make):
@@ -159,18 +156,25 @@ class TestHittingDensity:
 
 
 class TestAbsorbedFraction:
+    """The fraction absorbed during [t1, t2] is _survival(t1) - _survival(t2)."""
+
     def test_empty_interval(self, table1_absorbing):
-        assert absorbed_fraction(table1_absorbing, 0.1, 0.1) == 0.0
+        taps = window_taps(table1_absorbing, ContinuousWindow(0.1, 0.1))
+        assert np.all(taps.mean == 0.0)
 
     def test_whole_axis(self, table1_absorbing):
-        assert absorbed_fraction(table1_absorbing, 0.0, np.inf) == pytest.approx(0.5)
+        # the total hitting probability r/(d+r)
+        start, end = _survival(table1_absorbing, np.array([0.0, np.inf]))
+        assert start - end == pytest.approx(0.5)
 
     def test_rejects_inverted(self, table1_absorbing):
         with pytest.raises(ValueError):
-            absorbed_fraction(table1_absorbing, 0.2, 0.1)
+            window_taps(table1_absorbing, ContinuousWindow(0.2, 0.1))
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            _survival(table1_absorbing, np.array([-1e-3, 0.1]))
 
     def test_matches_quadrature_on_symbol(self, table1_absorbing):
-        value = absorbed_fraction(table1_absorbing, 0.0, 0.2)
+        value = window_taps(table1_absorbing, ContinuousWindow(0.0, 0.2)).mean[0]
         oracle, _ = quad(lambda t: hitting_density(table1_absorbing, t), 1e-12, 0.2)
         assert 0.0 < value < 0.5
         assert_rel(value, oracle, 1e-8, "F_ab vs quadrature")
@@ -182,11 +186,11 @@ class TestAbsorbedFraction:
     @settings(max_examples=40, deadline=None)
     def test_quadrature_property(self, t1, width):
         params = absorbing_params()
-        value = absorbed_fraction(params, t1, t1 + width)
+        start, end = _survival(params, np.array([t1, t1 + width]))
         oracle, _ = quad(
             lambda t: hitting_density(params, t), max(t1, 1e-12), t1 + width, limit=200
         )
-        assert value == pytest.approx(oracle, rel=1e-6, abs=1e-15)
+        assert start - end == pytest.approx(oracle, rel=1e-6, abs=1e-15)
 
     @given(
         t1=st.floats(0.0, 0.3),
@@ -196,36 +200,32 @@ class TestAbsorbedFraction:
     @settings(max_examples=60, deadline=None)
     def test_additivity(self, t1, w1, w2):
         params = absorbing_params()
-        t2, t3 = t1 + w1, t1 + w1 + w2
-        lhs = absorbed_fraction(params, t1, t3)
-        rhs = absorbed_fraction(params, t1, t2) + absorbed_fraction(params, t2, t3)
-        assert abs(lhs - rhs) <= 1e-12
+        s1, s2, s3 = _survival(params, np.array([t1, t1 + w1, t1 + w1 + w2]))
+        assert abs((s1 - s3) - ((s1 - s2) + (s2 - s3))) <= 1e-12
 
     def test_monotone_in_interval(self, table1_absorbing):
-        inner = absorbed_fraction(table1_absorbing, 0.05, 0.1)
-        outer = absorbed_fraction(table1_absorbing, 0.04, 0.12)
-        assert outer >= inner
+        inner = window_taps(table1_absorbing, ContinuousWindow(0.05, 0.1)).mean
+        outer = window_taps(table1_absorbing, ContinuousWindow(0.04, 0.12)).mean
+        assert np.all(outer >= inner)
 
 
 class TestIsiFraction:
+    """Tap k of a window is its fraction of the release k symbols old."""
+
     def test_k0_is_plain_fraction(self, table1_absorbing):
-        w = ContinuousWindow(0.0, 0.2)
-        assert isi_fraction(table1_absorbing, w, 0) == absorbed_fraction(table1_absorbing, 0.0, 0.2)
+        start, end = _survival(table1_absorbing, np.array([0.0, 0.2]))
+        assert window_taps(table1_absorbing, ContinuousWindow(0.0, 0.2)).mean[0] == start - end
 
     def test_huge_lag_vanishes(self, table1_absorbing):
         # the erf difference decays like k^(-3/2): ~2e-10 at k=1e6
-        w = ContinuousWindow(0.0, 0.2)
-        assert isi_fraction(table1_absorbing, w, 10**6) < 1e-9
-        assert isi_fraction(table1_absorbing, w, 10**8) < 1e-12
+        table = _response_table(table1_absorbing, np.array([0.0, 0.2]), (10**6, 10**8))
+        fraction = table[:, 0] - table[:, 1]
+        assert fraction[0] < 1e-9
+        assert fraction[1] < 1e-12
 
-    def test_decay_in_tap_index(self, table1_absorbing):
-        w = ContinuousWindow(0.0, 0.2)
-        f1 = isi_fraction(table1_absorbing, w, 1)
-        f0 = isi_fraction(table1_absorbing, w, 0)
-        assert f1 < f0
-        values = [isi_fraction(table1_absorbing, w, k) for k in range(1, 12)]
+    def test_decay_in_tap_index(self):
+        values = window_taps(absorbing_params(L=11), ContinuousWindow(0.0, 0.2)).mean
         assert all(a > b for a, b in zip(values, values[1:]))
-        assert values[-1] < values[0]
 
 
 class TestPassiveProbability:
@@ -286,9 +286,11 @@ class TestPassiveProbability:
 
 class TestSampleProbability:
     def test_maps_to_times(self, table1_passive):
+        # the per-sample table every passive tap sums is p(n t_s + i T_s)
         p = table1_passive
-        assert sample_probability(p, 0, 1) == passive_probability(p, p.T_s)
-        assert sample_probability(p, p.N, 0) == passive_probability(p, p.N * p.t_s)
+        table = _response_table(p, np.arange(p.N + 1, dtype=float), (0, 1, 2))
+        oracle = [[sample_probability(p, n, i) for n in range(p.N + 1)] for i in (0, 1, 2)]
+        np.testing.assert_allclose(table, oracle, rtol=1e-15, atol=0.0)
 
     def test_origin_convention(self, table1_passive):
         assert sample_probability(table1_passive, 0, 0) == 0.0
@@ -340,9 +342,10 @@ class TestTapProfiles:
         taps = window_taps(table1_absorbing, w)
         assert taps.lags == (0, 1, 2, 3, 4)
         for k in range(5):
-            f = isi_fraction(table1_absorbing, w, k)
-            assert taps.mean[k] == pytest.approx(f)
-            assert taps.var[k] == pytest.approx(f * (1 - f))
+            shift = k * table1_absorbing.T_s
+            f, _ = quad(lambda t: hitting_density(table1_absorbing, t), w.t1 + shift, w.t2 + shift)
+            assert taps.mean[k] == pytest.approx(f, rel=1e-8)
+            assert taps.var[k] == pytest.approx(f * (1 - f), rel=1e-8)
 
     def test_passive_taps_sum_samples(self, table1_passive):
         w = SampledWindow(2, 9)
@@ -379,10 +382,10 @@ class TestTapProfiles:
         params = absorbing_params(L=5)
         taps = shift_taps(params, tau)
         own = [
-            absorbed_fraction(params, tau + k * params.T_s, tau + params.T_s + k * params.T_s)
+            _survival(params, tau + k * params.T_s) - _survival(params, tau + params.T_s + k * params.T_s)
             for k in range(params.L + 1)
         ]
-        mean = np.array(own + [absorbed_fraction(params, 0.0, tau)])
+        mean = np.array(own + [_survival(params, 0.0) - _survival(params, tau)])
         assert taps.lags == (0, 1, 2, 3, 4, 5, -1)
         assert np.array_equal(taps.mean, mean)
         assert np.array_equal(taps.var, mean * (1.0 - mean))

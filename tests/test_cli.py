@@ -160,6 +160,12 @@ class TestMetricsCommand:
         window = SampledWindow(int(probe["n1"]), int(probe["n2"]))
         assert float(probe["msinar"]) == msinar(params, window)
 
+    def test_no_isi_tap_is_a_usage_error(self, ab_cfg_file, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "-c", ab_cfg_file, "-o", str(out), "-s", "L=0"]) == 2
+        assert "metrics need at least one ISI tap (L >= 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block", [9, 8, 135])
     def test_csv_does_not_depend_on_the_block_size(self, monkeypatch, ab_cfg_file, tmp_path, block):
         # 136 windows of 10 taps, in blocks of 9, 8 or 135 columns: the CSV
@@ -542,7 +548,7 @@ class TestKeyTable:
             ("N = 0", "key N: must be in [1, 8190], got '0'"),
             ("t_s = -1", "key t_s: must be > 0, got '-1'"),
             ("receiver = bogus", "key receiver: expected one of absorbing, passive, got 'bogus'"),
-            ("trial.exact_counts = maybe", "key trial.exact_counts: expected one of true, yes, 1, false, no, 0"),
+            ("Q = 1e400", "key Q: must be a finite number, got '1e400'"),
         ],
     )
     def test_no_value_is_silently_replaced(self, line, message):
@@ -551,9 +557,24 @@ class TestKeyTable:
             parse_config(AB_CONFIG + line + "\n")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ("Q = 9007199254740993", 9007199254740993),
+            ("trial.seed = 12345678901234567", 12345678901234567),
+            ("sweep.q_values = 9007199254740993", (9007199254740993,)),
+            ("Q = 2.5e3", 2500),
+        ],
+    )
+    def test_integers_are_read_exactly(self, line, value):
+        # through a double, 2^53 + 1 would run as 2^53
+        key = line.split(" = ")[0]
+        config = parse_config(AB_CONFIG + line + "\n")
+        assert {"Q": config.system.Q, "trial.seed": config.trial.seed, "sweep.q_values": config.q_values}[key] == value
+
     def test_empty_value_means_unset(self, ab_cfg_file, tmp_path, capsys):
         cleared = parse_config(
-            AB_CONFIG + "method =\nsweep.methods =\noutput.format =\ntrial.seed =\noutput.path =\n"
+            AB_CONFIG + "method =\nsweep.methods =\ntrial.seed =\noutput.path =\n"
         )
         defaults = parse_config(AB_CONFIG.replace("trial.seed = 7\n", "").replace("sweep.methods = full numeric-msinar\n", ""))
         assert cleared == defaults
@@ -594,6 +615,21 @@ class TestKeyTable:
 
 
 class TestReproduce:
+    def test_q_range_past_2_63_exits_3(self, tmp_path):
+        # a numpy int64 cast wraps past 2^63; these Q reach the threshold
+        # scan's documented 2^53 refusal, with no warning on the way
+        argv = ["reproduce", "conv-ab", "-o", str(tmp_path), "--q-min", "1e19", "--q-max", "1e20", "--q-points", "2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "mcdwin.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"},
+        )
+        assert done.returncode == 3, done.stderr
+        assert "EnumerationTooLarge: threshold range [0, " in done.stderr
+        assert "Warning" not in done.stderr
+
     def test_conv_schema(self, tmp_path):
         out = tmp_path / "rep"
         code = main(

@@ -16,7 +16,6 @@ from mcdwin import (
     full_window,
     g_factor,
     hitting_density,
-    metric_report,
     msid,
     msinar,
     q_hat,
@@ -27,7 +26,7 @@ from mcdwin import (
 )
 from mcdwin.metrics import metric_values_from_taps
 from mcdwin.optimizer import _continuous_grid, _grid_taps, closed_form_interval, numeric_metric_search
-from conftest import absorbing_params, assert_rel, passive_params
+from conftest import absorbing_params, assert_rel, passive_params, sample_probability
 
 WINDOW = ContinuousWindow(0.03, 0.2)
 
@@ -195,8 +194,6 @@ class TestAlphasAndG:
         assert a2 > a1
 
     def test_alphas_passive(self, table1_passive):
-        from mcdwin import sample_probability
-
         a1, a2 = alphas(table1_passive)
         rate0 = sum(sample_probability(table1_passive, n, 0) for n in range(table1_passive.N + 1))
         rate1 = sum(sample_probability(table1_passive, n, 1) for n in range(table1_passive.N + 1))
@@ -236,23 +233,6 @@ class TestRescalingInvariance:
             w_scaled = numeric_metric_search(scaled, metric, dt=0.2 * c / 60).window
             assert w_scaled.t1 == pytest.approx(c * w_base.t1, rel=1e-9, abs=1e-12)
             assert w_scaled.t2 == pytest.approx(c * w_base.t2, rel=1e-9)
-
-
-def test_metric_report_fields(table1_absorbing):
-    report = metric_report(table1_absorbing, WINDOW)
-    assert report.sinar > 0
-    assert report.msinar > 0
-    assert report.g_factor >= 1.0
-    assert report.alpha2 > report.alpha1 > 0
-    assert report.q_hat == q_hat(table1_absorbing, WINDOW)
-    assert report.sir == sir(table1_absorbing, WINDOW)
-
-
-def test_metric_report_handles_no_qhat():
-    p = absorbing_params(T_s=0.2, L=8)
-    report = metric_report(p, ContinuousWindow(0.0, 0.01))
-    assert report.q_hat is None
-    assert report.sid < 0
 
 
 class TestSinglePath:

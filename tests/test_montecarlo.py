@@ -138,13 +138,6 @@ class TestSimulateBer:
         est = simulate_ber(table1_absorbing, w, xi, TrialConfig(trials=100_000, seed=7))
         assert abs(est.value - analytic.value) <= 4 * est.ci_halfwidth
 
-    def test_gaussian_mode_matches_analytic(self, table1_absorbing):
-        w = full_window(table1_absorbing)
-        xi, analytic = optimal_threshold(table1_absorbing, w)
-        cfg = TrialConfig(trials=200_000, seed=21, exact_counts=False)
-        mc = simulate_ber(table1_absorbing, w, xi, cfg)
-        assert abs(mc.value - analytic.value) <= 4 * mc.ci_halfwidth
-
     def test_exact_draws_converge_to_gaussian_analytic(self, capsys):
         # audit of the approximation trend; asserted only deep in regime
         gaps = {}
