@@ -24,7 +24,6 @@ import argparse
 import csv
 import enum
 import math
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
@@ -43,8 +42,6 @@ from .optimizer import Scheme
 from .reception import MAX_ENUMERATION_L
 
 __all__ = ["ExperimentConfig", "parse_config", "main"]
-
-WORKERS_ENV = "MCDWIN_WORKERS"
 
 METRICS_SCHEMA = "mcdwin-metrics-v1"
 SWEEP_SCHEMA = "mcdwin-sweep-v1"
@@ -120,8 +117,6 @@ class ExperimentConfig:
     trial: TrialConfig
     method: Scheme
     search_dt: float | None
-    workers: int | None
-    output_path: str | None
 
 
 def _parse_kv_text(text: str, source: str) -> dict[str, str]:
@@ -227,34 +222,25 @@ _KEYS: dict[str, _Key] = {
     "Q": _Key(_integer(0), _REQUIRED, "system.Q"),
     "N": _Key(_integer(1, _MAX_N), None, "system.N"),
     "t_s": _Key(_positive, None, "system.t_s"),
-    # read as: does the default t_s floor t_max/6 to whole seconds?
-    "t_s_policy": _Key(_choice({"sixth": False, "floor-seconds": True}), False),
     "sweep.q_values": _Key(_items(_integer(0)), (), "q_values"),
     "sweep.methods": _Key(_items(_SCHEME), tuple(_CMP_SCHEMES), "schemes"),
     "method": _Key(_SCHEME, Scheme.CLOSED_FORM, "method"),
     "trial.trials": _Key(_integer(1), 100_000, "trial.trials"),
     "trial.seed": _Key(_integer(0), 0, "trial.seed"),
     "search.dt": _Key(_real, None, "search_dt"),
-    "workers": _Key(_integer(1), None, "workers"),
-    "output.path": _Key(lambda key, text: text, None, "output_path"),
 }
 
 
-def _sampling_interval(d: float, r: float, D: float, floor_literal: bool) -> float:
+def _sampling_interval(d: float, r: float, D: float) -> float:
+    """The default passive sampling interval, t_s = t_max/6."""
     t_max = (d + r) * (d + r) / (6.0 * D)
     if not math.isfinite(t_max):
         raise ConfigError(f"(d + r)^2 / 6D must be finite, got d={d:g}, r={r:g}, D={D:g}")
-    sixth = t_max / 6.0
-    if sixth <= 0.0:
+    t_s = t_max / 6.0
+    if t_s <= 0.0:
         raise ConfigError(
             f"sampling interval t_max/6 = (d + r)^2 / 36D underflows to 0 s (d={d:g}, r={r:g}, "
             f"D={D:g}); give t_s explicitly"
-        )
-    t_s = float(math.floor(sixth)) if floor_literal else sixth
-    if t_s <= 0.0:
-        raise ConfigError(
-            f"literal floored sampling interval floor({sixth:.6g}) = 0 s is "
-            "degenerate; use t_s_policy = sixth or give t_s explicitly"
         )
     return t_s
 
@@ -268,16 +254,6 @@ def _samples(T_s: float, t_s: float) -> int:
             "samples per symbol a search grid can hold; give a longer t_s"
         )
     return int(n)
-
-
-def default_sampling(d: float, r: float, D: float, T_s: float, floor_literal: bool = False) -> tuple[int, float]:
-    """Default passive sampling: t_s = t_max/6, N = floor(T_s/t_s).
-
-    ``floor_literal`` floors t_max/6 to whole seconds first; for typical
-    micro-scale links that is 0 and rejected as degenerate.
-    """
-    t_s = _sampling_interval(d, r, D, floor_literal)
-    return _samples(T_s, t_s), t_s
 
 
 def config_from_entries(entries: dict[str, str], source: str = "<config>") -> ExperimentConfig:
@@ -307,7 +283,7 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
     n_samples, t_s = v["N"], v["t_s"]
     if v["receiver"] is Receiver.PASSIVE:
         if t_s is None:
-            t_s = _sampling_interval(d, r, v["D"], v["t_s_policy"])
+            t_s = _sampling_interval(d, r, v["D"])
         if n_samples is None:
             n_samples = _samples(v["T_s"], t_s)
     else:
@@ -331,8 +307,6 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
         trial=TrialConfig(trials=v["trial.trials"], seed=v["trial.seed"]),
         method=v["method"],
         search_dt=search_dt,
-        workers=v["workers"],
-        output_path=v["output.path"],
     )
 
 
@@ -384,26 +358,16 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _positive_workers(value: int | None, source: str) -> int | None:
-    if value is not None and value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
-def _resolve_workers(args, configured: int | None = None) -> int:
-    """--workers, else the workers key (``configured``), else $MCDWIN_WORKERS, else 1."""
-    if args.workers is not None:
-        return _positive_workers(args.workers, "--workers")
-    if configured is not None:
-        return configured
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        return _positive_workers(value, WORKERS_ENV)
-    return 1
+def _output(args, command: str) -> str:
+    if args.output is None:
+        raise ConfigError(f"{command} needs an output path (-o)")
+    return args.output
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -437,9 +401,7 @@ def _window_cells(window) -> tuple:
 def cmd_metrics(args) -> int:
     config = _load_config(args)
     params = config.system
-    out = args.output or config.output_path
-    if out is None:
-        raise ConfigError("metrics needs an output path (-o or output.path)")
+    out = _output(args, "metrics")
 
     edges, table, i1, i2 = opt._window_grid(params, config.search_dt)
 
@@ -491,8 +453,7 @@ def _sweep_rows(config: ExperimentConfig, rows: list[SweepRow]) -> Iterable[tupl
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     params = config.system
-    workers = _resolve_workers(args, config.workers)
-    row = sweep_row(params, config.method, config.trial, config.search_dt, workers)
+    row = sweep_row(params, config.method, config.trial, config.search_dt, _workers(args))
     result, mc = row.result, row.mc
     _print_fields(
         [("method", config.method), ("resolved_method", result.method)]
@@ -508,17 +469,14 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     if not config.q_values:
         raise ConfigError("sweep needs sweep.q_values")
-    out = args.output or config.output_path
-    if out is None:
-        raise ConfigError("sweep needs an output path (-o or output.path)")
-    workers = _resolve_workers(args, config.workers)
+    out = _output(args, "sweep")
     rows = sweep(
         config.system,
         config.q_values,
         config.schemes,
         config.trial,
         dt=config.search_dt,
-        workers=workers,
+        workers=_workers(args),
     )
     _write_csv(out, SWEEP_HEADER, _sweep_rows(config, rows))
     print(f"wrote {len(rows)} rows to {out}")
@@ -538,10 +496,10 @@ def _reproduce_params(kind: str, T_s: float, L: int) -> SystemParams:
             receiver=Receiver.ABSORBING,
         )
     geo = _TABLE1_PASSIVE
-    n, t_s = default_sampling(geo["d"], geo["r"], geo["D"], T_s)
+    t_s = _sampling_interval(geo["d"], geo["r"], geo["D"])
     return SystemParams(
         d=geo["d"], r=geo["r"], D=geo["D"], T_s=T_s, L=L, Q=1,
-        receiver=Receiver.PASSIVE, N=n, t_s=t_s,
+        receiver=Receiver.PASSIVE, N=_samples(T_s, t_s), t_s=t_s,
     )
 
 
@@ -607,7 +565,7 @@ def cmd_reproduce(args) -> int:
     ts_values, l_values = _FIGURE_TS_L[kind]
     q_values = _geometric_q(args.q_min, args.q_max, args.q_points)
     trial = TrialConfig(trials=args.trials, seed=args.seed)
-    workers = _resolve_workers(args)
+    workers = _workers(args)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -638,26 +596,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, summary in (
-        ("metrics", cmd_metrics, "metric values on a window grid (CSV)"),
-        ("optimize", cmd_optimize, "closed-form window with all intermediates"),
-        ("simulate", cmd_simulate, "Monte Carlo BER at one configuration"),
-        ("sweep", cmd_sweep, "BER versus Q sweep over schemes (CSV)"),
-    ):
-        command = sub.add_parser(name, help=summary)
-        command.add_argument("-c", "--config", help="flat key=value config file")
-        command.add_argument(
-            "-s",
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
-        command.add_argument("-o", "--output", help="output CSV path (overrides output.path)")
-        command.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
-        command.set_defaults(func=func)
+    # option groups, each given only to the subcommands that use it
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("-c", "--config", help="flat key=value config file")
+    config.add_argument(
+        "-s",
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a config key (repeatable)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", help="output CSV path (required)")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
 
-    p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment")
+    for name, func, summary, options in (
+        ("metrics", cmd_metrics, "metric values on a window grid (CSV)", [config, output]),
+        ("optimize", cmd_optimize, "closed-form window with all intermediates", [config]),
+        ("simulate", cmd_simulate, "Monte Carlo BER at one configuration", [config, workers]),
+        ("sweep", cmd_sweep, "BER versus Q sweep over schemes (CSV)", [config, output, workers]),
+    ):
+        sub.add_parser(name, help=summary, parents=options).set_defaults(func=func)
+
+    p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment", parents=[workers])
     p_rep.add_argument("figure", help="one of " + ", ".join(REPRODUCE_FIGURES))
     p_rep.add_argument("-o", "--outdir", default="reproduce-out", help="output directory")
     p_rep.add_argument("--q-min", type=float, default=1e2)
@@ -666,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--grid-divisions", type=int, default=80)
     p_rep.add_argument("--trials", type=int, default=50_000)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

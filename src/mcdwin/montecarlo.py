@@ -286,14 +286,15 @@ class _Inline:
 
 
 @contextmanager
-def _open_pool(workers: int, trials: int):
-    """(pool, size): a pool of ``_pool_workers`` processes, or ``_Inline`` if
-    that is one.  The heap policy (``_set_heap_policy``) is set before a
-    full chunk is drawn here or a worker is started, and in every worker.
-    Leaving cancels the tasks no worker has started (only an error leaves
-    any) and joins the workers."""
-    size = _pool_workers(workers, _chunk_count(trials))
-    if trials >= CHUNK_TRIALS:
+def _open_pool(workers: int, trials: int, rows: int = 1):
+    """(pool, size): a pool of ``_pool_workers`` processes for the chunks of
+    ``rows`` rows of ``trials`` trials, or ``_Inline`` if that is one.  The
+    heap policy (``_set_heap_policy``) is set before a full chunk is drawn
+    here or a worker is started, and in every worker.  Leaving cancels the
+    tasks no worker has started (only an error leaves any) and joins the
+    workers."""
+    size = _pool_workers(workers, rows * _chunk_count(trials))
+    if trials >= CHUNK_TRIALS or size > 1:
         _set_heap_policy()
     if size == 1:
         yield _Inline(), 1
@@ -404,16 +405,17 @@ def sweep(
     """BER versus Q for several window-selection schemes, a ``sweep_row`` per
     (Q, scheme): the window with the threshold and analytic BER its selection
     scored (never a rescan) and a Monte Carlo estimate on the same taps.  One
-    pool serves every row, and each row's draws start before any is awaited,
-    so workers draw while later rows are searched; an error cancels the
-    queued draws.  Row seeds derive deterministically from the master seed,
-    so the output is reproducible for any worker count.
+    pool, sized by the chunks of all rows (so rows of one chunk each still
+    use the workers), serves every row, and each row's draws start before
+    any is awaited, so workers draw while later rows are searched; an error
+    cancels the queued draws.  Row seeds derive deterministically from the
+    master seed, so the output is reproducible for any worker count.
     """
     if not q_values or not schemes:
         raise ConfigError("sweep needs at least one Q value and one scheme")
     cells = [(int(q), scheme) for q in q_values for scheme in schemes]
     seeds = np.random.SeedSequence(trial.seed).generate_state(len(cells), dtype=np.uint64)
-    with _open_pool(workers, trial.trials) as (pool, size):
+    with _open_pool(workers, trial.trials, len(cells)) as (pool, size):
         started = [
             _start_row(replace(params, Q=q), scheme, replace(trial, seed=int(seed)), dt, pool, size)
             for (q, scheme), seed in zip(cells, seeds)

@@ -1,5 +1,4 @@
 import csv
-import math
 import os
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from mcdwin.cli import (
     METRICS_HEADER,
     SWEEP_HEADER,
     VER_HEADER,
-    default_sampling,
     emit_config,
     main,
     parse_config,
@@ -53,6 +51,11 @@ trial.seed = 3
 """
 
 
+def _output_flag(command: str, out) -> list[str]:
+    """``-o out`` for the subcommands that write a CSV; the others refuse it."""
+    return ["-o", str(out)] if command in ("metrics", "sweep") else []
+
+
 @pytest.fixture
 def ab_cfg_file(tmp_path):
     path = tmp_path / "ab.cfg"
@@ -85,16 +88,6 @@ class TestConfigParsing:
         t_max = (1e-5) ** 2 / (6 * 80e-12)
         assert cfg.system.t_s == pytest.approx(t_max / 6, rel=1e-9)
         assert cfg.system.N == int(1.0 / cfg.system.t_s)
-
-    def test_floor_seconds_policy_rejected_when_degenerate(self):
-        with pytest.raises(ConfigError):
-            parse_config(PA_CONFIG + "t_s_policy = floor-seconds\n")
-
-    def test_default_sampling_literal_floor_works_for_slow_links(self):
-        # a slow enough channel has t_max/6 > 1 s and survives the floor
-        n, t_s = default_sampling(d=9e-3, r=1e-3, D=80e-12, T_s=400.0, floor_literal=True)
-        assert t_s == math.floor(((1e-2) ** 2 / (6 * 80e-12)) / 6)
-        assert n == int(400.0 / t_s)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -270,6 +263,26 @@ class TestExitCodes:
     def test_missing_config_file_is_4(self):
         assert main(["optimize", "-c", "/nonexistent.cfg"]) == 4
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("optimize", "--workers"), ("optimize", "-o"), ("simulate", "-o"), ("metrics", "--workers")],
+    )
+    def test_option_a_subcommand_would_ignore_is_refused(self, ab_cfg_file, tmp_path, capsys, command, flag):
+        # each subcommand takes only the options it honours
+        out = tmp_path / "f"
+        value = str(out) if flag == "-o" else "2"
+        with pytest.raises(SystemExit) as info:
+            main([command, "-c", ab_cfg_file, "-s", "method=full", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(ab_cfg_file)]
+
+    @pytest.mark.parametrize("command", ["sweep", "metrics"])
+    def test_csv_subcommand_without_output_path_is_2(self, ab_cfg_file, tmp_path, capsys, command):
+        assert main([command, "-c", ab_cfg_file]) == 2
+        assert f"{command} needs an output path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(ab_cfg_file)]
+
 
 class TestSimulateAndSweep:
     def test_simulate_prints_key_values(self, ab_cfg_file, capsys):
@@ -323,15 +336,6 @@ class TestSimulateAndSweep:
         for key in ("resolved_method", "t1", "t2", "n1", "n2", "tau", "threshold", "ber_analytic"):
             assert printed[key] == row[key], key
 
-    def test_worker_env_var(self, ab_cfg_file, tmp_path, monkeypatch):
-        out = tmp_path / "sweep.csv"
-        monkeypatch.setenv("MCDWIN_WORKERS", "not-a-number")
-        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out)]) == 2
-        # the flag wins over a bad environment value
-        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out), "--workers", "1"]) == 0
-        monkeypatch.setenv("MCDWIN_WORKERS", "2")
-        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out)]) == 0
-
 
 class TestInputValidation:
     def test_zero_trials_rejected(self, ab_cfg_file, capsys):
@@ -348,14 +352,14 @@ class TestInputValidation:
         assert config.trial.trials == 100_000
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_workers_below_one_rejected(self, ab_cfg_file, tmp_path, monkeypatch, value):
-        out = str(tmp_path / "sweep.csv")
-        sweep_args = ["sweep", "-c", ab_cfg_file, "-o", out]
-        assert main(sweep_args + ["--workers", value]) == 2
-        assert main(sweep_args + ["-s", f"workers={value}"]) == 2
-        monkeypatch.setenv("MCDWIN_WORKERS", value)
-        assert main(sweep_args) == 2
-        assert main(["reproduce", "conv-pa", "-o", str(tmp_path), "--workers", value]) == 2
+    def test_workers_below_one_rejected(self, ab_cfg_file, tmp_path, capsys, value):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "-c", ab_cfg_file, "-o", str(out), "--workers", value]) == 2
+        assert f"--workers must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["simulate", "-c", ab_cfg_file, "--workers", value]) == 2
+        assert main(["reproduce", "conv-pa", "-o", str(tmp_path / "rep"), "--workers", value]) == 2
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -380,10 +384,9 @@ class TestInputValidation:
     @pytest.mark.parametrize("setting", ["d_um=1e200", "r_um=1e300", "D=1e-320"])
     def test_overflowing_geometry_rejected(self, ab_cfg_file, pa_cfg_file, capsys, setting):
         # the passive default sampling computes the peak time before SystemParams
-        passive_floor = [pa_cfg_file, "-s", "t_s_policy=floor-seconds"]
-        for cfg in ([ab_cfg_file], [pa_cfg_file], passive_floor):
+        for cfg in (ab_cfg_file, pa_cfg_file):
             for command in ("optimize", "simulate"):
-                assert main([command, "-c", *cfg, "-s", setting]) == 2
+                assert main([command, "-c", cfg, "-s", setting]) == 2
                 assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", ["1e17", "5e16"])
@@ -394,7 +397,7 @@ class TestInputValidation:
         # a scan that never ends into a failure
         out = tmp_path / "sweep.csv"
         settings = [f"Q={q}", f"sweep.q_values={q}", "method=full", "sweep.methods=full"]
-        argv = [command, "-c", ab_cfg_file, "-o", str(out)]
+        argv = [command, "-c", ab_cfg_file, *_output_flag(command, out)]
         for setting in settings:
             argv += ["-s", setting]
         done = subprocess.run(
@@ -422,21 +425,13 @@ class TestInputValidation:
         assert "domain error" in err
         assert "D = 1e-300" in err
 
-    @pytest.mark.parametrize("policy", ["sixth", "floor-seconds"])
-    def test_underflowed_sampling_interval_advice(self, pa_cfg_file, capsys, policy):
-        # t_max/6 itself underflows: no policy helps, only an explicit t_s
+    def test_underflowed_sampling_interval_advice(self, pa_cfg_file, capsys):
+        # t_max/6 itself underflows: only an explicit t_s helps
         argv = ["simulate", "-c", pa_cfg_file, "-s", "d_um=1e-300", "-s", "r_um=1e-300"]
-        assert main([*argv, "-s", f"t_s_policy={policy}"]) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "t_max/6 = (d + r)^2 / 36D underflows to 0 s" in err
         assert "give t_s explicitly" in err
-        assert "t_s_policy" not in err
-
-    def test_floored_sampling_interval_advice(self, pa_cfg_file, capsys):
-        # Table-1 t_max/6 = 0.035 s floors to 0 s; the sixth policy would not
-        assert main(["simulate", "-c", pa_cfg_file, "-s", "t_s_policy=floor-seconds"]) == 2
-        err = capsys.readouterr().err
-        assert "floor(0.0347222) = 0 s is degenerate; use t_s_policy = sixth" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "0.5", "0.3"])
     def test_grid_step_outside_the_symbol_rejected(self, ab_cfg_file, tmp_path, capsys, value):
@@ -499,7 +494,7 @@ class TestKeyTable:
     @pytest.mark.parametrize("command", ["optimize", "metrics"])
     def test_passive_lengths_and_times_positive_before_sampling(self, pa_cfg_file, tmp_path, capsys, command, setting):
         out = tmp_path / "out.csv"
-        assert main([command, "-c", pa_cfg_file, "-o", str(out), "-s", setting]) == 2
+        assert main([command, "-c", pa_cfg_file, *_output_flag(command, out), "-s", setting]) == 2
         assert f"key {setting.split('=')[0]}: must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["D=1e300", "t_s=1e-300", "T_s=1e300", "t_s=1e-4"])
@@ -507,7 +502,7 @@ class TestKeyTable:
     def test_derived_sample_count_capped(self, pa_cfg_file, tmp_path, capsys, command, setting):
         # N = floor(T_s / t_s) is checked in float, before any grid is sized
         out = tmp_path / "out.csv"
-        assert main([command, "-c", pa_cfg_file, "-o", str(out), "-s", setting]) == 2
+        assert main([command, "-c", pa_cfg_file, *_output_flag(command, out), "-s", setting]) == 2
         assert "N = floor(T_s / t_s) = " in capsys.readouterr().err
         assert not out.exists()
 
@@ -525,7 +520,7 @@ class TestKeyTable:
     @pytest.mark.parametrize("command", ["optimize", "metrics", "sweep"])
     def test_isi_length_capped_at_the_enumeration_limit(self, ab_cfg_file, tmp_path, capsys, command, value):
         out = tmp_path / "out.csv"
-        assert main([command, "-c", ab_cfg_file, "-o", str(out), "-s", f"L={value}"]) == 2
+        assert main([command, "-c", ab_cfg_file, *_output_flag(command, out), "-s", f"L={value}"]) == 2
         assert f"key L: must be in [0, 24], got '{value}'" in capsys.readouterr().err
         assert parse_config(AB_CONFIG.replace("L = 4", "L = 24")).system.L == 24
 
@@ -544,7 +539,6 @@ class TestKeyTable:
             ("sweep.q_values = 300.5", "key sweep.q_values: expected an integer, got '300.5'"),
             ("sweep.q_values = 300, -1", "key sweep.q_values: must be >= 0, got '-1'"),
             ("sweep.q_values = ,", "key sweep.q_values: no values in ','"),
-            ("t_s_policy = bogus", "key t_s_policy: expected one of sixth, floor-seconds, got 'bogus'"),
             ("N = 0", "key N: must be in [1, 8190], got '0'"),
             ("t_s = -1", "key t_s: must be > 0, got '-1'"),
             ("receiver = bogus", "key receiver: expected one of absorbing, passive, got 'bogus'"),
@@ -574,11 +568,15 @@ class TestKeyTable:
 
     def test_empty_value_means_unset(self, ab_cfg_file, tmp_path, capsys):
         cleared = parse_config(
-            AB_CONFIG + "method =\nsweep.methods =\ntrial.seed =\noutput.path =\n"
+            AB_CONFIG + "method =\nsweep.methods =\ntrial.seed =\nsearch.dt =\n"
         )
-        defaults = parse_config(AB_CONFIG.replace("trial.seed = 7\n", "").replace("sweep.methods = full numeric-msinar\n", ""))
+        defaults = parse_config(
+            AB_CONFIG.replace("trial.seed = 7\n", "")
+            .replace("sweep.methods = full numeric-msinar\n", "")
+            .replace("search.dt = 0.004\n", "")
+        )
         assert cleared == defaults
-        assert cleared.method is Scheme.CLOSED_FORM and cleared.output_path is None
+        assert cleared.method is Scheme.CLOSED_FORM and cleared.search_dt is None
         with pytest.raises(ConfigError, match="missing required key receiver"):
             parse_config(AB_CONFIG + "receiver =\n")
         # --set key= clears what the file sets
@@ -686,17 +684,6 @@ class TestReproduce:
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert main(["reproduce", "nope", "-o", str(tmp_path)]) == 2
 
-    def test_bad_worker_env_var_rejected(self, tmp_path, monkeypatch, capsys):
-        # --workers, else $MCDWIN_WORKERS, else 1, as for the other subcommands
-        out = tmp_path / "rep"
-        small = ["--q-points", "1", "--q-min", "400", "--q-max", "400", "--grid-divisions", "10"]
-        monkeypatch.setenv("MCDWIN_WORKERS", "abc")
-        assert main(["reproduce", "conv-ab", "-o", str(out), *small]) == 2
-        assert "MCDWIN_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
-        assert not out.exists()
-        # the flag wins over a bad environment value
-        assert main(["reproduce", "conv-ab", "-o", str(out), *small, "--workers", "1"]) == 0
-
     def test_worker_env_var_keeps_csv(self, tmp_path, monkeypatch):
         # 70,000 trials are two RNG chunks, so two workers split every row
         seen = []
@@ -710,9 +697,8 @@ class TestReproduce:
         small = ["--q-points", "1", "--q-min", "2000", "--q-max", "2000", "--grid-divisions", "10", "--trials", "70000"]
         outputs = []
         for workers in ("1", "2"):
-            monkeypatch.setenv("MCDWIN_WORKERS", workers)
             out = tmp_path / workers
-            assert main(["reproduce", "ver-ab", "-o", str(out), *small]) == 0
+            assert main(["reproduce", "ver-ab", "-o", str(out), *small, "--workers", workers]) == 0
             outputs.append((out / "ver-ab.csv").read_bytes())
         assert outputs[0] == outputs[1]
         assert seen == [1] * 8 + [2] * 8  # one sweep per (T_s, L)

@@ -38,7 +38,7 @@ BASE = {
 VALID = {
     "d_um": "9", "r_um": "1", "D": "80e-12", "T_s": "1", "L": "3", "Q": "700", "N": "20",
     "t_s": "0.05", "trial.seed": "7", "search.dt": "0.02",
-    "workers": "2", "sweep.q_values": "300 500",
+    "sweep.q_values": "300 500",
 }
 EDGES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 PREFIXES = {2: ("config error: ", "invalid input: "), 3: ("domain error: ",), 4: ("io error: ",)}

@@ -255,10 +255,12 @@ class _RecordingPool:
 
     log: list = []
     initializers: list = []
+    sizes: list = []
 
     def __init__(self, max_workers, initializer=None):
         self.tasks: list[_RecordedTask] = []
         self.initializers.append(initializer)
+        self.sizes.append(max_workers)
 
     def submit(self, fn, *args):
         task = _RecordedTask(fn, args)
@@ -292,6 +294,7 @@ class TestPipelinedSweep:
     @pytest.fixture
     def log(self, monkeypatch):
         monkeypatch.setattr(_RecordingPool, "log", [])
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
         _allow_cpus(monkeypatch, 2)
         return _RecordingPool.log
@@ -313,6 +316,18 @@ class TestPipelinedSweep:
         assert all(sum(chunks) == 3 and len(chunks) < 3 for chunks in by_row.values())
         alone = sweep(table1_absorbing, [500, 2000], schemes, cfg, workers=1)
         assert [r.mc for r in piped] == [r.mc for r in alone]
+
+    def test_one_chunk_rows_share_the_pool(self, log, table1_absorbing):
+        # the pool is sized by the sweep's chunks, not a row's: two rows of
+        # one chunk each fill two workers
+        cfg = TrialConfig(trials=40_000, seed=19)
+        schemes = [Scheme.FULL_WINDOW, Scheme.CLOSED_FORM]
+        pooled = sweep(table1_absorbing, [500], schemes, cfg, workers=2)
+        submits = [task for kind, task in log if kind == "submit"]
+        assert [len(task.args[-1]) for task in submits] == [1, 1]
+        assert _RecordingPool.sizes == [2]
+        alone = sweep(table1_absorbing, [500], schemes, cfg, workers=1)
+        assert [r.mc for r in pooled] == [r.mc for r in alone]
 
     def test_row_that_cannot_start_cancels_queued_tasks(self, log):
         # the exhaustive BER search refuses L = 13 after the full row has started
@@ -347,6 +362,16 @@ class TestHeapPolicy:
         _allow_cpus(monkeypatch, 2)
         cfg = TrialConfig(trials=2 * montecarlo.CHUNK_TRIALS, seed=5)
         simulate_ber(table1_absorbing, full_window(table1_absorbing), 100.0, cfg, workers=2)
+        assert _RecordingPool.initializers == [montecarlo._set_heap_policy]
+        assert mallopt == self.POLICY
+
+    def test_forking_process_sets_it_without_a_full_chunk(self, monkeypatch, mallopt, table1_absorbing):
+        # two rows of one partial chunk each still start two workers
+        monkeypatch.setattr(_RecordingPool, "log", [])
+        monkeypatch.setattr(_RecordingPool, "initializers", [])
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        _allow_cpus(monkeypatch, 2)
+        sweep(table1_absorbing, [500, 2000], [Scheme.FULL_WINDOW], TrialConfig(trials=1000, seed=5), workers=2)
         assert _RecordingPool.initializers == [montecarlo._set_heap_policy]
         assert mallopt == self.POLICY
 
