@@ -315,13 +315,13 @@ def _tap_variance(params: SystemParams, mean: np.ndarray) -> np.ndarray:
     return mean.copy()
 
 
-def _sample_sums(rates: np.ndarray, starts) -> np.ndarray:
-    """Passive tap rates of the windows [n1, n2], n2 >= n1, for each n1 in ``starts``
-    (``np.triu_indices`` order), from the p_{n,k} ``rates`` of consecutive samples.
+def _sample_sums(rates: np.ndarray, n1: int) -> np.ndarray:
+    """Passive tap rates of the windows [n1, n2] that start at sample n1, in
+    column n2 - n1, from the p_{n,k} ``rates`` of consecutive samples.
 
     The one summation rule of a passive tap: its samples added in order from n1.
     """
-    return np.concatenate([np.cumsum(rates[:, n1:], axis=1) for n1 in starts], axis=1)
+    return np.cumsum(rates[:, n1:], axis=1)
 
 
 def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
@@ -338,7 +338,7 @@ def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
         mean = surv[:, 0] - surv[:, 1]
     else:
         samples = np.arange(window.n1, window.n2 + 1, dtype=float)
-        mean = _sample_sums(_response_table(params, samples, lags), (0,))[:, -1]
+        mean = _sample_sums(_response_table(params, samples, lags), 0)[:, -1]
     return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))
 
 

@@ -5,15 +5,17 @@ Subcommands: metrics, optimize, simulate, sweep, reproduce.
 Config files are flat ``key = value`` text ('#' comments allowed); every key
 can be overridden on the command line with ``--set key=value``.  Lengths may
 be given in metres (``d``, ``r``) or micrometres (``d_um``, ``r_um``);
-everything is converted to SI once at this boundary and emitted back in SI.
-One table, ``_KEYS``, gives every key its reader (which range-checks the
-value and names the key when it refuses it), its default and what
-``emit_config`` writes back.  An empty value means the key is unset, for
-every key: ``--set key=`` clears a key the config file sets.
+everything is converted to SI once at this boundary.  One table, ``_KEYS``,
+gives every key its reader (which range-checks the value and names the key
+when it refuses it) and its default.  An empty value means the key is unset,
+for every key: ``--set key=`` clears a key the config file sets.  The
+``reproduce`` recipes build their links through the same reader.
 
 CSV output: comma separated, '.' decimal point, one header row, LF line
 endings, floats printed with 17 significant digits (value-exact round
-trip).  Schemas are versioned through the ``schema`` column.
+trip).  Schemas are versioned through the ``schema`` column.  Every sweep
+row is formatted once, by ``_row_cells``; ``sweep``, ``simulate`` and the
+``ver``/``cmp`` recipes pick its cells by header name.
 
 Exit codes: 0 ok, 2 config/usage error, 3 domain error (SymbolTooShort,
 DegenerateWindow, NoFiniteQhat, pole, ...), 4 I/O error.
@@ -27,7 +29,6 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -37,7 +38,7 @@ from . import metrics as metrics_mod
 from . import optimizer as opt
 from .channel import ContinuousWindow, Receiver, SystemParams
 from .errors import ConfigError, DomainError
-from .montecarlo import SweepRow, TrialConfig, sweep, sweep_row
+from .montecarlo import SweepRow, TrialConfig, simulate_ber_taps, sweep
 from .optimizer import Scheme
 from .reception import MAX_ENUMERATION_L
 
@@ -92,17 +93,22 @@ _CMP_SCHEMES = [
     Scheme.SHIFT_TAU,
     Scheme.FULL_WINDOW,
 ]
+_CMP_COLUMNS = ("ber_analytic", "ber_mc", "mc_ci_halfwidth")
 CMP_HEADER = ["schema", "figure", "receiver", "T_s", "L", "Q"] + [
     f"{scheme.value.replace('-', '_')}_{col}"
     for scheme in _CMP_SCHEMES
-    for col in ("ber_analytic", "ber_mc", "mc_ci_halfwidth")
+    for col in _CMP_COLUMNS
 ]
 
 REPRODUCE_FIGURES = ("conv-ab", "conv-pa", "ver-ab", "ver-pa", "cmp-ab", "cmp-pa")
 
-# Table-1 geometries
-_TABLE1_ABSORBING = {"d": 5e-6, "r": 5e-6, "D": 80e-12}
-_TABLE1_PASSIVE = {"d": 9e-6, "r": 1e-6, "D": 80e-12}
+# Table-1 geometries, as config entries
+_TABLE1 = {
+    "ab": {"receiver": "absorbing", "d": "5e-6", "r": "5e-6", "D": "80e-12"},
+    "pa": {"receiver": "passive", "d": "9e-6", "r": "1e-6", "D": "80e-12"},
+}
+# defaults of reproduce's Monte Carlo flags; the conv figures draw nothing and refuse them
+_DRAW_DEFAULTS = {"trials": 50_000, "seed": 0, "workers": 1}
 _FIGURE_TS_L = {
     "ab": ([0.2, 0.3], [4, 5, 6, 8]),
     "pa": ([1.0, 2.0], [2, 3, 5, 10]),
@@ -201,7 +207,6 @@ def _items(read: Callable[[str, str], object]) -> Callable[[str, str], tuple]:
 class _Key(NamedTuple):
     read: Callable[[str, str], object]
     default: object = None  # the value of an unset key; _REQUIRED: it must be set
-    emit: str | None = None  # ExperimentConfig attribute written back; None: never
 
 
 _REQUIRED = object()
@@ -209,25 +214,25 @@ _SCHEME = _choice({scheme.value: scheme for scheme in Scheme})
 # a passive grid has (N+1)(N+2)/2 windows; the most samples whose grid fits the cap
 _MAX_N = (math.isqrt(8 * opt.MAX_GRID_ELEMENTS + 1) - 3) // 2
 
-# every config key, in emit order; an empty value means the key is unset
+# every config key, in the README's order; an empty value means the key is unset
 _KEYS: dict[str, _Key] = {
-    "receiver": _Key(_choice({rx.value: rx for rx in Receiver}), _REQUIRED, "system.receiver"),
-    "d": _Key(_positive, None, "system.d"),
-    "r": _Key(_positive, None, "system.r"),
+    "receiver": _Key(_choice({rx.value: rx for rx in Receiver}), _REQUIRED),
+    "d": _Key(_positive),
+    "r": _Key(_positive),
     "d_um": _Key(_positive),
     "r_um": _Key(_positive),
-    "D": _Key(_positive, _REQUIRED, "system.D"),
-    "T_s": _Key(_positive, _REQUIRED, "system.T_s"),
-    "L": _Key(_integer(0, MAX_ENUMERATION_L), _REQUIRED, "system.L"),
-    "Q": _Key(_integer(0), _REQUIRED, "system.Q"),
-    "N": _Key(_integer(1, _MAX_N), None, "system.N"),
-    "t_s": _Key(_positive, None, "system.t_s"),
-    "sweep.q_values": _Key(_items(_integer(0)), (), "q_values"),
-    "sweep.methods": _Key(_items(_SCHEME), tuple(_CMP_SCHEMES), "schemes"),
-    "method": _Key(_SCHEME, Scheme.CLOSED_FORM, "method"),
-    "trial.trials": _Key(_integer(1), 100_000, "trial.trials"),
-    "trial.seed": _Key(_integer(0), 0, "trial.seed"),
-    "search.dt": _Key(_real, None, "search_dt"),
+    "D": _Key(_positive, _REQUIRED),
+    "T_s": _Key(_positive, _REQUIRED),
+    "L": _Key(_integer(0, MAX_ENUMERATION_L), _REQUIRED),
+    "Q": _Key(_integer(0), _REQUIRED),
+    "N": _Key(_integer(1, _MAX_N)),
+    "t_s": _Key(_positive),
+    "sweep.q_values": _Key(_items(_integer(0)), ()),
+    "sweep.methods": _Key(_items(_SCHEME), tuple(_CMP_SCHEMES)),
+    "method": _Key(_SCHEME, Scheme.CLOSED_FORM),
+    "trial.trials": _Key(_integer(1), 100_000),
+    "trial.seed": _Key(_integer(0), 0),
+    "search.dt": _Key(_real),
 }
 
 
@@ -314,17 +319,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     return config_from_entries(_parse_kv_text(text, source), source)
 
 
-def emit_config(config: ExperimentConfig) -> str:
-    """Canonical flat-key text; parse(emit(c)) == c."""
-    lines = []
-    for key, spec in _KEYS.items():
-        value = None if spec.emit is None else attrgetter(spec.emit)(config)
-        if value is not None and value != ():
-            text = " ".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
-            lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Formatting
 # ---------------------------------------------------------------------------
@@ -358,10 +352,10 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _workers(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    return args.workers
+def _workers(count: int) -> int:
+    if count < 1:
+        raise ConfigError(f"--workers must be >= 1, got {count}")
+    return count
 
 
 def _output(args, command: str) -> str:
@@ -391,6 +385,16 @@ def _window_cells(window) -> tuple:
     if isinstance(window, ContinuousWindow):
         return (window.t1, window.t2, None, None)
     return (None, None, window.n1, window.n2)
+
+
+def _row_cells(params: SystemParams, row: SweepRow, seed: int) -> dict[str, object]:
+    """The cells of one sweep row of the link ``params``, keyed by the
+    ``SWEEP_HEADER`` names: the one row formatter of every command."""
+    result, mc = row.result, row.mc
+    cells = (SWEEP_SCHEMA, params.receiver, params.T_s, params.L, row.q, row.scheme, result.method,
+             *_window_cells(result.window), result.tau, result.threshold, result.ber.value,
+             mc.value, mc.ci_halfwidth, mc.trials, seed)
+    return dict(zip(SWEEP_HEADER, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -441,27 +445,13 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _sweep_rows(config: ExperimentConfig, rows: list[SweepRow]) -> Iterable[tuple]:
-    params = config.system
-    for row in rows:
-        result, mc = row.result, row.mc
-        yield (SWEEP_SCHEMA, params.receiver, params.T_s, params.L, row.q, row.scheme, result.method,
-               *_window_cells(result.window), result.tau, result.threshold, result.ber.value,
-               mc.value, mc.ci_halfwidth, mc.trials, config.trial.seed)
-
-
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    params = config.system
-    row = sweep_row(params, config.method, config.trial, config.search_dt, _workers(args))
-    result, mc = row.result, row.mc
-    _print_fields(
-        [("method", config.method), ("resolved_method", result.method)]
-        + list(zip(("t1", "t2", "n1", "n2"), _window_cells(result.window)))
-        + [("tau", result.tau), ("threshold", result.threshold), ("ber_analytic", result.ber.value)]
-        + [("ber_mc", mc.value), ("mc_ci_halfwidth", mc.ci_halfwidth), ("trials", mc.trials)]
-        + [("seed", config.trial.seed)]
-    )
+    params, workers = config.system, _workers(args.workers)
+    result = opt.select_window(params, config.method, config.search_dt)
+    mc = simulate_ber_taps(params, result.taps, result.threshold, config.trial, workers)
+    cells = _row_cells(params, SweepRow(int(params.Q), config.method, result, mc), config.trial.seed)
+    _print_fields([("method", config.method), *list(cells.items())[SWEEP_HEADER.index("resolved_method"):]])
     return 0
 
 
@@ -476,9 +466,9 @@ def cmd_sweep(args) -> int:
         config.schemes,
         config.trial,
         dt=config.search_dt,
-        workers=_workers(args),
+        workers=_workers(args.workers),
     )
-    _write_csv(out, SWEEP_HEADER, _sweep_rows(config, rows))
+    _write_csv(out, SWEEP_HEADER, (_row_cells(config.system, row, config.trial.seed).values() for row in rows))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -486,21 +476,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # Figure reproduction
 # ---------------------------------------------------------------------------
-
-
-def _reproduce_params(kind: str, T_s: float, L: int) -> SystemParams:
-    if kind == "ab":
-        geo = _TABLE1_ABSORBING
-        return SystemParams(
-            d=geo["d"], r=geo["r"], D=geo["D"], T_s=T_s, L=L, Q=1,
-            receiver=Receiver.ABSORBING,
-        )
-    geo = _TABLE1_PASSIVE
-    t_s = _sampling_interval(geo["d"], geo["r"], geo["D"])
-    return SystemParams(
-        d=geo["d"], r=geo["r"], D=geo["D"], T_s=T_s, L=L, Q=1,
-        receiver=Receiver.PASSIVE, N=_samples(T_s, t_s), t_s=t_s,
-    )
 
 
 def _geometric_q(lo: float, hi: float, points: int) -> list[int]:
@@ -515,29 +490,27 @@ _CONV_SEARCHES = (
 )
 
 
-def _conv_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
+def _conv_rows(figure, base, q_values, dt) -> Iterable[tuple]:
     for q in q_values:
         for scheme, search in _CONV_SEARCHES:
             window = search(replace(base, Q=q), dt).window
-            yield (CONV_SCHEMA, *lead, q, scheme.value, *_window_cells(window))
+            yield (CONV_SCHEMA, figure, base.receiver, base.T_s, base.L, q, scheme, *_window_cells(window))
 
 
-def _ver_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
+def _ver_rows(figure, base, q_values, dt, trial, workers) -> Iterable[list]:
     schemes = (Scheme.NUMERIC_MSINAR, Scheme.CLOSED_FORM, Scheme.EXHAUSTIVE_BER)
     for row in sweep(base, q_values, schemes, trial, dt=dt, workers=workers):
-        yield (VER_SCHEMA, *lead, row.q, row.scheme.value, row.result.threshold, row.result.ber.value,
-               row.mc.value, row.mc.ci_halfwidth, row.mc.trials)
+        cells = {**_row_cells(base, row, trial.seed), "schema": VER_SCHEMA, "figure": figure}
+        yield [cells[name] for name in VER_HEADER]
 
 
-def _cmp_rows(lead, base, q_values, dt, trial, workers) -> Iterable[tuple]:
-    swept = sweep(base, q_values, _CMP_SCHEMES, trial, dt=dt, workers=workers)
-    by_cell = {(row.q, row.scheme): row for row in swept}
-    for q in q_values:
-        cells: list = [CMP_SCHEMA, *lead, q]
-        for scheme in _CMP_SCHEMES:
-            row = by_cell[q, scheme]
-            cells.extend([row.result.ber.value, row.mc.value, row.mc.ci_halfwidth])
-        yield tuple(cells)
+def _cmp_rows(figure, base, q_values, dt, trial, workers) -> Iterable[list]:
+    by_q: dict[int, dict] = {}  # one CSV row per Q, in sweep (so q_values) order
+    for row in sweep(base, q_values, _CMP_SCHEMES, trial, dt=dt, workers=workers):
+        cells = _row_cells(base, row, trial.seed)
+        named = by_q.setdefault(row.q, {**cells, "schema": CMP_SCHEMA, "figure": figure})
+        named.update({f"{row.scheme.value.replace('-', '_')}_{col}": cells[col] for col in _CMP_COLUMNS})
+    return ([named[name] for name in CMP_HEADER] for named in by_q.values())
 
 
 # figure family -> (CSV header, the rows of one (T_s, L) cell)
@@ -562,10 +535,14 @@ def cmd_reproduce(args) -> int:
             raise ConfigError(f"{flag} must be finite and > 0, got {q}")
     family, kind = figure.split("-")
     header, family_rows = _REPRODUCE_FAMILIES[family]
+    given = [f"--{name}" for name in _DRAW_DEFAULTS if name in vars(args)]
+    if family == "conv" and given:
+        raise ConfigError(f"{figure} draws no Monte Carlo trials; it takes no {', '.join(given)}")
+    value = {**_DRAW_DEFAULTS, **vars(args)}
+    trial, workers = TrialConfig(value["trials"], value["seed"]), _workers(value["workers"])
+    draws = {} if family == "conv" else {"trial": trial, "workers": workers}
     ts_values, l_values = _FIGURE_TS_L[kind]
     q_values = _geometric_q(args.q_min, args.q_max, args.q_points)
-    trial = TrialConfig(trials=args.trials, seed=args.seed)
-    workers = _workers(args)
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -573,12 +550,11 @@ def cmd_reproduce(args) -> int:
         raise OSError(f"cannot create {outdir}: {exc}") from exc
     out = outdir / f"{figure}.csv"
 
-    rows: list[tuple] = []
+    rows: list[Sequence] = []
     for T_s in ts_values:
         for L in l_values:
-            base = _reproduce_params(kind, T_s, L)
-            lead = (figure, base.receiver.value, T_s, L)
-            rows.extend(family_rows(lead, base, q_values, T_s / args.grid_divisions, trial, workers))
+            base = config_from_entries({**_TABLE1[kind], "T_s": repr(T_s), "L": str(L), "Q": "1"}).system
+            rows.extend(family_rows(figure, base, q_values, T_s / args.grid_divisions, **draws))
     _write_csv(str(out), header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -619,15 +595,17 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(name, help=summary, parents=options).set_defaults(func=func)
 
-    p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment", parents=[workers])
+    p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment")
     p_rep.add_argument("figure", help="one of " + ", ".join(REPRODUCE_FIGURES))
     p_rep.add_argument("-o", "--outdir", default="reproduce-out", help="output directory")
     p_rep.add_argument("--q-min", type=float, default=1e2)
     p_rep.add_argument("--q-max", type=float, default=1e5)
     p_rep.add_argument("--q-points", type=int, default=8)
     p_rep.add_argument("--grid-divisions", type=int, default=80)
-    p_rep.add_argument("--trials", type=int, default=50_000)
-    p_rep.add_argument("--seed", type=int, default=0)
+    # unset unless given, so that the conv figures can refuse them
+    for name, what in (("trials", "Monte Carlo trials a row"), ("seed", "master seed"), ("workers", "worker processes")):
+        p_rep.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS,
+                           help=f"{what} (default {_DRAW_DEFAULTS[name]}; ver-* and cmp-* only)")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

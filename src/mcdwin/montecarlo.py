@@ -56,7 +56,6 @@ __all__ = [
     "simulate_ber",
     "simulate_ber_taps",
     "sweep",
-    "sweep_row",
     "wilson_halfwidth",
 ]
 
@@ -382,18 +381,6 @@ def _start_row(
     return lambda: SweepRow(q=int(params.Q), scheme=scheme, result=result, mc=wait())
 
 
-def sweep_row(
-    params: SystemParams,
-    scheme: Scheme,
-    trial: TrialConfig,
-    dt: float | None = None,
-    workers: int = 1,
-) -> SweepRow:
-    """Select the scheme's window and simulate on the taps and threshold it was scored on."""
-    with _open_pool(workers, trial.trials) as (pool, size):
-        return _start_row(params, scheme, trial, dt, pool, size)()
-
-
 def sweep(
     params: SystemParams,
     q_values: Sequence[int],
@@ -402,12 +389,13 @@ def sweep(
     dt: float | None = None,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """BER versus Q for several window-selection schemes, a ``sweep_row`` per
-    (Q, scheme): the window with the threshold and analytic BER its selection
-    scored (never a rescan) and a Monte Carlo estimate on the same taps.  One
-    pool, sized by the chunks of all rows (so rows of one chunk each still
-    use the workers), serves every row, and each row's draws start before
-    any is awaited, so workers draw while later rows are searched; an error
+    """BER versus Q for several window-selection schemes, a row per (Q,
+    scheme): the ``select_window`` result, with the threshold and analytic
+    BER its selection scored (never a rescan), and the estimate
+    ``simulate_ber_taps`` gives on those taps and threshold.  One pool,
+    sized by the chunks of all rows (so rows of one chunk each still use
+    the workers), serves every row, and each row's draws start before any
+    is awaited, so workers draw while later rows are searched; an error
     cancels the queued draws.  Row seeds derive deterministically from the
     master seed, so the output is reproducible for any worker count.
     """

@@ -481,25 +481,20 @@ def _grid_taps(params: SystemParams, table: np.ndarray, i1: np.ndarray, i2: np.n
     """Tap means and variances, each (L+1, len(cols)), of the grid windows
     ``cols`` (an index array or a slice) from the per-lag response ``table``
     of ``_window_grid``: a difference of two survival columns, or a column
-    of the ``_sample_sums`` of the window's start sample, taken for a run
-    of starts at a time that holds about _GRID_BLOCK sums.  A column does
-    not depend on the others, so it is bit for bit the one ``window_taps``
-    gives.
+    of the ``_sample_sums`` of the window's start sample, one cumulative sum
+    per distinct start, scattered to the columns that share it.  A column
+    does not depend on the others, so it is bit for bit the one
+    ``window_taps`` gives.
     """
     first, last = i1[cols], i2[cols]
     if params.receiver is Receiver.ABSORBING:
         mean = table[:, first] - table[:, last]
         return mean, _tap_variance(params, mean)
-    starts, inverse = np.unique(first, return_inverse=True)
-    widths = table.shape[1] - starts
-    offsets = np.cumsum(widths) - widths  # of each start's sums, were they all concatenated
-    heads = np.flatnonzero(np.diff(offsets // _GRID_BLOCK, prepend=-1))
-    order = np.argsort(inverse, kind="stable")
-    runs = np.split(order, np.searchsorted(inverse[order], heads[1:]))
+    starts, inverse, counts = np.unique(first, return_inverse=True, return_counts=True)
+    runs = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     mean = np.empty((table.shape[0], first.size))
-    for head, end, at in zip(heads, [*heads[1:], starts.size], runs):
-        sums = _sample_sums(table, starts[head:end])
-        mean[:, at] = sums[:, offsets[inverse[at]] - offsets[head] + last[at] - first[at]]
+    for n1, at in zip(starts, runs):
+        mean[:, at] = _sample_sums(table, n1)[:, last[at] - n1]
     return mean, _tap_variance(params, mean)
 
 

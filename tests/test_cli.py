@@ -7,14 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from mcdwin import ContinuousWindow, Method, Receiver, Scheme, cli, closed_form_interval, msinar, optimizer
+from mcdwin import (
+    ContinuousWindow, Method, Receiver, Scheme, cli, closed_form_interval, msinar, optimizer, simulate_ber_taps,
+)
 from mcdwin.cli import (
     CMP_HEADER,
     CONV_HEADER,
     METRICS_HEADER,
     SWEEP_HEADER,
     VER_HEADER,
-    emit_config,
     main,
     parse_config,
 )
@@ -77,11 +78,6 @@ class TestConfigParsing:
         assert cfg.system.r == pytest.approx(5e-6, rel=1e-12)
         assert cfg.system.receiver is Receiver.ABSORBING
         assert cfg.q_values == (300, 500)
-
-    def test_round_trip_identity(self):
-        for text in (AB_CONFIG, PA_CONFIG):
-            cfg = parse_config(text)
-            assert parse_config(emit_config(cfg)) == cfg
 
     def test_passive_sampling_defaults(self):
         cfg = parse_config(PA_CONFIG)
@@ -335,6 +331,14 @@ class TestSimulateAndSweep:
             (row,) = list(csv.DictReader(fh))
         for key in ("resolved_method", "t1", "t2", "n1", "n2", "tau", "threshold", "ber_analytic"):
             assert printed[key] == row[key], key
+        # simulate draws with the config's own trial on the taps and threshold
+        # the selected window was scored on
+        config = parse_config(text + "trial.trials = 200\nsearch.dt = 0.008\n")
+        result = optimizer.select_window(config.system, Scheme(scheme), config.search_dt)
+        mc = simulate_ber_taps(config.system, result.taps, result.threshold, config.trial)
+        assert float(printed["ber_mc"]) == mc.value
+        assert float(printed["mc_ci_halfwidth"]) == mc.ci_halfwidth
+        assert int(printed["trials"]) == mc.trials == 200
 
 
 class TestInputValidation:
@@ -358,7 +362,7 @@ class TestInputValidation:
         assert f"--workers must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
         assert main(["simulate", "-c", ab_cfg_file, "--workers", value]) == 2
-        assert main(["reproduce", "conv-pa", "-o", str(tmp_path / "rep"), "--workers", value]) == 2
+        assert main(["reproduce", "ver-pa", "-o", str(tmp_path / "rep"), "--workers", value]) == 2
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize(
@@ -634,7 +638,7 @@ class TestReproduce:
             [
                 "reproduce", "conv-ab", "-o", str(out),
                 "--q-points", "2", "--q-min", "400", "--q-max", "2000",
-                "--grid-divisions", "20", "--trials", "1000",
+                "--grid-divisions", "20",
             ]
         )
         assert code == 0
@@ -680,6 +684,18 @@ class TestReproduce:
         for row in rows:
             gap = abs(float(row["ber_mc"]) - float(row["ber_analytic"]))
             assert gap <= 4 * float(row["mc_ci_halfwidth"]) + 1e-12
+
+    @pytest.mark.parametrize("figure", ["conv-ab", "conv-pa"])
+    @pytest.mark.parametrize("flag, value", [("--trials", "1000"), ("--seed", "3"), ("--workers", "2")])
+    def test_conv_figures_refuse_monte_carlo_flags(self, tmp_path, capsys, figure, flag, value):
+        # a convergence row draws no trials, so a trial count, seed or worker
+        # count would be accepted and mean nothing
+        out = tmp_path / "rep"
+        small = ["--q-points", "1", "--q-min", "400", "--q-max", "400", "--grid-divisions", "10"]
+        assert main(["reproduce", figure, "-o", str(out), *small, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag in err
+        assert not out.exists()
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert main(["reproduce", "nope", "-o", str(tmp_path)]) == 2

@@ -1,10 +1,9 @@
 """The CLI contract, fuzzed: any one or two config keys set to an edge value.
 
 Every invocation must end in a documented exit code with its documented
-message prefix, never in an exception.  An accepted config must round-trip
-through ``emit_config``, and every ``sweep`` row must carry a threshold no
-worse than its integer neighbours and an analytic BER that a two-tail sum
-written here reproduces.
+message prefix, never in an exception.  Every ``sweep`` row must carry a
+threshold no worse than its integer neighbours and an analytic BER that a
+two-tail sum written here reproduces.
 """
 import csv
 import io
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from mcdwin.channel import ContinuousWindow, Receiver, SampledWindow, shift_taps, window_taps
-from mcdwin.cli import config_from_entries, emit_config, main, parse_config
+from mcdwin.cli import config_from_entries, main
 
 COMMANDS = ("optimize", "simulate", "sweep", "metrics")
 COMMON = {
@@ -121,7 +120,5 @@ def test_cli_contract(case):
             lines = stderr.getvalue().splitlines()
             assert any(line.startswith(PREFIXES[code]) for line in lines), stderr.getvalue()
             return
-        config = config_from_entries(entries)
-        assert parse_config(emit_config(config)) == config
         if command == "sweep":
-            _check_sweep_rows(config.system, out)
+            _check_sweep_rows(config_from_entries(entries).system, out)

@@ -783,13 +783,19 @@ class TestGridTaps:
     """A search scores a window on the taps ``window_taps`` gives it."""
 
     @pytest.mark.parametrize("params, dt", GRID_CASES)
-    def test_grid_columns_equal_window_taps(self, params, dt):
+    def test_grid_columns_equal_window_taps(self, monkeypatch, params, dt):
+        # the columns the searches ask for: the whole grid, each block, and
+        # index arrays, shuffled with several windows of one start, or of one
         edges, table, i1, i2 = optimizer._window_grid(params, dt)
-        mean, var = optimizer._grid_taps(params, table, i1, i2, slice(None))
-        for w in range(i1.size):
-            taps = window_taps(params, optimizer._grid_window(edges, i1, i2, w))
-            assert taps.mean.tobytes() == mean[:, w].tobytes()
-            assert taps.var.tobytes() == var[:, w].tobytes()
+        monkeypatch.setattr(optimizer, "_GRID_BLOCK", 8)
+        shuffled = np.random.default_rng(1).permutation(i1.size)
+        assert np.unique(i1[shuffled]).size < shuffled.size
+        for call in [slice(None), *optimizer._blocks(i1.size), shuffled, np.array([i1.size // 2])]:
+            mean, var = optimizer._grid_taps(params, table, i1, i2, call)
+            for k, w in enumerate(np.arange(i1.size)[call]):
+                taps = window_taps(params, optimizer._grid_window(edges, i1, i2, w))
+                assert taps.mean.tobytes() == mean[:, k].tobytes()
+                assert taps.var.tobytes() == var[:, k].tobytes()
 
     def test_blocks_cover_the_columns_without_a_lone_last_one(self, monkeypatch):
         # numpy sums a one-column table down its rows in another order than
