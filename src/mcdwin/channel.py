@@ -315,13 +315,34 @@ def _tap_variance(params: SystemParams, mean: np.ndarray) -> np.ndarray:
     return mean.copy()
 
 
-def _sample_sums(rates: np.ndarray, n1: int) -> np.ndarray:
-    """Passive tap rates of the windows [n1, n2] that start at sample n1, in
-    column n2 - n1, from the p_{n,k} ``rates`` of consecutive samples.
+def _sample_sums(rates: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Passive tap rates of the windows [n1, n], n1 <= n <= n2, in column
+    n - n1, from the p_{n,k} ``rates`` of consecutive samples.
 
     The one summation rule of a passive tap: its samples added in order from n1.
     """
-    return np.cumsum(rates[:, n1:], axis=1)
+    return np.cumsum(rates[:, n1 : n2 + 1], axis=1)
+
+
+def _window_means(params: SystemParams, table: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Tap means, (rows of ``table``, len(first)), of the windows whose edge
+    points or samples are the columns ``first`` and ``last`` of the per-lag
+    response ``table``: the one tap builder of every window, grid column
+    and delay.
+
+    Absorbing: a difference of two survival columns.  Passive: a column of
+    the ``_sample_sums`` of the window's start sample, one cumulative sum per
+    distinct start, scattered to the columns that share it.  A column does
+    not depend on the others, so a window gets the same taps bit for bit
+    whichever table or batch it is built in.
+    """
+    if params.receiver is Receiver.ABSORBING:
+        return table[:, first] - table[:, last]
+    mean = np.empty((table.shape[0], first.size))
+    for n1 in np.unique(first):
+        at = first == n1
+        mean[:, at] = _sample_sums(table, n1, last[at].max())[:, last[at] - n1]
+    return mean
 
 
 def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
@@ -329,43 +350,49 @@ def window_taps(params: SystemParams, window: DetectionWindow) -> TapProfile:
 
     Absorbing: mean = F_ab at the k-shifted interval, var = F(1-F)
     (binomial capture).  Passive: mean = var = sum of p_{n,k} over the
-    window samples in order from n1, ``_sample_sums`` (Poisson counting).
+    window samples in order from n1 (Poisson counting).  Both are the
+    ``_window_means`` of the window's two edges or its samples.
     """
     check_window(params, window)
     lags = tuple(range(params.L + 1))
     if isinstance(window, ContinuousWindow):
-        surv = _response_table(params, np.array([window.t1, window.t2]), lags)
-        mean = surv[:, 0] - surv[:, 1]
+        points, last = np.array([window.t1, window.t2]), 1
     else:
-        samples = np.arange(window.n1, window.n2 + 1, dtype=float)
-        mean = _sample_sums(_response_table(params, samples, lags), 0)[:, -1]
+        points, last = np.arange(window.n1, window.n2 + 1, dtype=float), window.n2 - window.n1
+    mean = _window_means(params, _response_table(params, points, lags), np.array([0]), np.array([last]))[:, 0]
     return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))
 
 
-def _shifted_means(params: SystemParams, taus: np.ndarray) -> np.ndarray:
-    """Tap means of full-length windows delayed by each tau, shape (L+2, len(taus)).
+def _shifted_means(params: SystemParams, taus: np.ndarray):
+    """The full-length windows delayed by each tau, as grid windows (edges or
+    None, i1, i2), and their tap means, shape (L+2, len(taus)).
 
-    The window is [tau, tau + T_s] (or the N+1 samples from round(tau/t_s)).
-    Rows are lags 0..L, then -1: the next symbol's release leaking into the
-    overhang [T_s, tau + T_s].
+    The window is [tau, tau + T_s] (edges[i1], edges[i2]), or the N+1
+    samples [i1, i2] from round(tau/t_s).  Rows are lags 0..L, then -1: the
+    next symbol's release leaking into the overhang [T_s, tau + T_s].  Taps
+    0..L, and the passive -1, are ``_window_means`` columns of one response
+    table, summed like any other window's.
     """
     lags = range(params.L + 1)
     if params.receiver is Receiver.ABSORBING:
-        own = _response_table(params, taus, lags) - _response_table(params, taus + params.T_s, lags)
+        edges = np.concatenate((taus, taus + params.T_s))
+        i1 = np.arange(taus.size)
+        i2 = i1 + taus.size
+        own = _window_means(params, _response_table(params, edges, lags), i1, i2)
         # next symbol released at T_s: the overhang [T_s, tau+T_s] is [0, tau]
         # after its own release, taken at tau itself ((tau+T_s)-T_s != tau)
-        return np.vstack((own, _survival(params, 0.0) - _survival(params, taus)))
+        return edges, i1, i2, np.vstack((own, _survival(params, 0.0) - _survival(params, taus)))
     assert params.t_s is not None and params.N is not None
-    starts = np.rint(taus / params.t_s)
-    samples = (starts[:, None] + np.arange(params.N + 1)).ravel()
-    rates = _response_table(params, samples, (*lags, -1))
-    return rates.reshape(params.L + 2, taus.size, params.N + 1).sum(axis=2)
+    i1 = np.rint(taus / params.t_s)
+    cols = (i1 - i1.min()).astype(np.int64)  # table columns: samples from the earliest start
+    table = _response_table(params, i1.min() + np.arange(cols.max() + params.N + 1.0), (*lags, -1))
+    return None, i1, i1 + params.N, _window_means(params, table, cols, cols + params.N)
 
 
 def shift_taps(params: SystemParams, tau: float) -> TapProfile:
     """Taps 0..L and -1 of the full-length window delayed by tau (a ``_shifted_means`` column)."""
     if tau < 0:
         raise ValueError("shift tau must be >= 0")
-    mean = _shifted_means(params, np.array([tau], dtype=float))[:, 0]
+    mean = _shifted_means(params, np.array([tau], dtype=float))[-1][:, 0]
     lags = tuple(range(params.L + 1)) + (-1,)
     return TapProfile(lags=lags, mean=mean, var=_tap_variance(params, mean))

@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -159,6 +160,13 @@ def _positive(key: str, text: str) -> float:
     return value
 
 
+def _micrometres(key: str, text: str) -> float:
+    """A positive length in micrometres, in metres: the decimal as written,
+    shifted six places and rounded once, so ``d_um = 5`` is ``d = 5e-6``."""
+    _positive(key, text)
+    return float(Fraction(Decimal(text)) / 10**6)
+
+
 def _integer(lo: int, hi: float = math.inf) -> Callable[[str, str], int]:
     """Reader of a whole number in [lo, hi], taken exactly as written (a
     double would round 2^53 + 1); it must still be a finite double."""
@@ -219,8 +227,8 @@ _KEYS: dict[str, _Key] = {
     "receiver": _Key(_choice({rx.value: rx for rx in Receiver}), _REQUIRED),
     "d": _Key(_positive),
     "r": _Key(_positive),
-    "d_um": _Key(_positive),
-    "r_um": _Key(_positive),
+    "d_um": _Key(_micrometres),
+    "r_um": _Key(_micrometres),
     "D": _Key(_positive, _REQUIRED),
     "T_s": _Key(_positive, _REQUIRED),
     "L": _Key(_integer(0, MAX_ENUMERATION_L), _REQUIRED),
@@ -282,7 +290,7 @@ def config_from_entries(entries: dict[str, str], source: str = "<config>") -> Ex
             raise ConfigError(f"give {name} or {name}_um, not both")
         if si is None and um is None:
             raise ConfigError(f"missing required key {name} (or {name}_um)")
-        lengths.append(si if um is None else um * 1e-6)
+        lengths.append(si if um is None else um)
     d, r = lengths
 
     n_samples, t_s = v["N"], v["t_s"]
@@ -407,18 +415,18 @@ def cmd_metrics(args) -> int:
     params = config.system
     out = _output(args, "metrics")
 
-    edges, table, i1, i2 = opt._window_grid(params, config.search_dt)
+    edges, i1, i2, columns = opt._window_grid(params, config.search_dt)
 
-    def columns(cols):
-        taps = opt._grid_taps(params, table, i1, i2, cols)
+    def scores(cols):
+        taps = columns(cols)
         return [metrics_mod.metric_values_from_taps(metric, float(params.Q), *taps) for metric in metrics_mod.Metric]
 
     blocks = opt._blocks(i1.size)
-    first = columns(blocks[0])  # a refused metric raises before the file is opened
+    first = scores(blocks[0])  # a refused metric raises before the file is opened
 
     def rows():
         for cols in blocks:
-            values = first if cols is blocks[0] else columns(cols)
+            values = first if cols is blocks[0] else scores(cols)
             for k, w in enumerate(range(cols.start, cols.stop)):
                 place = _window_cells(opt._grid_window(edges, i1, i2, w))
                 yield (METRICS_SCHEMA, *place, *(column[k] for column in values))

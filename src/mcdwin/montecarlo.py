@@ -94,9 +94,9 @@ class TrialConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def wilson_halfwidth(errors: int, trials: int, z: float = _Z95) -> float:
+def wilson_halfwidth(errors: int, trials: int) -> float:
     """Half-width of the Wilson 95% score interval for an error rate."""
-    n = float(trials)
+    n, z = float(trials), _Z95
     p = errors / n
     denom = 1.0 + z * z / n
     return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom

@@ -42,8 +42,8 @@ symbol's leakage as interference.  Both BER searches are one branch-and-bound
 (``_least_ber``) over the columns of a tap table; they return the taps,
 threshold and BER they scored the winner on, which ``select_window`` adds
 to every other scheme's window, so no caller rescans a selected window.
-The grid's taps are built a block of windows at a time (``_grid_taps``), so
-a grid search holds its int32 window indices (8 bytes a window), a bound a
+The grid's taps are built a block of windows at a time (``_window_grid``),
+so a grid search holds its int32 window indices (8 bytes a window), a bound a
 window in the BER searches, and one block, never the whole (L+1, windows)
 table.
 """
@@ -54,7 +54,6 @@ import math
 from dataclasses import astuple, dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,9 +67,9 @@ from .channel import (
     SystemParams,
     TapProfile,
     _response_table,
-    _sample_sums,
     _shifted_means,
     _tap_variance,
+    _window_means,
     derived,
     full_window,
     hitting_density,
@@ -477,27 +476,6 @@ def _sampled_grid(params: SystemParams):
     return (rates, *_pair_indices(params.N + 1, 0))
 
 
-def _grid_taps(params: SystemParams, table: np.ndarray, i1: np.ndarray, i2: np.ndarray, cols):
-    """Tap means and variances, each (L+1, len(cols)), of the grid windows
-    ``cols`` (an index array or a slice) from the per-lag response ``table``
-    of ``_window_grid``: a difference of two survival columns, or a column
-    of the ``_sample_sums`` of the window's start sample, one cumulative sum
-    per distinct start, scattered to the columns that share it.  A column
-    does not depend on the others, so it is bit for bit the one
-    ``window_taps`` gives.
-    """
-    first, last = i1[cols], i2[cols]
-    if params.receiver is Receiver.ABSORBING:
-        mean = table[:, first] - table[:, last]
-        return mean, _tap_variance(params, mean)
-    starts, inverse, counts = np.unique(first, return_inverse=True, return_counts=True)
-    runs = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-    mean = np.empty((table.shape[0], first.size))
-    for n1, at in zip(starts, runs):
-        mean[:, at] = _sample_sums(table, n1)[:, last[at] - n1]
-    return mean, _tap_variance(params, mean)
-
-
 def _blocks(n: int):
     """Slices of _GRID_BLOCK of the n columns; a last slice of one column
     joins the one before, as numpy sums one column down its rows in another
@@ -521,8 +499,10 @@ def _count_text(n: int) -> str:
 
 
 def _window_grid(params: SystemParams, dt: float | None):
-    """Candidate windows of the grid searches: (edges or None, response
-    table, i1, i2), their taps built a block at a time by ``_grid_taps``.
+    """Candidate windows of the grid searches: (edges or None, i1, i2,
+    columns); ``columns(cols)`` gives the (L+1, len(cols)) tap means and
+    variances of the windows ``cols`` (an index array or a slice), built by
+    ``_window_means`` from the grid's response table a block at a time.
 
     Refuses (EnumerationTooLarge) a grid whose (L+1, windows) taps would
     exceed MAX_GRID_ELEMENTS, before building anything.  The windows are
@@ -541,8 +521,15 @@ def _window_grid(params: SystemParams, dt: float | None):
             f"taps, over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
         )
     if params.receiver is Receiver.ABSORBING:
-        return _continuous_grid(params, step)
-    return (None, *_sampled_grid(params))
+        edges, table, i1, i2 = _continuous_grid(params, step)
+    else:
+        edges, (table, i1, i2) = None, _sampled_grid(params)
+
+    def columns(cols):
+        mean = _window_means(params, table, i1[cols], i2[cols])
+        return mean, _tap_variance(params, mean)
+
+    return edges, i1, i2, columns
 
 
 def _grid_window(edges: np.ndarray | None, i1: np.ndarray, i2: np.ndarray, w: int) -> DetectionWindow:
@@ -580,12 +567,12 @@ def numeric_metric_search(
         if metric is metrics.Metric.MSINAR:
             q_eff = _msinar_q(params)
 
-    edges, table, i1, i2 = _window_grid(params, dt)
+    edges, i1, i2, columns = _window_grid(params, dt)
     # each block's best window, then ``_argbest`` of those: the same rule
     # over the whole grid, without a value per window
     picks, best = [], []
     for cols in _blocks(i1.size):
-        values = metrics.metric_values_from_taps(metric, float(q_eff), *_grid_taps(params, table, i1, i2, cols))
+        values = metrics.metric_values_from_taps(metric, float(q_eff), *columns(cols))
         if np.isfinite(values).any():
             pick = _argbest(values, i1[cols], i2[cols], maximize=True)
             picks.append(cols.start + pick)
@@ -704,8 +691,7 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
         raise EnumerationTooLarge(
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
-    edges, table, i1, i2 = _window_grid(params, dt)
-    columns = partial(_grid_taps, params, table, i1, i2)
+    edges, i1, i2, columns = _window_grid(params, dt)
     best, scored = _least_ber(params, tuple(range(params.L + 1)), i1, i2, columns)
     return OptimizationResult(window=_grid_window(edges, i1, i2, best), method=Method.EXHAUSTIVE_BER, **scored)
 
@@ -737,13 +723,9 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
         )
     if params.receiver is Receiver.ABSORBING:
         taus = np.linspace(0.0, consts.t_max, n_tau + 1)
-        edges, offset = np.concatenate((taus, taus + params.T_s)), taus.size
     else:
         taus = np.arange(n_tau + 1.0) * step
-        edges, offset = None, params.N
-    i1 = np.arange(taus.size)
-    i2 = i1 + offset
-    mean = _shifted_means(params, taus)
+    edges, i1, i2, mean = _shifted_means(params, taus)
     var = _tap_variance(params, mean)
     lags = tuple(range(params.L + 1)) + (-1,)
     best, scored = _least_ber(params, lags, i1, i2, lambda cols: (mean[:, cols], var[:, cols]))

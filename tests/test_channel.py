@@ -21,6 +21,7 @@ from mcdwin import (
     hitting_density,
     passive_probability,
     shift_taps,
+    threshold_from_taps,
     window_taps,
 )
 from mcdwin.channel import _response_table, _survival
@@ -398,9 +399,11 @@ class TestTapProfiles:
         tau = samples * params.t_s
         first = int(round(tau / params.t_s))
         times = np.arange(first, first + params.N + 1, dtype=float) * params.t_s
+        # the samples added one at a time in order from the first (np.cumsum;
+        # Python's sum is compensated from 3.12)
         mean = np.array(
             [
-                passive_probability(params, np.maximum(times + k * params.T_s, 0.0)).sum()
+                np.cumsum(passive_probability(params, np.maximum(times + k * params.T_s, 0.0)))[-1]
                 for k in (0, 1, 2, 3, -1)
             ]
         )
@@ -408,3 +411,21 @@ class TestTapProfiles:
         assert taps.lags == (0, 1, 2, 3, -1)
         assert np.array_equal(taps.mean, mean)
         assert np.array_equal(taps.var, mean)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(absorbing_params(L=3, Q=10_000), id="absorbing"),
+            pytest.param(passive_params(T_s=2.0, L=3, Q=10_000), id="passive"),
+        ],
+    )
+    def test_shift_zero_is_the_full_window_bit_for_bit(self, params):
+        # the delay tau = 0 is the full window: its taps 0..L, and with its
+        # zero next-symbol tap its threshold and BER, are the full scheme's
+        shifted = shift_taps(params, 0.0)
+        full = window_taps(params, full_window(params))
+        assert shifted.lags[:-1] == full.lags
+        assert shifted.mean[:-1].tobytes() == full.mean.tobytes()
+        assert shifted.var[:-1].tobytes() == full.var.tobytes()
+        assert shifted.mean[-1] == 0.0
+        assert repr(threshold_from_taps(params, shifted)) == repr(threshold_from_taps(params, full))

@@ -570,6 +570,13 @@ class TestKeyTable:
         config = parse_config(AB_CONFIG + line + "\n")
         assert {"Q": config.system.Q, "trial.seed": config.trial.seed, "sweep.q_values": config.q_values}[key] == value
 
+    @pytest.mark.parametrize("um, m", [("5", "5e-6"), ("0.7", "7e-7"), ("123.456", "1.23456e-4")])
+    def test_micrometres_are_the_metre_link(self, um, m):
+        # d_um = 5 is the link d = 5e-6, not 5 * 1e-6 = 4.9999999999999996e-06
+        base = "receiver = absorbing\nD = 80e-12\nT_s = 0.2\nL = 4\nQ = 500\n"
+        in_um = parse_config(base + f"d_um = {um}\nr_um = {um}\n").system
+        assert in_um == parse_config(base + f"d = {m}\nr = {m}\n").system
+
     def test_empty_value_means_unset(self, ab_cfg_file, tmp_path, capsys):
         cleared = parse_config(
             AB_CONFIG + "method =\nsweep.methods =\ntrial.seed =\nsearch.dt =\n"
@@ -700,7 +707,7 @@ class TestReproduce:
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert main(["reproduce", "nope", "-o", str(tmp_path)]) == 2
 
-    def test_worker_env_var_keeps_csv(self, tmp_path, monkeypatch):
+    def test_worker_count_keeps_csv(self, tmp_path, monkeypatch):
         # 70,000 trials are two RNG chunks, so two workers split every row
         seen = []
         original = cli.sweep

@@ -25,7 +25,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin.metrics import metric_values_from_taps
-from mcdwin.optimizer import _continuous_grid, _grid_taps, closed_form_interval, numeric_metric_search
+from mcdwin.optimizer import _window_grid, closed_form_interval, numeric_metric_search
 from conftest import absorbing_params, assert_rel, passive_params, sample_probability
 
 WINDOW = ContinuousWindow(0.03, 0.2)
@@ -241,8 +241,8 @@ class TestSinglePath:
     @pytest.mark.parametrize("L", [1, 4, 9])
     def test_grid_column_equals_window_taps_and_scalar_metrics(self, L):
         params = absorbing_params(T_s=0.2, L=L, Q=700)
-        edges, surv, i1, i2 = _continuous_grid(params, params.T_s / 16)
-        mean, var = _grid_taps(params, surv, i1, i2, slice(None))
+        edges, i1, i2, columns = _window_grid(params, params.T_s / 16)
+        mean, var = columns(slice(None))
         scalar = {
             Metric.SIR: sir, Metric.SID: sid, Metric.SINAR: sinar, Metric.MSINAR: msinar, Metric.MSID: msid
         }
@@ -261,8 +261,8 @@ class TestBelowOneMolecule:
         # the sqrt(2/q) noise terms divide by q; the table refuses q < 1 as
         # the scalar metrics do instead of dividing by zero
         params = absorbing_params(T_s=0.2, L=2, Q=0)
-        _, surv, i1, i2 = _continuous_grid(params, params.T_s / 8)
-        mean, var = _grid_taps(params, surv, i1, i2, slice(None))
+        _, i1, _, columns = _window_grid(params, params.T_s / 8)
+        mean, var = columns(slice(None))
         for metric in (Metric.SINAR, Metric.MSINAR, Metric.MSID):
             with pytest.raises(ValueError, match="noise-aware metrics need Q >= 1"):
                 metric_values_from_taps(metric, 0.0, mean, var)

@@ -786,12 +786,12 @@ class TestGridTaps:
     def test_grid_columns_equal_window_taps(self, monkeypatch, params, dt):
         # the columns the searches ask for: the whole grid, each block, and
         # index arrays, shuffled with several windows of one start, or of one
-        edges, table, i1, i2 = optimizer._window_grid(params, dt)
+        edges, i1, i2, columns = optimizer._window_grid(params, dt)
         monkeypatch.setattr(optimizer, "_GRID_BLOCK", 8)
         shuffled = np.random.default_rng(1).permutation(i1.size)
         assert np.unique(i1[shuffled]).size < shuffled.size
         for call in [slice(None), *optimizer._blocks(i1.size), shuffled, np.array([i1.size // 2])]:
-            mean, var = optimizer._grid_taps(params, table, i1, i2, call)
+            mean, var = columns(call)
             for k, w in enumerate(np.arange(i1.size)[call]):
                 taps = window_taps(params, optimizer._grid_window(edges, i1, i2, w))
                 assert taps.mean.tobytes() == mean[:, k].tobytes()
@@ -817,8 +817,8 @@ class TestGridTaps:
         ],
     )
     def test_window_indices_are_int32_triu_indices(self, params, dt, k):
-        _, table, i1, i2 = optimizer._window_grid(params, dt)
-        expected = np.triu_indices(table.shape[1], k=k)
+        edges, i1, i2, _ = optimizer._window_grid(params, dt)
+        expected = np.triu_indices(params.N + 1 if edges is None else edges.size, k=k)
         assert i1.dtype == i2.dtype == np.int32
         assert np.array_equal(i1, expected[0]) and np.array_equal(i2, expected[1])
         # a grid under the cap has fewer windows, so fewer edges or samples
@@ -855,13 +855,14 @@ class TestGridTaps:
         # start; NaN, +-inf and whole blocks of them are never picked
         monkeypatch.setattr(optimizer, "_GRID_BLOCK", 8)
         params = absorbing_params()
-        edges, _, i1, i2 = optimizer._window_grid(params, 0.2 / 10)
+        edges, i1, i2, _ = optimizer._window_grid(params, 0.2 / 10)
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 2 + seed % 3, i1.size).astype(float)
         values[rng.random(i1.size) < 0.2] = rng.choice([np.nan, np.inf, -np.inf])
         values[8 * rng.integers(0, i1.size // 8) :][:8] = np.nan
         # each block's "taps" are its window numbers, and its metric their values
-        monkeypatch.setattr(optimizer, "_grid_taps", lambda params, table, i1, i2, cols: (np.arange(i1.size)[cols],))
+        grid = optimizer._window_grid
+        monkeypatch.setattr(optimizer, "_window_grid", lambda *args: (*grid(*args)[:3], lambda cols: (np.arange(i1.size)[cols],)))
         monkeypatch.setattr(metrics, "metric_values_from_taps", lambda metric, q, at: values[at])
         res = numeric_metric_search(params, Metric.SINAR, dt=0.2 / 10)
         best = _argbest(values, i1, i2, maximize=True)
@@ -881,8 +882,8 @@ class TestGridTaps:
         # a running sum of n non-negative terms is within (n - 1) u of the
         # exact sum; u = 2^-53
         rates = _response_table(params, np.arange(params.N + 1, dtype=float), range(params.L + 1))
-        _, table, i1, i2 = optimizer._window_grid(params, None)
-        mean = optimizer._grid_taps(params, table, i1, i2, slice(None))[0]
+        _, i1, i2, columns = optimizer._window_grid(params, None)
+        mean = columns(slice(None))[0]
         for w in range(i1.size):
             n = i2[w] - i1[w] + 1
             for lag in range(params.L + 1):

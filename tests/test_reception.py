@@ -22,7 +22,7 @@ from mcdwin import (
     window_taps,
 )
 from mcdwin import reception
-from mcdwin.optimizer import _grid_taps, _window_grid
+from mcdwin.optimizer import _window_grid
 from mcdwin.reception import (
     BerSource,
     _ber_at,
@@ -40,8 +40,7 @@ from conftest import absorbing_params, passive_params
 
 def _all_grid_taps(params, dt=None):
     """(mean, var) tap tables of every window of a search grid."""
-    _, table, i1, i2 = _window_grid(params, dt)
-    return _grid_taps(params, table, i1, i2, slice(None))
+    return _window_grid(params, dt)[-1](slice(None))
 
 
 def _stats(params, taps: TapProfile):
