@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,9 @@ class SystemParams:
         # m_hat^2 = (d+r)^2 / 4D bounds every length scale of the channel
         if not math.isfinite((self.d + self.r) * (self.d + self.r) / (4.0 * self.D)):
             raise ValueError("(d + r)^2 / 4D must be finite: d, r or D is out of range")
+        # below it q_hat's (noise/margin)^2 overflows, and alpha1/alpha2 become 0 and inf
+        if min(self.d, self.r) < sys.float_info.min:
+            raise ValueError(f"d and r must be normal doubles, >= {sys.float_info.min:g} m: got d={self.d:g}, r={self.r:g}")
         if not (math.isfinite(self.L) and self.L >= 0):
             raise ValueError("ISI length L must be finite and >= 0")
         # Q = 0 is accepted so that no-signal edge cases (coin-flip BER) stay

@@ -27,7 +27,7 @@ import csv
 import enum
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -164,7 +164,10 @@ def _micrometres(key: str, text: str) -> float:
     """A positive length in micrometres, in metres: the decimal as written,
     shifted six places and rounded once, so ``d_um = 5`` is ``d = 5e-6``."""
     _positive(key, text)
-    return float(Fraction(Decimal(text)) / 10**6)
+    metres = float(Fraction(Decimal(text)) / 10**6)
+    if metres < sys.float_info.min:
+        raise ConfigError(f"key {key}: {text!r} micrometres is below the least normal double ({sys.float_info.min:g} m)")
+    return metres
 
 
 def _integer(lo: int, hi: float = math.inf) -> Callable[[str, str], int]:
@@ -443,10 +446,8 @@ def _print_fields(pairs: Iterable[tuple[str, object]]) -> None:
 def cmd_optimize(args) -> int:
     params = _load_config(args).system
     result = opt.closed_form_interval(params)
-    inter = result.intermediates
     _print_fields(
-        [("receiver", params.receiver), ("method", result.method), ("q_hat", opt.regime_q_hat(params))]
-        + [(field.name, getattr(inter, field.name) if inter else None) for field in fields(opt.ClosedFormIntermediates)]
+        [("receiver", params.receiver), ("method", result.method), *vars(result.intermediates).items()]
         + list(zip(("t1", "t2", "n1", "n2"), _window_cells(result.window)))
         + [("objective", result.objective_value), ("clamped", result.clamped)]
     )

@@ -19,7 +19,10 @@ on the low-count window; below q_hat the inflation is the identity.
 
 ``closed_form_interval`` is the one closed-form entry point: it dispatches
 on the receiver and on Q against q_hat, and ``result.method`` names the
-Prop it took.  Props 1-4 are one solver (``_closed_form``) over a small
+Prop it took.  The count regime is decided once: the low-count solve
+evaluates q_hat at its own window and records it as
+``intermediates.q_hat``, where the high-count solve, ``regime_q_hat`` and
+the mSINAR count min(Q, q_hat) read it.  Props 1-4 are one solver (``_closed_form``) over a small
 receiver adapter (``_ClosedFormReceiver``).  The adapter supplies what
 differs between the receivers: m^2 (absorbing) or m_hat^2 = (d+r)^2/4D
 (passive); the ratio sum of first-hitting densities or of observation
@@ -153,6 +156,7 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class ClosedFormIntermediates:
+    q_hat: int | None
     regime: Regime
     branch: Branch
     i_ratio: float | None = None
@@ -214,26 +218,9 @@ def _end_cond_sum(m2: float, T_s: float, L: int) -> float:
     return float(np.sum((1.0 + k) ** -1.5 * np.exp(k / (1.0 + k) * m2 / T_s)))
 
 
-def _cbrt(z: complex) -> complex:
-    """Principal cube root; sign-preserving on the real axis."""
-    if z.imag == 0.0:
-        return complex(math.copysign(abs(z.real) ** (1.0 / 3.0), z.real), 0.0)
-    return z ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class _EndSolution:
-    fraction: float  # t2 / T_s
-    branch: Branch
-    gamma: float
-    delta1: float
-    delta2: float
-    s1: complex | None
-    s2: complex | None
-
-
-def _solve_end_fraction(m2: float, T_s: float, ln_v: float) -> _EndSolution:
-    """Branch dispatch for the window-end cubic in x = t2/T_s.
+def _solve_end_fraction(m2: float, T_s: float, ln_v: float) -> tuple[float, dict]:
+    """Branch dispatch for the window-end cubic in x = t2/T_s: x and the
+    branch's intermediates.
 
     The cubic is x^3 ln(V) + 3 x^2 ln(V) + x (2 ln(V) + m^2/T_s - 6)
     + 2 m^2/T_s = 0.  delta1 < 0 selects the Cardano form (complex
@@ -247,18 +234,16 @@ def _solve_end_fraction(m2: float, T_s: float, ln_v: float) -> _EndSolution:
         - (12.0 * gamma / ln_v - 36.0) * (gamma**2 - 18.0 * M * ln_v)
     )
     delta2 = (M - 6.0) ** 2 + 4.0 * ln_v**2 - (20.0 * M + 24.0) * ln_v
+    found = dict(gamma=gamma, delta1=delta1, delta2=delta2)
     if delta1 < 0.0:
         real = -(81.0 / ln_v + 27.0 * M / (2.0 * ln_v))
-        imag = math.sqrt(9.0 * -delta1) / (2.0 * ln_v**2)
-        s1 = complex(real, imag)
-        s2 = complex(real, -imag)
-        fraction = (-3.0 + (_cbrt(s1) + _cbrt(s2)).real) / 3.0
-        return _EndSolution(fraction, Branch.CUBIC_NEG_DISC, gamma, delta1, delta2, s1, s2)
+        imag = math.sqrt(9.0 * -delta1) / (2.0 * ln_v**2)  # > 0: s1, s2 are off the real axis
+        s1, s2 = complex(real, imag), complex(real, -imag)
+        fraction = (-3.0 + (s1 ** (1.0 / 3.0) + s2 ** (1.0 / 3.0)).real) / 3.0  # principal cube roots
+        return fraction, dict(found, branch=Branch.CUBIC_NEG_DISC, s1=s1, s2=s2)
     if delta2 >= 0.0:
-        fraction = (-gamma + math.sqrt(delta2)) / (6.0 * ln_v)
-        return _EndSolution(fraction, Branch.QUAD_POS_DISC, gamma, delta1, delta2, None, None)
-    fraction = -gamma / (6.0 * ln_v)
-    return _EndSolution(fraction, Branch.QUAD_NEG_DISC, gamma, delta1, delta2, None, None)
+        return (-gamma + math.sqrt(delta2)) / (6.0 * ln_v), dict(found, branch=Branch.QUAD_POS_DISC)
+    return -gamma / (6.0 * ln_v), dict(found, branch=Branch.QUAD_NEG_DISC)
 
 
 def _clamp_continuous(t1: float, t2: float, T_s: float) -> tuple[ContinuousWindow, bool]:
@@ -281,8 +266,13 @@ def _clamp_sampled(n1: int, n2: int, N: int) -> tuple[SampledWindow, bool]:
     return SampledWindow(c1, c2), clamped
 
 
+def _msinar_count(Q: int, q_hat: int | None) -> int:
+    """The count mSINAR is scored at: Q, capped at the regime q_hat."""
+    return Q if q_hat is None else min(Q, q_hat)
+
+
 def _msinar_objective(params: SystemParams, window: DetectionWindow, q_eff: int) -> float | None:
-    if q_eff < 1 or params.L < 1:
+    if q_eff < 1:
         return None
     try:
         return metrics.msinar(replace(params, Q=int(q_eff)), window)
@@ -346,84 +336,64 @@ def _closed_form_receiver(params: SystemParams) -> _ClosedFormReceiver:
     )
 
 
-def _closed_form(
-    params: SystemParams, below: DetectionWindow | None = None, q_hat: int | None = None
-) -> OptimizationResult:
+def _closed_form(params: SystemParams, below: OptimizationResult | None = None) -> OptimizationResult:
     """The one closed-form solver: the Pade start root, then T_s or the end cubic.
 
     Low-count regime (``below`` None; Prop 1, 2 or 4): g = 1, and the ISI
     ratios are anchored at the unit-ratio start and midway between t_max
-    and T_s.  High-count regime (Prop 3 or 4): the ratios are anchored on
-    the low-count window ``below`` and inflated by g evaluated at
-    Q = g(q_hat) * q_hat.
+    and T_s; the regime threshold q_hat is evaluated at the window found
+    (None when mSINAR cannot reach 1 there).  High-count regime (Prop 3 or
+    4): the ratios are anchored on the low-count result ``below`` and
+    inflated by g evaluated at Q = g(q_hat) * q_hat, with its q_hat.
+    Either way mSINAR is scored at min(Q, q_hat).
     """
     rx = _closed_form_receiver(params)
     start_name, end_name, start_anchor_name, end_anchor_name = rx.names
     if below is None:
-        regime, g, q_eff = Regime.BELOW_QHAT, 1.0, params.Q
+        regime, g = Regime.BELOW_QHAT, 1.0
         method = Method.PROP1 if params.L == 1 else Method.PROP2
         start_anchor = float(rx.start(_start_time(rx.m2, params.T_s, 0.0)))
     else:
-        assert q_hat is not None
-        regime, q_eff, method = Regime.ABOVE_QHAT, q_hat, Method.PROP3
+        q_hat = below.intermediates.q_hat
+        regime, method = Regime.ABOVE_QHAT, Method.PROP3
         g = metrics.g_factor(params, metrics.g_factor(params, float(q_hat)) * q_hat)
-        first, last = astuple(below)
+        first, last = astuple(below.window)
         start_anchor = float(first)
-    found: dict = {}
-    ratio = 1.0
-    if params.L > 1:
-        ratio = rx.ratio_sum(params, start_anchor)
-        found = {start_name: ratio, start_anchor_name: start_anchor}
-    elif below is not None:
-        found = {start_anchor_name: start_anchor}
+    ratio = rx.ratio_sum(params, start_anchor) if params.L > 1 else 1.0
+    found: dict = {start_name: ratio} if params.L > 1 else {}
+    if params.L > 1 or below is not None:
+        found[start_anchor_name] = start_anchor
     start = rx.start(_start_time(rx.m2, params.T_s, math.log(ratio * g)))
 
     if params.L == 1 or g * _end_cond_sum(rx.m2, params.T_s, params.L) <= 1.0:
         window, clamped = rx.clamp(start, rx.end(1.0), rx.span)
-        inter = ClosedFormIntermediates(regime, Branch.COND_TS, **found)
+        found["branch"] = Branch.COND_TS
     else:
         if below is None:
             end_anchor = float(rx.start(0.5 * (rx.t_max + params.T_s)))
         else:
             end_anchor = 0.5 * (last * rx.unit + rx.t_max) / rx.unit
         end_ratio = rx.ratio_sum(params, end_anchor)
-        sol = _solve_end_fraction(rx.m2, params.T_s, math.log(end_ratio * g))
-        window, clamped = rx.clamp(start, rx.end(sol.fraction), rx.span)
-        inter = ClosedFormIntermediates(
-            regime,
-            sol.branch,
-            gamma=sol.gamma,
-            delta1=sol.delta1,
-            delta2=sol.delta2,
-            s1=sol.s1,
-            s2=sol.s2,
-            **found,
-            **{end_name: end_ratio, end_anchor_name: end_anchor},
-        )
+        fraction, ends = _solve_end_fraction(rx.m2, params.T_s, math.log(end_ratio * g))
+        window, clamped = rx.clamp(start, rx.end(fraction), rx.span)
+        found.update(ends, **{end_name: end_ratio, end_anchor_name: end_anchor})
+    if below is None:
+        try:
+            q_hat = metrics.q_hat(params, window)
+        except NoFiniteQhat:
+            q_hat = None
     return OptimizationResult(
         window=window,
         method=Method.PROP4 if params.receiver is Receiver.PASSIVE else method,
-        intermediates=inter,
-        objective_value=_msinar_objective(params, window, q_eff),
+        intermediates=ClosedFormIntermediates(q_hat, regime, **found),
+        objective_value=_msinar_objective(params, window, _msinar_count(params.Q, q_hat)),
         clamped=clamped,
     )
 
 
-def _regime_dispatch(params: SystemParams, q_hat: int | None) -> OptimizationResult:
-    """Low-count window unless Q reaches q_hat (computed there when None)."""
-    below = _closed_form(params)
-    if q_hat is None:
-        try:
-            q_hat = metrics.q_hat(params, below.window)
-        except NoFiniteQhat:
-            return below
-    if params.Q < q_hat:
-        return below
-    return _closed_form(params, below.window, q_hat)
-
-
 def regime_q_hat(params: SystemParams) -> int | None:
-    """Regime threshold q_hat evaluated at the low-count closed-form window.
+    """Regime threshold q_hat: ``intermediates.q_hat`` of the low-count
+    closed form.
 
     None when the closed form fails or mSINAR cannot reach 1 there; callers
     then stay in the low-count regime for every Q.
@@ -431,16 +401,21 @@ def regime_q_hat(params: SystemParams) -> int | None:
     if params.L < 1:
         return None
     try:
-        return metrics.q_hat(params, _closed_form(params).window)
+        return _closed_form(params).intermediates.q_hat
     except DomainError:
         return None
 
 
 def closed_form_interval(params: SystemParams) -> OptimizationResult:
-    """Regime-dispatched closed form (Prop 1/2/3 absorbing, Prop 4 passive)."""
+    """Regime-dispatched closed form (Prop 1/2/3 absorbing, Prop 4 passive):
+    the low-count window unless Q reaches its q_hat."""
     if params.L < 1:
         raise ValueError("closed forms need L >= 1")
-    return _regime_dispatch(params, None)
+    below = _closed_form(params)
+    q_hat = below.intermediates.q_hat
+    if q_hat is None or params.Q < q_hat:
+        return below
+    return _closed_form(params, below)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +540,7 @@ def numeric_metric_search(
         if params.Q < 1:
             raise ValueError("metric search needs Q >= 1")
         if metric is metrics.Metric.MSINAR:
-            q_eff = _msinar_q(params)
+            q_eff = _msinar_count(params.Q, regime_q_hat(params))
 
     edges, i1, i2, columns = _window_grid(params, dt)
     # each block's best window, then ``_argbest`` of those: the same rule
@@ -607,12 +582,6 @@ def _peak_fallback_window(params: SystemParams, edges: np.ndarray | None) -> Det
     assert params.N is not None and params.t_s is not None
     n = int(np.clip(round(t_max / params.t_s), 0, params.N))
     return SampledWindow(n, n)
-
-
-def _msinar_q(params: SystemParams) -> int:
-    """The count mSINAR is evaluated at: Q, capped at the regime q_hat."""
-    qh = regime_q_hat(params)
-    return params.Q if qh is None else min(params.Q, qh)
 
 
 def _least_ber(

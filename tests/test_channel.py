@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -53,6 +54,14 @@ class TestSystemParams:
         kwargs[field] = value
         with pytest.raises(ValueError, match="finite"):
             SystemParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["d", "r"])
+    def test_rejects_subnormal_lengths(self, field):
+        kwargs = dict(d=5e-6, r=5e-6, D=80e-12, T_s=0.2, L=4, Q=2000, receiver=Receiver.ABSORBING)
+        with pytest.raises(ValueError, match="d and r must be normal doubles"):
+            SystemParams(**{**kwargs, field: 1e-320})
+        # the least normal double is a length
+        assert getattr(SystemParams(**{**kwargs, field: sys.float_info.min}), field) == sys.float_info.min
 
     def test_table1_passive_satisfies_guard(self):
         p = passive_params()

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from mcdwin import (
-    ContinuousWindow, Method, Receiver, Scheme, cli, closed_form_interval, msinar, optimizer, simulate_ber_taps,
+    ContinuousWindow, Method, Receiver, Scheme, cli, closed_form_interval, metrics, msinar, optimizer,
+    simulate_ber_taps,
 )
 from mcdwin.cli import (
     CMP_HEADER,
@@ -232,6 +233,39 @@ class TestOptimizeCommand:
         n1, n2 = int(out["n1"]), int(out["n2"])
         assert 0 <= n1 <= n2 <= 28
 
+    @pytest.mark.parametrize("q, solves", [(100, 1), (2000, 2)])
+    def test_regime_is_decided_once(self, ab_cfg_file, monkeypatch, capsys, q, solves):
+        # q_hat is evaluated once, at the low-count window; the high-count
+        # solve reads it from that result, and nothing solves again to print it
+        calls = {"q_hat": 0, "_closed_form": 0}
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(metrics, "q_hat")
+        count(optimizer, "_closed_form")
+        assert main(["optimize", "-c", ab_cfg_file, "-s", f"Q={q}"]) == 0
+        assert calls == {"q_hat": 1, "_closed_form": solves}
+        out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        params = parse_config(AB_CONFIG + f"Q = {q}\n").system
+        assert int(out["q_hat"]) == optimizer.regime_q_hat(params) == 879
+        assert out["method"] == ("prop2" if q < 879 else "prop3")
+
+    def test_prints_complex_cubic_auxiliaries(self, capsys):
+        settings = ["receiver=absorbing", "d=1.71e-5", "r=1.04e-5", "D=1.39e-10", "T_s=0.814", "L=21", "Q=970"]
+        assert main(["optimize", *(arg for setting in settings for arg in ("-s", setting))]) == 0
+        out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.strip().splitlines())
+        inter = closed_form_interval(parse_config("\n".join(settings)).system).intermediates
+        assert out["branch"] == "cubic-neg-disc"
+        assert out["s1"] == "-69.823421727772057+7.9800520800662538j"
+        assert (complex(out["s1"]), complex(out["s2"])) == (inter.s1, inter.s2)
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -272,6 +306,34 @@ class TestExitCodes:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [Path(ab_cfg_file)]
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            pytest.param(["-c", "bad.cfg"], 2, "bad.cfg:15: expected 'key = value', got 'bogus line'",
+                         id="line-without-equals"),
+            pytest.param(["-s", "D=abc"], 2, "key D: not a number: 'abc'", id="not-a-number"),
+            pytest.param(["-s", "L=1e-1000000"], 2, "key L: expected an integer, got '1e-1000000'",
+                         id="integer-past-decimal-range"),
+            pytest.param(["--set", "Lfour"], 2, "--set needs key=value, got 'Lfour'", id="set-without-equals"),
+            pytest.param(["-s", "d_um="], 2, "missing required key d (or d_um)", id="no-length"),
+            pytest.param(["-s", "sweep.q_values="], 2, "sweep needs sweep.q_values", id="no-q-values"),
+            pytest.param(["reproduce", "conv-ab", "-o", "file/out", "--q-points", "2", "--grid-divisions", "20"], 4,
+                         "io error: cannot create file/out", id="output-under-a-file"),
+        ],
+    )
+    def test_refusal_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, code, message):
+        # argv without a command is a sweep of ab.cfg into out.csv, options last
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ab.cfg").write_text(AB_CONFIG)
+        (tmp_path / "bad.cfg").write_text(AB_CONFIG + "bogus line\n")
+        (tmp_path / "file").write_text("")
+        before = sorted(tmp_path.iterdir())
+        if argv[0] != "reproduce":
+            argv = ["sweep", "-c", "ab.cfg", "-o", "out.csv", *argv]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["sweep", "metrics"])
     def test_csv_subcommand_without_output_path_is_2(self, ab_cfg_file, tmp_path, capsys, command):
@@ -392,6 +454,24 @@ class TestInputValidation:
             for command in ("optimize", "simulate"):
                 assert main([command, "-c", cfg, "-s", setting]) == 2
                 assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["r_um=", "r=1e-320"], "d and r must be normal doubles"),
+            (["d_um=", "d=1e-320"], "d and r must be normal doubles"),
+            (["d_um=1e-320"], "key d_um: '1e-320' micrometres is below the least normal double"),
+            (["r_um=1e-310"], "key r_um: '1e-310' micrometres is below the least normal double"),
+        ],
+        ids=["r", "d", "d_um", "r_um"],
+    )
+    def test_subnormal_length_rejected(self, ab_cfg_file, capsys, settings, message):
+        # below the least normal double, q_hat's (noise/margin)^2 overflows
+        # (r) or the alphas become (0, inf) and g(Q) NaN (d); a micrometre
+        # length could underflow to 0 m
+        argv = ["optimize", "-c", ab_cfg_file, "-s", "Q=2000"]
+        assert main([*argv, *(arg for setting in settings for arg in ("-s", setting))]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", ["1e17", "5e16"])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -29,6 +29,7 @@ from mcdwin import (
     exhaustive_ber_search,
     full_window,
     hitting_density,
+    msinar,
     numeric_metric_search,
     optimal_threshold,
     passive_probability,
@@ -43,7 +44,7 @@ from mcdwin import (
 from mcdwin import metrics, optimizer, reception
 from mcdwin.reception import BerEstimate, BerSource
 from mcdwin.channel import _response_table
-from mcdwin.optimizer import _argbest, _regime_dispatch, _start_time
+from mcdwin.optimizer import _argbest, _start_time
 from conftest import absorbing_params, passive_params, assert_rel
 
 D_ABS, R_ABS, DIFF = 5e-6, 5e-6, 80e-12
@@ -261,14 +262,15 @@ class TestProp2:
 
 
 class TestProp3:
-    def test_reduces_to_prop2_when_g_is_one(self):
+    def test_reduces_to_prop2_when_g_is_one(self, monkeypatch):
         # a huge injected q_hat drives the inflation factor to 1; the windows
         # then differ only through the re-anchored ISI ratios (the high-count
         # form anchors at the low-count window rather than the L=1 start), a
         # ~3e-3 relative shift at this configuration
         p = absorbing_params(T_s=0.2, L=4, Q=10**16)
         res2 = _low_count(p, Method.PROP2)
-        res3 = _regime_dispatch(p, 10**15)
+        monkeypatch.setattr(metrics, "q_hat", lambda params, window: 10**15)
+        res3 = closed_form_interval(p)
         assert res3.method is Method.PROP3
         assert res3.window.t1 == pytest.approx(res2.window.t1, rel=1e-2)
         assert res3.window.t2 == pytest.approx(res2.window.t2, rel=2e-2)
@@ -420,6 +422,21 @@ class TestClosedFormDispatch:
         with pytest.raises(DomainError, match=r"T_s = 1e\+300"):
             closed_form_interval(absorbing_params(T_s=1e300, L=4, Q=100))
 
+    @pytest.mark.parametrize(
+        "params", [absorbing_params(T_s=0.04, L=2, Q=1000), absorbing_params(L=0)], ids=["symbol-too-short", "L0"]
+    )
+    def test_no_regime_without_a_closed_form(self, params):
+        assert regime_q_hat(params) is None
+
+    def test_msinar_scored_at_q_without_a_regime(self):
+        # the closed form raises SymbolTooShort here, so numeric mSINAR has
+        # no q_hat to cap Q at
+        p = absorbing_params(T_s=0.04, L=2, Q=1000)
+        with pytest.raises(SymbolTooShort):
+            closed_form_interval(p)
+        res = numeric_metric_search(p, Metric.MSINAR)
+        assert res.objective_value == msinar(p, res.window) == 0.33431922370618805
+
     def test_passive_dispatch(self, table1_passive):
         res = closed_form_interval(table1_passive)
         assert res.method is Method.PROP4
@@ -518,9 +535,9 @@ class TestBranchFuzz:
 
 # One case per reachable closed-form cell: receiver x regime x (L = 1, L > 1)
 # x end branch.  Windows recorded from the four separate Prop 1-4 bodies the
-# single solver replaced.  Rows with a q_hat call prop3/prop4 with it (the
-# high-count cubic and quadratic-vertex branches need a supplied q_hat);
-# the others go through closed_form_interval.
+# single solver replaced.  Every row goes through closed_form_interval; rows
+# with a q_hat force ``metrics.q_hat`` to it (the high-count cubic and
+# quadratic-vertex branches need a supplied q_hat).
 # (receiver, d, r, D, T_s, L, Q, q_hat, method, regime, branch, window)
 CLOSED_FORM_PINS = [
     ("ab", 7.86e-06, 1.71e-05, 3.05e-12, 8.08, 2, 1229854, None, "prop3", "above-qhat", "cond-ts", (2.551445084686609, 8.08)),
@@ -564,10 +581,12 @@ class TestClosedFormPins:
     @pytest.mark.parametrize(
         "row", CLOSED_FORM_PINS, ids=[f"{r[0]}-{r[9]}-{r[10]}-L{r[5]}" for r in CLOSED_FORM_PINS]
     )
-    def test_window_branch_and_regime(self, row):
+    def test_window_branch_and_regime(self, row, monkeypatch):
         kind, d, r, diffusion, T_s, L, Q, qh, method, regime, branch, window = row
         params = _pin_params(kind, d, r, diffusion, T_s, L, Q)
-        res = closed_form_interval(params) if qh is None else _regime_dispatch(params, qh)
+        if qh is not None:
+            monkeypatch.setattr(metrics, "q_hat", lambda params, window: qh)
+        res = closed_form_interval(params)
         assert res.method.value == method
         assert res.intermediates.regime.value == regime
         assert res.intermediates.branch.value == branch
@@ -635,6 +654,14 @@ class TestNumericMetricSearch:
         assert res.window.width == pytest.approx(dt, rel=1e-9)
         healthy = numeric_metric_search(absorbing_params(), Metric.SID, dt=0.2 / 40)
         assert not healthy.degenerate
+
+    def test_nonpositive_passive_sid_falls_back_to_peak_sample(self):
+        # SID <= 0 at every sample window; t_max / t_s = 6 is clipped to N = 5
+        p = passive_params(T_s=0.2, L=5, Q=1000)
+        res = numeric_metric_search(p, Metric.SID)
+        assert res.window == SampledWindow(5, 5)
+        assert res.degenerate
+        assert res.objective_value == -0.43184152016638616
 
     def test_argbest_tie_break(self):
         values = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
