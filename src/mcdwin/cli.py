@@ -27,7 +27,7 @@ import csv
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -47,8 +47,7 @@ __all__ = ["ExperimentConfig", "parse_config", "main"]
 
 METRICS_SCHEMA = "mcdwin-metrics-v1"
 SWEEP_SCHEMA = "mcdwin-sweep-v1"
-CONV_SCHEMA = "mcdwin-conv-v1"
-VER_SCHEMA = "mcdwin-ver-v1"
+VER_SCHEMA = "mcdwin-ver-v2"
 CMP_SCHEMA = "mcdwin-cmp-v1"
 
 METRICS_HEADER = ["schema", "t1", "t2", "n1", "n2", "sir", "sid", "sinar", "msinar", "msid"]
@@ -72,7 +71,6 @@ SWEEP_HEADER = [
     "trials",
     "seed",
 ]
-CONV_HEADER = ["schema", "figure", "receiver", "T_s", "L", "Q", "scheme", "t1", "t2", "n1", "n2"]
 VER_HEADER = [
     "schema",
     "figure",
@@ -81,6 +79,10 @@ VER_HEADER = [
     "L",
     "Q",
     "scheme",
+    "t1",
+    "t2",
+    "n1",
+    "n2",
     "threshold",
     "ber_analytic",
     "ber_mc",
@@ -101,15 +103,13 @@ CMP_HEADER = ["schema", "figure", "receiver", "T_s", "L", "Q"] + [
     for col in _CMP_COLUMNS
 ]
 
-REPRODUCE_FIGURES = ("conv-ab", "conv-pa", "ver-ab", "ver-pa", "cmp-ab", "cmp-pa")
+REPRODUCE_FIGURES = ("ver-ab", "ver-pa", "cmp-ab", "cmp-pa")
 
 # Table-1 geometries, as config entries
 _TABLE1 = {
     "ab": {"receiver": "absorbing", "d": "5e-6", "r": "5e-6", "D": "80e-12"},
     "pa": {"receiver": "passive", "d": "9e-6", "r": "1e-6", "D": "80e-12"},
 }
-# defaults of reproduce's Monte Carlo flags; the conv figures draw nothing and refuse them
-_DRAW_DEFAULTS = {"trials": 50_000, "seed": 0, "workers": 1}
 _FIGURE_TS_L = {
     "ab": ([0.2, 0.3], [4, 5, 6, 8]),
     "pa": ([1.0, 2.0], [2, 3, 5, 10]),
@@ -492,20 +492,7 @@ def _geometric_q(lo: float, hi: float, points: int) -> list[int]:
     return sorted({int(q) for q in np.rint(np.geomspace(lo, hi, points))})
 
 
-# the two searches a convergence row runs; only their windows are printed
-_CONV_SEARCHES = (
-    (Scheme.NUMERIC_MSINAR, lambda params, dt: opt.numeric_metric_search(params, metrics_mod.Metric.MSINAR, dt)),
-    (Scheme.EXHAUSTIVE_BER, opt.exhaustive_ber_search),
-)
-
-
-def _conv_rows(figure, base, q_values, dt) -> Iterable[tuple]:
-    for q in q_values:
-        for scheme, search in _CONV_SEARCHES:
-            window = search(replace(base, Q=q), dt).window
-            yield (CONV_SCHEMA, figure, base.receiver, base.T_s, base.L, q, scheme, *_window_cells(window))
-
-
+# the numeric-msinar and exhaustive-ber windows of the ver rows are the window-convergence figure
 def _ver_rows(figure, base, q_values, dt, trial, workers) -> Iterable[list]:
     schemes = (Scheme.NUMERIC_MSINAR, Scheme.CLOSED_FORM, Scheme.EXHAUSTIVE_BER)
     for row in sweep(base, q_values, schemes, trial, dt=dt, workers=workers):
@@ -524,7 +511,6 @@ def _cmp_rows(figure, base, q_values, dt, trial, workers) -> Iterable[list]:
 
 # figure family -> (CSV header, the rows of one (T_s, L) cell)
 _REPRODUCE_FAMILIES = {
-    "conv": (CONV_HEADER, _conv_rows),
     "ver": (VER_HEADER, _ver_rows),
     "cmp": (CMP_HEADER, _cmp_rows),
 }
@@ -544,12 +530,7 @@ def cmd_reproduce(args) -> int:
             raise ConfigError(f"{flag} must be finite and > 0, got {q}")
     family, kind = figure.split("-")
     header, family_rows = _REPRODUCE_FAMILIES[family]
-    given = [f"--{name}" for name in _DRAW_DEFAULTS if name in vars(args)]
-    if family == "conv" and given:
-        raise ConfigError(f"{figure} draws no Monte Carlo trials; it takes no {', '.join(given)}")
-    value = {**_DRAW_DEFAULTS, **vars(args)}
-    trial, workers = TrialConfig(value["trials"], value["seed"]), _workers(value["workers"])
-    draws = {} if family == "conv" else {"trial": trial, "workers": workers}
+    trial, workers = TrialConfig(args.trials, args.seed), _workers(args.workers)
     ts_values, l_values = _FIGURE_TS_L[kind]
     q_values = _geometric_q(args.q_min, args.q_max, args.q_points)
     outdir = Path(args.outdir)
@@ -563,7 +544,7 @@ def cmd_reproduce(args) -> int:
     for T_s in ts_values:
         for L in l_values:
             base = config_from_entries({**_TABLE1[kind], "T_s": repr(T_s), "L": str(L), "Q": "1"}).system
-            rows.extend(family_rows(figure, base, q_values, T_s / args.grid_divisions, **draws))
+            rows.extend(family_rows(figure, base, q_values, T_s / args.grid_divisions, trial, workers))
     _write_csv(str(out), header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -604,17 +585,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(name, help=summary, parents=options).set_defaults(func=func)
 
-    p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment")
+    p_rep = sub.add_parser("reproduce", help="re-run a figure-style experiment", parents=[workers])
     p_rep.add_argument("figure", help="one of " + ", ".join(REPRODUCE_FIGURES))
     p_rep.add_argument("-o", "--outdir", default="reproduce-out", help="output directory")
     p_rep.add_argument("--q-min", type=float, default=1e2)
     p_rep.add_argument("--q-max", type=float, default=1e5)
     p_rep.add_argument("--q-points", type=int, default=8)
     p_rep.add_argument("--grid-divisions", type=int, default=80)
-    # unset unless given, so that the conv figures can refuse them
-    for name, what in (("trials", "Monte Carlo trials a row"), ("seed", "master seed"), ("workers", "worker processes")):
-        p_rep.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS,
-                           help=f"{what} (default {_DRAW_DEFAULTS[name]}; ver-* and cmp-* only)")
+    p_rep.add_argument("--trials", type=int, default=50_000, help="Monte Carlo trials a row (default 50,000)")
+    p_rep.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -531,7 +531,9 @@ def numeric_metric_search(
     """Exhaustive grid maximization of a metric over detection windows.
 
     For mSINAR the count regime is honored by evaluating at
-    min(Q, regime q_hat).  Undefined (0/0) windows are skipped.
+    min(Q, regime q_hat).  Undefined (0/0) windows are skipped.  ``dt`` is
+    the absorbing grid's step; a passive grid is the sample grid, so a
+    passive search ignores ``dt``.
     """
     if params.L < 1:
         raise ValueError("metric search needs L >= 1")
@@ -654,7 +656,8 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
     This is the reference the closed forms and metric windows are judged
     against; cost grows as (T_s/dt)^2 * 2^L, so L is capped at 12.  The
     search is ``_least_ber`` over the grid's tap table: it seeds itself from
-    its own bounds and uses neither the metrics nor the closed forms.
+    its own bounds and uses neither the metrics nor the closed forms.  As in
+    ``numeric_metric_search``, a passive search ignores ``dt``.
     """
     if params.L > MAX_BER_SEARCH_L:
         raise EnumerationTooLarge(
@@ -674,7 +677,8 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
     tau k starts window k, so ties keep the first tau.  Refuses
     (EnumerationTooLarge) a table over MAX_GRID_ELEMENTS, before building
     anything: (L+2) x delays, times the N+1 sample rates each passive
-    column sums.
+    column sums.  ``dt`` is the absorbing delay step; passive delays step by
+    the sampling interval t_s, so a passive search ignores ``dt``.
     """
     consts = derived(params)
     if params.receiver is Receiver.ABSORBING:

@@ -13,7 +13,6 @@ from mcdwin import (
 )
 from mcdwin.cli import (
     CMP_HEADER,
-    CONV_HEADER,
     METRICS_HEADER,
     SWEEP_HEADER,
     VER_HEADER,
@@ -109,13 +108,9 @@ class TestGoldenHeaders:
             "t1", "t2", "n1", "n2", "tau", "threshold", "ber_analytic", "ber_mc",
             "mc_ci_halfwidth", "trials", "seed",
         ]
-        assert CONV_HEADER == [
-            "schema", "figure", "receiver", "T_s", "L", "Q", "scheme",
-            "t1", "t2", "n1", "n2",
-        ]
         assert VER_HEADER == [
-            "schema", "figure", "receiver", "T_s", "L", "Q", "scheme", "threshold",
-            "ber_analytic", "ber_mc", "mc_ci_halfwidth", "trials",
+            "schema", "figure", "receiver", "T_s", "L", "Q", "scheme", "t1", "t2", "n1", "n2",
+            "threshold", "ber_analytic", "ber_mc", "mc_ci_halfwidth", "trials",
         ]
         # one BER triple per comparison scheme
         for scheme in ("numeric_msinar", "numeric_sinar", "numeric_sid", "shift_tau", "full"):
@@ -318,7 +313,7 @@ class TestExitCodes:
             pytest.param(["--set", "Lfour"], 2, "--set needs key=value, got 'Lfour'", id="set-without-equals"),
             pytest.param(["-s", "d_um="], 2, "missing required key d (or d_um)", id="no-length"),
             pytest.param(["-s", "sweep.q_values="], 2, "sweep needs sweep.q_values", id="no-q-values"),
-            pytest.param(["reproduce", "conv-ab", "-o", "file/out", "--q-points", "2", "--grid-divisions", "20"], 4,
+            pytest.param(["reproduce", "ver-ab", "-o", "file/out", "--q-points", "2", "--grid-divisions", "20"], 4,
                          "io error: cannot create file/out", id="output-under-a-file"),
         ],
     )
@@ -682,32 +677,12 @@ class TestKeyTable:
         listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
         assert listed == list(_KEYS)
 
-    def test_conv_rows_score_only_the_exhaustive_windows(self, monkeypatch, tmp_path):
-        # a convergence row prints windows only: the one-column threshold scan
-        # runs once per exhaustive search (its seed) and never for mSINAR
-        calls = []
-        original = optimizer.threshold_from_taps
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(optimizer, "threshold_from_taps", counting)
-        out = tmp_path / "rep"
-        small = ["--q-points", "2", "--q-min", "400", "--q-max", "2000", "--grid-divisions", "10"]
-        assert main(["reproduce", "conv-ab", "-o", str(out), *small]) == 0
-        with open(out / "conv-ab.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        searches = sum(row["scheme"] == "exhaustive-ber" for row in rows)
-        assert searches == 2 * 4 * 2
-        assert len(calls) == searches
-
 
 class TestReproduce:
     def test_q_range_past_2_63_exits_3(self, tmp_path):
         # a numpy int64 cast wraps past 2^63; these Q reach the threshold
         # scan's documented 2^53 refusal, with no warning on the way
-        argv = ["reproduce", "conv-ab", "-o", str(tmp_path), "--q-min", "1e19", "--q-max", "1e20", "--q-points", "2"]
+        argv = ["reproduce", "ver-ab", "-o", str(tmp_path), "--q-min", "1e19", "--q-max", "1e20", "--q-points", "2"]
         done = subprocess.run(
             [sys.executable, "-m", "mcdwin.cli", *argv],
             capture_output=True,
@@ -719,24 +694,44 @@ class TestReproduce:
         assert "EnumerationTooLarge: threshold range [0, " in done.stderr
         assert "Warning" not in done.stderr
 
-    def test_conv_schema(self, tmp_path):
-        out = tmp_path / "rep"
-        code = main(
-            [
-                "reproduce", "conv-ab", "-o", str(out),
-                "--q-points", "2", "--q-min", "400", "--q-max", "2000",
-                "--grid-divisions", "20",
-            ]
-        )
-        assert code == 0
-        with open(out / "conv-ab.csv", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-        # one row per (T_s, L, Q, scheme)
-        assert len(rows) == 2 * 4 * 2 * 2
-        assert all(row["schema"] == "mcdwin-conv-v1" for row in rows)
-        seen = {(row["T_s"], row["L"], row["Q"], row["scheme"]) for row in rows}
-        assert len(seen) == len(rows)
+    @staticmethod
+    def _ver_rows(tmp_path, figure: str) -> list[dict]:
+        out = tmp_path / figure
+        small = ["--q-points", "2", "--q-min", "400", "--q-max", "2000", "--grid-divisions", "10", "--trials", "1"]
+        assert main(["reproduce", figure, "-o", str(out), *small]) == 0
+        with open(out / f"{figure}.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_ver_schema(self, tmp_path):
+        for figure, pair, empty in (("ver-ab", ("t1", "t2"), ("n1", "n2")), ("ver-pa", ("n1", "n2"), ("t1", "t2"))):
+            rows = self._ver_rows(tmp_path, figure)
+            # one row per (T_s, L, Q, scheme): 2 T_s x 4 L x 2 Q x 3 schemes
+            assert len(rows) == 2 * 4 * 2 * 3
+            assert all(row["schema"] == "mcdwin-ver-v2" for row in rows)
+            assert len({(row["T_s"], row["L"], row["Q"], row["scheme"]) for row in rows}) == len(rows)
+            # the receiver's window pair is set, the other one empty
+            for row in rows:
+                assert all(row[name] != "" for name in pair) and all(row[name] == "" for name in empty)
+
+    @pytest.mark.parametrize("kind", ["ab", "pa"])
+    def test_ver_windows_are_the_direct_searches(self, tmp_path, kind):
+        # the convergence figure is the numeric-msinar and exhaustive-ber
+        # windows of the ver rows: each equals its search called directly
+        searches = {
+            "numeric-msinar": lambda params, dt: optimizer.numeric_metric_search(params, metrics.Metric.MSINAR, dt),
+            "exhaustive-ber": optimizer.exhaustive_ber_search,
+        }
+        checked = set()
+        for row in self._ver_rows(tmp_path, f"ver-{kind}"):
+            if row["scheme"] not in searches:
+                continue
+            params = cli.config_from_entries(
+                {**cli._TABLE1[kind], "T_s": row["T_s"], "L": row["L"], "Q": row["Q"]}
+            ).system
+            window = searches[row["scheme"]](params, params.T_s / 10).window
+            assert [row[name] for name in ("t1", "t2", "n1", "n2")] == [cli._fmt(c) for c in cli._window_cells(window)]
+            checked.add((row["T_s"], row["L"], row["Q"], row["scheme"]))
+        assert len(checked) == 2 * 4 * 2 * 2
 
     def test_cmp_passive_contains_all_schemes(self, tmp_path):
         out = tmp_path / "rep"
@@ -772,20 +767,18 @@ class TestReproduce:
             gap = abs(float(row["ber_mc"]) - float(row["ber_analytic"]))
             assert gap <= 4 * float(row["mc_ci_halfwidth"]) + 1e-12
 
-    @pytest.mark.parametrize("figure", ["conv-ab", "conv-pa"])
-    @pytest.mark.parametrize("flag, value", [("--trials", "1000"), ("--seed", "3"), ("--workers", "2")])
-    def test_conv_figures_refuse_monte_carlo_flags(self, tmp_path, capsys, figure, flag, value):
-        # a convergence row draws no trials, so a trial count, seed or worker
-        # count would be accepted and mean nothing
-        out = tmp_path / "rep"
-        small = ["--q-points", "1", "--q-min", "400", "--q-max", "400", "--grid-divisions", "10"]
-        assert main(["reproduce", figure, "-o", str(out), *small, flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and flag in err
-        assert not out.exists()
+    def test_unknown_figure_is_usage_error(self, tmp_path, capsys):
+        # no conv figures: the convergence windows are the ver rows' t1, t2, n1, n2
+        for figure in ("nope", "conv-ab"):
+            out = tmp_path / figure
+            assert main(["reproduce", figure, "-o", str(out)]) == 2
+            assert f"unknown figure id {figure!r}" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_unknown_figure_is_usage_error(self, tmp_path):
-        assert main(["reproduce", "nope", "-o", str(tmp_path)]) == 2
+    def test_readme_lists_exactly_the_reproduce_figures(self):
+        readme = (SRC.parent / "README.md").read_text()
+        listed = readme.split("`reproduce {", 1)[1].split("}`", 1)[0]
+        assert tuple(listed.replace(",", " ").split()) == cli.REPRODUCE_FIGURES
 
     def test_worker_count_keeps_csv(self, tmp_path, monkeypatch):
         # 70,000 trials are two RNG chunks, so two workers split every row
@@ -821,6 +814,6 @@ class TestReproduce:
     def test_bad_numeric_argument_rejected(self, tmp_path, capsys, flag, value):
         out = tmp_path / "rep"
         small = ["--q-points", "1", "--q-min", "400", "--q-max", "400", "--grid-divisions", "10"]
-        assert main(["reproduce", "conv-ab", "-o", str(out), *small, flag, value]) == 2
+        assert main(["reproduce", "ver-ab", "-o", str(out), *small, flag, value]) == 2
         assert f"{flag} must be" in capsys.readouterr().err
         assert not out.exists()

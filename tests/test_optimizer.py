@@ -1185,10 +1185,14 @@ class TestInitialValueProperty:
 
 
 class TestSelectWindow:
-    def test_all_schemes_produce_windows(self, table1_absorbing):
+    def test_all_schemes_produce_windows(self, table1_absorbing, table1_passive):
         for scheme in Scheme:
             res = select_window(table1_absorbing, scheme, dt=0.2 / 25)
             assert res.window is not None
+            # a passive search runs on the sample grid and ignores dt
+            passive = [select_window(table1_passive, scheme, dt) for dt in (None, 1.0 / 25)]
+            assert passive[0].window is not None
+            assert len({(res.window, res.threshold, res.tau) for res in passive}) == 1
 
     def test_full_window_scheme(self, table1_absorbing):
         res = select_window(table1_absorbing, Scheme.FULL_WINDOW)
