@@ -99,24 +99,13 @@ def _tap_table(taps: TapProfile) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.asarray(a, dtype=float)[order] for a in (taps.mean, taps.var))
 
 
-def _upper_tail(x, mu, sd):
-    """P(count > x) for Gaussian counts N(mu, sd^2), broadcast over arrays.
+def _tail(gap, sd, limit):
+    """Q(gap / sd), the Gaussian tail of an error gap, broadcast over arrays.
 
-    Where sd = 0 the tail is its indicator limit 1{x < mu}.
+    Where sd = 0 the tail is its indicator limit ``limit``.
     """
     spread = sd != 0.0
-    z = (x - mu) / np.where(spread, sd, 1.0)
-    return np.where(spread, _gaussian_tail(z), x < mu)
-
-
-def _lower_tail(x, mu, sd):
-    """P(count <= x) = Q((mu - x) / sd), broadcast like ``_upper_tail``.
-
-    Where sd = 0 the tail is its indicator limit 1{x >= mu}.
-    """
-    spread = sd != 0.0
-    z = (mu - x) / np.where(spread, sd, 1.0)
-    return np.where(spread, _gaussian_tail(z), x >= mu)
+    return np.where(spread, _gaussian_tail(gap / np.where(spread, sd, 1.0)), limit)
 
 
 def _ber_at(mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray, x) -> float:
@@ -127,7 +116,7 @@ def _ber_at(mu0: np.ndarray, sd0: np.ndarray, mu1: np.ndarray, sd1: np.ndarray, 
     keeps its relative accuracy, and the per-term sum is compensated
     (math.fsum), so the result does not depend on the enumeration order.
     """
-    return math.fsum(0.5 * (_upper_tail(x, mu0, sd0) + _lower_tail(x, mu1, sd1))) / mu0.size
+    return math.fsum(0.5 * (_tail(x - mu0, sd0, x < mu0) + _tail(mu1 - x, sd1, x >= mu1))) / mu0.size
 
 
 def ber_from_taps(params: SystemParams, taps: TapProfile, threshold: float) -> BerEstimate:
@@ -177,8 +166,9 @@ def _tail_sums(
     for start in range(0, xis.size, step):
         x = xis[start : start + step, None]
         c = cols[start : start + step]
-        s0[start : start + step] = _upper_tail(x, mu0[c], sd0[c]).sum(axis=1)
-        s1[start : start + step] = _lower_tail(x, mu1[c], sd1[c]).sum(axis=1)
+        m0, m1 = mu0[c], mu1[c]
+        s0[start : start + step] = _tail(x - m0, sd0[c], x < m0).sum(axis=1)
+        s1[start : start + step] = _tail(m1 - x, sd1[c], x >= m1).sum(axis=1)
     return s0, s1
 
 

@@ -1,6 +1,12 @@
-import pytest
+import importlib.util
+import sys
+from pathlib import Path
 
-from mcdwin import Receiver, SystemParams, passive_probability
+import numpy as np
+import pytest
+from scipy.stats import binom
+
+from mcdwin import Receiver, SystemParams, passive_probability, window_taps
 
 # Table-1 geometries
 ABSORBING_GEOM = dict(d=5e-6, r=5e-6, D=80e-12)
@@ -46,3 +52,38 @@ def assert_rel(actual: float, expected: float, tol: float, label: str = "") -> N
     assert expected != 0
     rel = abs(actual - expected) / abs(expected)
     assert rel <= tol, f"{label}: {actual} vs {expected} (rel {rel:.3g} > {tol})"
+
+
+def load_perfbench(name: str):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``.
+
+    The module is registered in sys.modules before it runs, as a dataclass
+    defined in it needs; later calls return the same module.
+    """
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+def _exact_binomial_ber(params, window, xi: int) -> float:
+    taps = window_taps(params, window)
+    total = 0.0
+    for pattern in range(2**params.L):
+        bits = [(pattern >> i) & 1 for i in range(params.L)]
+        for hypothesis in (0, 1):
+            pmf = np.array([1.0])
+            for j, lag in enumerate(taps.lags):
+                bit = hypothesis if lag == 0 else bits[lag - 1]
+                if bit:
+                    pmf = np.convolve(
+                        pmf, binom.pmf(np.arange(params.Q + 1), params.Q, taps.mean[j])
+                    )
+            p_decide_one = float(pmf[xi + 1 :].sum())
+            err = p_decide_one if hypothesis == 0 else 1.0 - p_decide_one
+            total += 0.5 * err / 2**params.L
+    return total

@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.stats import binom
 
 from mcdwin import (
     ContinuousWindow,
@@ -43,7 +42,7 @@ from mcdwin import (
 )
 from mcdwin.cli import main as cli_main
 from mcdwin.montecarlo import CHUNK_TRIALS, wilson_halfwidth
-from conftest import absorbing_params, passive_params
+from conftest import _exact_binomial_ber, absorbing_params, passive_params
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -402,25 +401,6 @@ def test_criterion_5_window_convergence():
 # ---------------------------------------------------------------------------
 # 6. Small-instance exactness and approximation audit
 # ---------------------------------------------------------------------------
-
-
-def _exact_binomial_ber(params, window, xi: int) -> float:
-    taps = window_taps(params, window)
-    total = 0.0
-    for pattern in range(2**params.L):
-        bits = [(pattern >> i) & 1 for i in range(params.L)]
-        for hypothesis in (0, 1):
-            pmf = np.array([1.0])
-            for j, lag in enumerate(taps.lags):
-                bit = hypothesis if lag == 0 else bits[lag - 1]
-                if bit:
-                    pmf = np.convolve(
-                        pmf, binom.pmf(np.arange(params.Q + 1), params.Q, taps.mean[j])
-                    )
-            p_decide_one = float(pmf[xi + 1 :].sum())
-            err = p_decide_one if hypothesis == 0 else 1.0 - p_decide_one
-            total += 0.5 * err / 2**params.L
-    return total
 
 
 @pytest.mark.parametrize("Q,L", [(20, 2), (12, 1)])

@@ -71,6 +71,11 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(d=9e-6, r=1e-6, D=80e-12, T_s=1.0, L=2, Q=10, receiver=Receiver.PASSIVE)
 
+    @pytest.mark.parametrize("sampling", [{"N": 10}, {"t_s": 0.05}])
+    def test_absorbing_refuses_sampling(self, sampling):
+        with pytest.raises(ValueError, match="N and t_s only apply to the passive receiver"):
+            SystemParams(d=5e-6, r=5e-6, D=80e-12, T_s=0.2, L=1, Q=10, receiver=Receiver.ABSORBING, **sampling)
+
     def test_passive_sampling_must_fit_symbol(self):
         with pytest.raises(ValueError):
             SystemParams(

@@ -310,6 +310,8 @@ class TestExitCodes:
             pytest.param(["-s", "D=abc"], 2, "key D: not a number: 'abc'", id="not-a-number"),
             pytest.param(["-s", "L=1e-1000000"], 2, "key L: expected an integer, got '1e-1000000'",
                          id="integer-past-decimal-range"),
+            pytest.param(["-s", "Q=1e-99999999999999999999"], 2,
+                         "key Q: expected an integer, got '1e-99999999999999999999'", id="exponent-past-decimal-range"),
             pytest.param(["--set", "Lfour"], 2, "--set needs key=value, got 'Lfour'", id="set-without-equals"),
             pytest.param(["-s", "d_um="], 2, "missing required key d (or d_um)", id="no-length"),
             pytest.param(["-s", "sweep.q_values="], 2, "sweep needs sweep.q_values", id="no-q-values"),

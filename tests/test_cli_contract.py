@@ -1,25 +1,26 @@
 """The CLI contract, fuzzed: any one or two config keys set to an edge value.
 
 Every invocation must end in a documented exit code with its documented
-message prefix, never in an exception.  Every ``sweep`` row must carry a
-threshold no worse than its integer neighbours and an analytic BER that a
-two-tail sum written here reproduces.
+message prefix, never in an exception.  Every ``sweep`` row, and the one
+row ``simulate`` prints, must pass the benchmark's oracle
+(``perfbench/oracle.py``): a threshold no worse than its integer
+neighbours, an analytic BER the oracle's two-tail sum reproduces, a window
+inside the symbol, and an exhaustive-ber BER no worse than the full or
+numeric-msinar window's.
 """
 import csv
 import io
-import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.special import log_ndtr
 
-from mcdwin.channel import ContinuousWindow, Receiver, SampledWindow, shift_taps, window_taps
 from mcdwin.cli import config_from_entries, main
+from conftest import load_perfbench
+
+oracle = load_perfbench("oracle")
 
 COMMANDS = ("optimize", "simulate", "sweep", "metrics")
 COMMON = {
@@ -42,48 +43,23 @@ VALID = {
 EDGES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 PREFIXES = {2: ("config error: ", "invalid input: "), 3: ("domain error: ",), 4: ("io error: ",)}
 
-THRESHOLD_REL_TOL = 1e-9
-BER_REL_TOL = 0.01
-
-
-def _two_tail_ber(q: float, taps, xi: int) -> float:
-    """Equal-prior BER at threshold xi: both tails straight from log_ndtr."""
-    sig = taps.lags.index(0)
-    others = [j for j in range(len(taps.lags)) if j != sig]
-    patterns = (np.arange(1 << len(others))[:, None] >> np.arange(len(others))) & 1
-    mean, var = q * np.asarray(taps.mean), q * np.asarray(taps.var)
-    mu0, var0 = patterns @ mean[others], patterns @ var[others]
-    total = 0.0
-    # "0" errs when the count exceeds xi, "1" when it does not
-    for gap, v, limit in ((mu0 - xi, var0, mu0 > xi), (xi - mu0 - mean[sig], var0 + var[sig], xi >= mu0 + mean[sig])):
-        sd = np.sqrt(v)
-        with np.errstate(divide="ignore"):
-            tail = np.exp(log_ndtr(gap / np.where(sd > 0, sd, 1.0)))
-        total += math.fsum(np.where(sd > 0, tail, limit))
-    return 0.5 * total / mu0.size
-
-
-def _row_taps(params, row):
-    if row["resolved_method"] == "shift-tau":
-        return shift_taps(params, float(row["tau"]))
-    if params.receiver is Receiver.ABSORBING:
-        return window_taps(params, ContinuousWindow(float(row["t1"]), float(row["t2"])))
-    return window_taps(params, SampledWindow(int(row["n1"]), int(row["n2"])))
-
 
 def _check_sweep_rows(params, path: Path) -> None:
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        rows = [oracle.Row.from_csv(cells) for cells in csv.DictReader(fh)]
     assert rows
-    for row in rows:
-        q = int(row["Q"])
-        taps = _row_taps(replace(params, Q=q), row)
-        xi = int(row["threshold"])
-        pe = _two_tail_ber(float(q), taps, xi)
-        for neighbour in (xi - 1, xi + 1):
-            if neighbour >= 0:
-                assert pe <= _two_tail_ber(float(q), taps, neighbour) * (1 + THRESHOLD_REL_TOL), (row, neighbour)
-        assert math.isclose(float(row["ber_analytic"]), pe, rel_tol=BER_REL_TOL), (row, pe)
+    problems = oracle.check_rows(params, rows)
+    assert not problems, {i: (rows[i], found) for i, found in problems.items()}
+
+
+def _check_simulate_row(config, printed: str) -> None:
+    # simulate prints the sweep row's fields from resolved_method on; Q and
+    # the scheme come from the config
+    cells = dict(line.split(" = ", 1) for line in printed.splitlines())
+    cells.update(Q=str(config.system.Q), scheme=config.method.value)
+    row = oracle.Row.from_csv(cells)
+    problems = oracle.check_row(config.system, row)[1]
+    assert not problems, (row, problems)
 
 
 @st.composite
@@ -112,8 +88,8 @@ def test_cli_contract(case):
         out = Path(tmp) / "out.csv"
         if command in ("sweep", "metrics"):
             argv += ["-o", str(out)]
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main(argv)
         assert code in (0, 2, 3, 4), code
         if code:
@@ -122,3 +98,5 @@ def test_cli_contract(case):
             return
         if command == "sweep":
             _check_sweep_rows(config_from_entries(entries).system, out)
+        elif command == "simulate":
+            _check_simulate_row(config_from_entries(entries), stdout.getvalue())

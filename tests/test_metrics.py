@@ -9,6 +9,7 @@ from mcdwin import (
     ContinuousWindow,
     GFactorPole,
     InfiniteSinar,
+    InfiniteSir,
     Method,
     Metric,
     NoFiniteQhat,
@@ -55,6 +56,10 @@ class TestSir:
     def test_requires_isi(self):
         with pytest.raises(ValueError):
             sir(absorbing_params(L=0), WINDOW)
+
+    def test_zero_window_is_infinite(self, table1_absorbing):
+        with pytest.raises(InfiniteSir):
+            sir(table1_absorbing, ContinuousWindow(0.1, 0.1))
 
 
 class TestSid:
@@ -270,3 +275,9 @@ class TestBelowOneMolecule:
                 metric_values_from_taps(metric, 0.5, mean, var)
         for metric in (Metric.SIR, Metric.SID):
             assert metric_values_from_taps(metric, 0.0, mean, var).shape == (i1.size,)
+
+
+def test_metric_table_refuses_a_non_metric():
+    mean = var = np.ones((3, 1))
+    with pytest.raises(ValueError, match="unknown metric 'sinar'"):
+        metric_values_from_taps("sinar", 100.0, mean, var)

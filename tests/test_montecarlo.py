@@ -23,8 +23,7 @@ from mcdwin import (
 from mcdwin import montecarlo, reception
 from mcdwin.montecarlo import _pool_workers, wilson_halfwidth
 from mcdwin.reception import BerSource
-from conftest import absorbing_params, passive_params
-from test_acceptance import _exact_binomial_ber
+from conftest import _exact_binomial_ber, absorbing_params, passive_params
 
 
 class TestTrialConfig:

@@ -613,6 +613,19 @@ class TestNumericMetricSearch:
         with pytest.raises(DegenerateWindow):
             numeric_metric_search(table1_absorbing, Metric.MSINAR, dt=0.5)
 
+    @pytest.mark.parametrize("params", [absorbing_params(L=0), passive_params(L=0)])
+    def test_needs_an_isi_tap(self, params):
+        with pytest.raises(ValueError, match="metric search needs L >= 1"):
+            numeric_metric_search(params, Metric.SIR)
+
+    def test_msinar_objective_skips_a_zero_width_window(self, table1_absorbing):
+        window = ContinuousWindow(0.1, 0.1)
+        assert optimizer._msinar_objective(table1_absorbing, window, table1_absorbing.Q) is None
+
+    def test_sample_window_empty_after_clamping(self):
+        with pytest.raises(DegenerateWindow, match=r"sample window \[3, -1\] is empty after clamping"):
+            optimizer._clamp_sampled(3, -1, 10)
+
     def test_msinar_argmax_beats_closed_form_value(self, table1_absorbing):
         # numeric search maximizes the regime-clamped mSINAR, so its value
         # dominates the closed-form window's

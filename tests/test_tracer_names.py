@@ -4,21 +4,11 @@
 renamed function would silently leave its per-layer metric at 0.  One tiny
 search per BER scheme, traced, must fill the search metrics.
 """
-import importlib.util
+import importlib
 import types
-from pathlib import Path
 
 from mcdwin import Scheme, optimizer
-from conftest import absorbing_params
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import absorbing_params, load_perfbench
 
 
 def _functions(tracer):
@@ -32,7 +22,7 @@ def _functions(tracer):
 
 
 def test_traced_searches_fill_their_metrics():
-    tracer_mod = _load_tracer()
+    tracer_mod = load_perfbench("tracer")
     before = _functions(tracer_mod)
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -55,7 +45,7 @@ def test_traced_searches_fill_their_metrics():
 def test_every_traced_name_resolves():
     # the tracer finds its names by (module, __name__); a deleted or renamed
     # one would read 0 without any error
-    tracer_mod = _load_tracer()
+    tracer_mod = load_perfbench("tracer")
     keys = [*tracer_mod.SPAN_NAMES, *tracer_mod.OWN_NAMESPACE]
     keys += [(module, name) for module, name, _ in tracer_mod.COUNTED]
     for module, name in keys:
