@@ -347,8 +347,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
     return f"{float(value):.17g}"
 
 

@@ -10,12 +10,13 @@ linear one:
     t1* = 28 m^2 T_s / (120 T_s - 28 T_s ln(R) - 74 m^2)
 
 with R the ISI-to-first-tap density ratio at an anchor point (R = 1 when
-L = 1).  The end time solves a cubic in t2/T_s whose discriminant selects
-between a Cardano branch, a quadratic root, or the quadratic vertex; when
-the first-tap ISI at T_s stays below the signal the window simply ends at
-T_s.  In the high-count regime every ISI ratio is inflated by the noise
-factor g(Q) evaluated at Q = g(q_hat) * q_hat, and the ratios are anchored
-on the low-count window; below q_hat the inflation is the identity.
+L = 1).  The end time is the largest real root above the start of a cubic
+in t2/T_s, solved in closed form (``Branch.END_ROOT``); the window ends at
+T_s when the cubic has no root there (``NO_END_ROOT``) or when the first-tap
+ISI at T_s stays below the signal (``COND_TS``).  In the high-count regime
+every ISI ratio is inflated by the noise factor g(Q) evaluated at
+Q = g(q_hat) * q_hat, and the ratios are anchored on the low-count window;
+below q_hat the inflation is the identity.
 
 ``closed_form_interval`` is the one closed-form entry point: it dispatches
 on the receiver and on Q against q_hat, and ``result.method`` names the
@@ -126,9 +127,8 @@ class Regime(enum.Enum):
 
 class Branch(enum.Enum):
     COND_TS = "cond-ts"
-    CUBIC_NEG_DISC = "cubic-neg-disc"
-    QUAD_POS_DISC = "quad-pos-disc"
-    QUAD_NEG_DISC = "quad-neg-disc"
+    END_ROOT = "end-root"
+    NO_END_ROOT = "no-end-root"
 
 
 class Method(enum.Enum):
@@ -163,11 +163,6 @@ class ClosedFormIntermediates:
     v_ratio: float | None = None
     w_ratio: float | None = None
     a_ratio: float | None = None
-    gamma: float | None = None
-    delta1: float | None = None
-    delta2: float | None = None
-    s1: complex | None = None
-    s2: complex | None = None
     t1_anchor: float | None = None
     t2_anchor: float | None = None
     n1_anchor: float | None = None
@@ -218,32 +213,35 @@ def _end_cond_sum(m2: float, T_s: float, L: int) -> float:
     return float(np.sum((1.0 + k) ** -1.5 * np.exp(k / (1.0 + k) * m2 / T_s)))
 
 
-def _solve_end_fraction(m2: float, T_s: float, ln_v: float) -> tuple[float, dict]:
-    """Branch dispatch for the window-end cubic in x = t2/T_s: x and the
-    branch's intermediates.
+def _solve_end_fraction(m2: float, T_s: float, ln_v: float, after: float) -> tuple[float, Branch]:
+    """The window end x = t2/T_s and its branch: the largest real root above
+    ``after`` of x^3 ln(V) + 3 x^2 ln(V) + x (2 ln(V) + M - 6) + 2 M = 0,
+    M = m^2/T_s, or x = 1 (the end at T_s) when no root lies there.
 
-    The cubic is x^3 ln(V) + 3 x^2 ln(V) + x (2 ln(V) + m^2/T_s - 6)
-    + 2 m^2/T_s = 0.  delta1 < 0 selects the Cardano form (complex
-    conjugate auxiliaries; the root is twice the real part of one cube
-    root); otherwise delta2 picks the quadratic root or vertex.
+    In y = x + 1 the cubic is y^3 + p y + q = 0, p = (M - 6)/ln(V) - 1,
+    q = (M + 6)/ln(V) > 0 (V > 1, as L > 1 here): real
+    radicals give its one real root, the trigonometric form the largest of
+    three, and two Newton steps on the cubic as stated restore the bits
+    y - 1 loses near x = 0.
     """
     M = m2 / T_s
-    gamma = 2.0 * ln_v + M - 6.0
-    delta1 = ln_v**2 * (
-        (3.0 * gamma - 18.0 * M) ** 2
-        - (12.0 * gamma / ln_v - 36.0) * (gamma**2 - 18.0 * M * ln_v)
-    )
-    delta2 = (M - 6.0) ** 2 + 4.0 * ln_v**2 - (20.0 * M + 24.0) * ln_v
-    found = dict(gamma=gamma, delta1=delta1, delta2=delta2)
-    if delta1 < 0.0:
-        real = -(81.0 / ln_v + 27.0 * M / (2.0 * ln_v))
-        imag = math.sqrt(9.0 * -delta1) / (2.0 * ln_v**2)  # > 0: s1, s2 are off the real axis
-        s1, s2 = complex(real, imag), complex(real, -imag)
-        fraction = (-3.0 + (s1 ** (1.0 / 3.0) + s2 ** (1.0 / 3.0)).real) / 3.0  # principal cube roots
-        return fraction, dict(found, branch=Branch.CUBIC_NEG_DISC, s1=s1, s2=s2)
-    if delta2 >= 0.0:
-        return (-gamma + math.sqrt(delta2)) / (6.0 * ln_v), dict(found, branch=Branch.QUAD_POS_DISC)
-    return -gamma / (6.0 * ln_v), dict(found, branch=Branch.QUAD_NEG_DISC)
+    p, q = (M - 6.0) / ln_v - 1.0, (M + 6.0) / ln_v
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:
+        u = -float(np.cbrt(q / 2.0 + math.sqrt(disc)))  # the larger Cardano term: no cancellation
+        y = u - p / (3.0 * u)
+    else:
+        cos3 = 1.5 * q / p * math.sqrt(-3.0 / p)
+        y = 2.0 * math.sqrt(-p / 3.0) * math.cos(math.acos(min(max(cos3, -1.0), 1.0)) / 3.0)
+    x = y - 1.0
+    for _ in range(2):
+        value = ((ln_v * x + 3.0 * ln_v) * x + 2.0 * ln_v + M - 6.0) * x + 2.0 * M
+        slope = (3.0 * ln_v * x + 6.0 * ln_v) * x + 2.0 * ln_v + M - 6.0
+        if slope != 0.0:
+            x -= value / slope
+    if x > after:
+        return x, Branch.END_ROOT
+    return 1.0, Branch.NO_END_ROOT
 
 
 def _clamp_continuous(t1: float, t2: float, T_s: float) -> tuple[ContinuousWindow, bool]:
@@ -374,9 +372,11 @@ def _closed_form(params: SystemParams, below: OptimizationResult | None = None) 
         else:
             end_anchor = 0.5 * (last * rx.unit + rx.t_max) / rx.unit
         end_ratio = rx.ratio_sum(params, end_anchor)
-        fraction, ends = _solve_end_fraction(rx.m2, params.T_s, math.log(end_ratio * g))
+        fraction, found["branch"] = _solve_end_fraction(
+            rx.m2, params.T_s, math.log(end_ratio * g), start / rx.span
+        )
         window, clamped = rx.clamp(start, rx.end(fraction), rx.span)
-        found.update(ends, **{end_name: end_ratio, end_anchor_name: end_anchor})
+        found.update({end_name: end_ratio, end_anchor_name: end_anchor})
     if below is None:
         try:
             q_hat = metrics.q_hat(params, window)

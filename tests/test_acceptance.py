@@ -3,12 +3,12 @@
 Each check prints a PASS/FAIL line with the measured quantity so a plain
 ``pytest -s tests/test_acceptance.py`` doubles as the acceptance report.
 
-Two criteria carry strict xfails where the underlying closed-form
-approximations (criterion 1) or the Gaussian count model (criterion 3,
-passive receiver at Q = 500, Poisson rates ~2.5) cannot meet the stated
-tolerance; the measured gaps are printed and the analysis lives in the
-project notes.  Those cells fail deterministically: fixed seeds, gaps of
-8+ half-widths.
+Two criteria carry strict xfails where the closed form's Pade start time
+(criterion 1; the window end solves its cubic exactly and meets the 10%
+on every cell) or the Gaussian count model (criterion 3, passive receiver
+at Q = 500, Poisson rates ~2.5) cannot meet the stated tolerance; the
+measured gaps are printed and the analysis lives in the project notes.
+Those cells fail deterministically: fixed seeds, gaps of 8+ half-widths.
 """
 from dataclasses import replace
 
@@ -54,22 +54,22 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 APPROX_GAP = (
-    "closed form inherits the source's Pade/truncation error; measured gap "
-    "exceeds the stated 10% (see notes ledger)"
+    "the closed-form start time inherits the source's [1,1] Pade error; the "
+    "measured t1 gap exceeds the stated 10% (see notes ledger)"
 )
 
 # (T_s, L, t1 within 10%?, t2 within 10%? (None: no upper root; end at T_s))
 _CRIT1_CELLS = [
     (0.2, 1, False, None),
     (0.2, 4, False, None),
-    (0.2, 5, True, False),
-    (0.2, 6, True, False),
-    (0.2, 8, True, False),
+    (0.2, 5, True, True),
+    (0.2, 6, True, True),
+    (0.2, 8, True, True),
     (0.3, 1, False, None),
     (0.3, 4, False, None),
     (0.3, 5, False, None),
     (0.3, 6, False, True),
-    (0.3, 8, False, False),
+    (0.3, 8, False, True),
 ]
 
 
@@ -108,9 +108,7 @@ def test_criterion_1_start_time(T_s, L, t1_ok, t2_ok, request):
 @pytest.mark.parametrize(
     "T_s,L,t1_ok,t2_ok", [cell for cell in _CRIT1_CELLS if cell[3] is not None]
 )
-def test_criterion_1_end_time(T_s, L, t1_ok, t2_ok, request):
-    if not t2_ok:
-        request.applymarker(pytest.mark.xfail(reason=APPROX_GAP, strict=True))
+def test_criterion_1_end_time(T_s, L, t1_ok, t2_ok):
     res, _, root2 = _crit1_roots(T_s, L)
     assert root2 is not None
     rel = abs(res.window.t2 - root2) / root2
