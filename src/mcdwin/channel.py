@@ -5,6 +5,11 @@ diffusion coefficients in m^2/s.  Molecule counts are dimensionless.
 
 Everything here is a pure function of immutable inputs and is safe to call
 concurrently.
+
+The absorbing survival's erf is the C library's (``math.erf``), not
+scipy's: importing ``scipy.special`` would be most of the start-up of a
+process that only designs a window, and libm's erf is within 1 ulp where
+scipy's is within 2.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainError
 
@@ -221,6 +225,9 @@ def _survival(params: SystemParams, t) -> np.ndarray:
     Continuously extended with erf(inf) = 1 at t = 0 and erf(0) = 0 at
     t = inf, so the fraction absorbed during [a, b] is _survival(a) -
     _survival(b).
+
+    erf is libm's ``math.erf`` mapped over the array: it keeps scipy off the
+    start-up path and is within 1 ulp of the true erf (scipy's within 2).
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
@@ -235,7 +242,8 @@ def _survival(params: SystemParams, t) -> np.ndarray:
             where=positive,
             out=arg,
         )
-    return params.r / (params.d + params.r) * erf(arg)
+    erf = np.fromiter(map(math.erf, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+    return params.r / (params.d + params.r) * erf
 
 
 def passive_probability(params: SystemParams, t):

@@ -43,7 +43,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincc, pdtr, pdtrc
 
 from .channel import Receiver, SystemParams, TapProfile, window_taps, DetectionWindow
 from .errors import ConfigError
@@ -198,12 +197,17 @@ def _binomial_cdf(k, n: int, p: float):
     scipy's ``bdtr`` takes it at 1 - p: its error grows with n (3.9e-12 at
     n = 1e4, 2.8e-10 at 1e6) and it is NaN past a 32-bit n.
     """
+    # imported here, not at module level: only a simulation loads scipy
+    from scipy.special import betaincc
+
     k = np.asarray(k, dtype=float)
     return betaincc(k + 1.0, n - k, p)
 
 
 def _binomial_sf(k, n: int, p: float):
     """P(Binomial(n, p) > k), 0 at k = n."""
+    from scipy.special import betainc  # on first use, as in _binomial_cdf
+
     return betainc(k + 1.0, n - k, p) if k < n else 0.0
 
 
@@ -235,6 +239,8 @@ def _tap_sampler(
     width = top - lo + 1
     if 8 * width > trials or width > _MAX_TABLE_WIDTH or q > _MAX_TABLE_Q:
         return numpy_draw
+    from scipy.special import pdtr, pdtrc  # on first use, as in _binomial_cdf
+
     cdf, sf = (_binomial_cdf, _binomial_sf) if binomial else (pdtr, pdtrc)
     dropped = (cdf(lo - 1, *args) if lo > 0 else 0.0) + (0.0 if capped else sf(top, *args))
     if not dropped < 2.0**-60:

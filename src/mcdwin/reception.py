@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import DetectionWindow, SystemParams, TapProfile, window_taps
 from .errors import EnumerationTooLarge
@@ -52,6 +51,9 @@ class BerEstimate:
 
 def _gaussian_tail(z: np.ndarray) -> np.ndarray:
     """Q(z) = P(N(0,1) > z), computed in place in the float array ``z``."""
+    # imported here: a window design that scores no BER never loads scipy
+    from scipy.special import erfc
+
     z /= math.sqrt(2.0)
     erfc(z, out=z)
     z *= 0.5

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -251,6 +252,69 @@ class TestOptimizeCommand:
         params = parse_config(AB_CONFIG + f"Q = {q}\n").system
         assert int(out["q_hat"]) == optimizer.regime_q_hat(params) == 879
         assert out["method"] == ("prop2" if q < 879 else "prop3")
+
+
+# Runs each command in turn in one fresh interpreter and prints, after each,
+# its exit code and the scipy modules loaded so far.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import mcdwin.cli
+loaded = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = mcdwin.cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    loaded[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+print(json.dumps(loaded))
+"""
+
+
+def _settings(**entries) -> list[str]:
+    return [arg for key, value in entries.items() for arg in ("-s", f"{key}={value}")]
+
+
+TABLE1_AB = dict(receiver="absorbing", d_um=5, r_um=5, D=80e-12, T_s=0.2, L=4)
+DESIGN_PA = dict(receiver="passive", d_um=9, r_um=1, D=80e-12, T_s=2.0, L=3, Q=1000)
+
+
+class TestStartup:
+    """Designing a window never imports scipy: it is loaded on first use, by a
+    BER tail or a count table."""
+
+    # in order: each step sees the modules its predecessors loaded
+    STEPS = [
+        ("help", ["--help"]),
+        ("refusal", ["optimize", *_settings(**TABLE1_AB, Q=2000, bogus=1)]),
+        ("optimize-ab", ["optimize", *_settings(**TABLE1_AB, Q=2000)]),
+        ("optimize-ab-1e5", ["optimize", *_settings(**TABLE1_AB, Q=100000)]),
+        ("optimize-pa", ["optimize", *_settings(**DESIGN_PA)]),
+        ("simulate", ["simulate", *_settings(**TABLE1_AB, Q=2000, **{"trial.trials": 2000})]),
+    ]
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(self.STEPS)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    @pytest.mark.parametrize("step, code", [
+        ("help", 0), ("refusal", 2), ("optimize-ab", 0), ("optimize-ab-1e5", 0), ("optimize-pa", 0),
+    ])
+    def test_design_loads_no_scipy(self, loaded, step, code):
+        assert loaded[step] == [code, []]
+
+    def test_simulate_loads_scipy(self, loaded):
+        code, modules = loaded["simulate"]
+        assert code == 0
+        assert "scipy.special" in modules
 
 
 class TestExitCodes:
