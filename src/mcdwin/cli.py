@@ -416,24 +416,24 @@ def cmd_metrics(args) -> int:
     params = config.system
     out = _output(args, "metrics")
 
-    edges, i1, i2, columns = opt._window_grid(params, config.search_dt)
+    grid = opt._window_grid(params, config.search_dt)
 
     def scores(cols):
-        taps = columns(cols)
+        taps = grid.columns(cols)
         return [metrics_mod.metric_values_from_taps(metric, float(params.Q), *taps) for metric in metrics_mod.Metric]
 
-    blocks = opt._blocks(i1.size)
+    blocks = opt._blocks(grid.i1.size)
     first = scores(blocks[0])  # a refused metric raises before the file is opened
 
     def rows():
         for cols in blocks:
             values = first if cols is blocks[0] else scores(cols)
             for k, w in enumerate(range(cols.start, cols.stop)):
-                place = _window_cells(opt._grid_window(edges, i1, i2, w))
+                place = _window_cells(grid.window(w))
                 yield (METRICS_SCHEMA, *place, *(column[k] for column in values))
 
     _write_csv(out, METRICS_HEADER, rows())
-    print(f"wrote {i1.size} windows to {out}")
+    print(f"wrote {grid.i1.size} windows to {out}")
     return 0
 
 

@@ -34,7 +34,8 @@ L = 1 / L > 1) and the low-count half of Prop 4 run it with g = 1; Prop 3
 and the high-count half of Prop 4 run it with g(Q).
 
 Closed-form outputs falling outside [0, T_s] (or [0, N]) are clamped and
-flagged; an empty window after clamping raises DegenerateWindow.
+flagged; a start past the symbol or an empty window after clamping raises
+DegenerateWindow.
 
 Searches
 --------
@@ -42,14 +43,16 @@ Numeric metric maximization and exhaustive BER minimization run on a
 uniform window grid (default step T_s/400) with one deterministic tie-break
 (``_argbest``): smaller start, then larger end.  The shift-tau baseline
 scores full-length windows delayed by tau in [0, t_max], counting the next
-symbol's leakage as interference.  Both BER searches are one branch-and-bound
-(``_least_ber``) over the columns of a tap table; they return the taps,
-threshold and BER they scored the winner on, which ``select_window`` adds
-to every other scheme's window, so no caller rescans a selected window.
-The grid's taps are built a block of windows at a time (``_window_grid``),
-so a grid search holds its int32 window indices (8 bytes a window), a bound a
-window in the BER searches, and one block, never the whole (L+1, windows)
-table.
+symbol's leakage as interference.  Every search, and ``mcdwin metrics``,
+reads one ``_Grid``: its window indices, ``window(w)``, and the taps of any
+of its windows, built a block at a time; one check (``_refuse_over_cap``)
+refuses a window grid or delay table over MAX_GRID_ELEMENTS before building
+it.  Both BER searches are one branch-and-bound (``_least_ber``) over a
+grid; they return the window, taps, threshold and BER they scored the
+winner on, which ``select_window`` adds to every other scheme's window, so
+no caller rescans a selected window.  A grid search holds its int32 window
+indices (8 bytes a window), a bound a window in the BER searches, and one
+block, never the whole (L+1, windows) table.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ import math
 from dataclasses import astuple, dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -245,7 +248,9 @@ def _solve_end_fraction(m2: float, T_s: float, ln_v: float, after: float) -> tup
 
 
 def _clamp_continuous(t1: float, t2: float, T_s: float) -> tuple[ContinuousWindow, bool]:
-    c1 = min(max(t1, 0.0), T_s)
+    if t1 >= T_s:
+        raise DegenerateWindow(f"window start {t1:.6g} is at or past T_s={T_s:g}")
+    c1 = max(t1, 0.0)
     c2 = min(max(t2, 0.0), T_s)
     clamped = (c1 != t1) or (c2 != t2)
     if c2 <= c1:
@@ -473,28 +478,46 @@ def _count_text(n: int) -> str:
     return f"{n:,}" if n < 10**15 else f"{Decimal(n).normalize(Context(prec=4)):g}"
 
 
-def _window_grid(params: SystemParams, dt: float | None):
-    """Candidate windows of the grid searches: (edges or None, i1, i2,
-    columns); ``columns(cols)`` gives the (L+1, len(cols)) tap means and
-    variances of the windows ``cols`` (an index array or a slice), built by
-    ``_window_means`` from the grid's response table a block at a time.
+class _Grid(NamedTuple):
+    """Candidate windows: w is [edges[i1[w]], edges[i2[w]]] in seconds, or
+    the samples [i1[w], i2[w]] when ``edges`` is None.  ``columns(cols)``
+    gives the (taps, len(cols)) tap means and variances of the windows
+    ``cols`` (an index array or a slice)."""
 
-    Refuses (EnumerationTooLarge) a grid whose (L+1, windows) taps would
-    exceed MAX_GRID_ELEMENTS, before building anything.  The windows are
-    counted as an exact int, so no step or sample count overflows them.
-    """
+    edges: np.ndarray | None
+    i1: np.ndarray
+    i2: np.ndarray
+    columns: Callable
+
+    def window(self, w: int) -> DetectionWindow:
+        if self.edges is None:
+            return SampledWindow(int(self.i1[w]), int(self.i2[w]))
+        return ContinuousWindow(float(self.edges[self.i1[w]]), float(self.edges[self.i2[w]]))
+
+
+def _refuse_over_cap(search: str, step: float, count: int, what: str, taps: int, samples: int = 1) -> None:
+    """Refuse (EnumerationTooLarge) a search whose ``count`` columns of
+    ``taps`` taps, each summing ``samples`` rates, exceed MAX_GRID_ELEMENTS
+    table elements, before anything is built.  The counts are exact ints, so
+    no step or sample count overflows them."""
+    if taps * count * samples > MAX_GRID_ELEMENTS:
+        raise EnumerationTooLarge(
+            f"{search} step {step:g} gives {_count_text(count)} {what} of {taps} taps"
+            + (f" x {_count_text(samples)} samples" if samples > 1 else "")
+            + f", over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
+        )
+
+
+def _window_grid(params: SystemParams, dt: float | None) -> _Grid:
+    """The candidate windows of the window searches, their taps built by
+    ``_window_means`` from the grid's Q-free response table."""
     if params.receiver is Receiver.ABSORBING:
         step = default_grid_step(params) if dt is None else dt
         n = _step_count(params.T_s, step)  # steps; a window is a pair of the n+1 edges
     else:
         assert params.N is not None
         step, n = params.t_s, params.N + 1  # samples; a window is a pair n1 <= n2
-    windows = n * (n + 1) // 2
-    if (params.L + 1) * windows > MAX_GRID_ELEMENTS:
-        raise EnumerationTooLarge(
-            f"search grid step {step:g} gives {_count_text(windows)} candidate windows of {params.L + 1} "
-            f"taps, over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
-        )
+    _refuse_over_cap("search grid", step, n * (n + 1) // 2, "candidate windows", params.L + 1)
     if params.receiver is Receiver.ABSORBING:
         edges, table, i1, i2 = _continuous_grid(params, step)
     else:
@@ -504,14 +527,7 @@ def _window_grid(params: SystemParams, dt: float | None):
         mean = _window_means(params, table, i1[cols], i2[cols])
         return mean, _tap_variance(params, mean)
 
-    return edges, i1, i2, columns
-
-
-def _grid_window(edges: np.ndarray | None, i1: np.ndarray, i2: np.ndarray, w: int) -> DetectionWindow:
-    """Grid window w: sample indices when there are no edges, else edge times."""
-    if edges is None:
-        return SampledWindow(int(i1[w]), int(i2[w]))
-    return ContinuousWindow(float(edges[i1[w]]), float(edges[i2[w]]))
+    return _Grid(edges, i1, i2, columns)
 
 
 def _argbest(values: np.ndarray, i1: np.ndarray, i2: np.ndarray, maximize: bool) -> int:
@@ -544,35 +560,26 @@ def numeric_metric_search(
         if metric is metrics.Metric.MSINAR:
             q_eff = _msinar_count(params.Q, regime_q_hat(params))
 
-    edges, i1, i2, columns = _window_grid(params, dt)
+    grid = _window_grid(params, dt)
     # each block's best window, then ``_argbest`` of those: the same rule
     # over the whole grid, without a value per window
     picks, best = [], []
-    for cols in _blocks(i1.size):
-        values = metrics.metric_values_from_taps(metric, float(q_eff), *columns(cols))
+    for cols in _blocks(grid.i1.size):
+        values = metrics.metric_values_from_taps(metric, float(q_eff), *grid.columns(cols))
         if np.isfinite(values).any():
-            pick = _argbest(values, i1[cols], i2[cols], maximize=True)
+            pick = _argbest(values, grid.i1[cols], grid.i2[cols], maximize=True)
             picks.append(cols.start + pick)
             best.append(values[pick])
     picks, best = np.array(picks, dtype=int), np.array(best)
-    pick = _argbest(best, i1[picks], i2[picks], maximize=True)
+    pick = _argbest(best, grid.i1[picks], grid.i2[picks], maximize=True)
     idx, value = int(picks[pick]), float(best[pick])
 
     # difference metrics can be nonpositive everywhere (ISI swamps the
     # signal at every candidate window); fall back to a one-step window at
     # the response peak so downstream BER evaluation stays well-defined
-    if metric in (metrics.Metric.SID, metrics.Metric.MSID) and value <= 0.0:
-        return OptimizationResult(
-            window=_peak_fallback_window(params, edges),
-            method=Method.NUMERIC_METRIC,
-            objective_value=value,
-            degenerate=True,
-        )
-    return OptimizationResult(
-        window=_grid_window(edges, i1, i2, idx),
-        method=Method.NUMERIC_METRIC,
-        objective_value=value,
-    )
+    degenerate = metric in (metrics.Metric.SID, metrics.Metric.MSID) and value <= 0.0
+    window = _peak_fallback_window(params, grid.edges) if degenerate else grid.window(idx)
+    return OptimizationResult(window=window, method=Method.NUMERIC_METRIC, objective_value=value, degenerate=degenerate)
 
 
 def _peak_fallback_window(params: SystemParams, edges: np.ndarray | None) -> DetectionWindow:
@@ -586,13 +593,11 @@ def _peak_fallback_window(params: SystemParams, edges: np.ndarray | None) -> Det
     return SampledWindow(n, n)
 
 
-def _least_ber(
-    params: SystemParams, lags: tuple[int, ...], i1: np.ndarray, i2: np.ndarray, columns: Callable
-) -> tuple[int, dict]:
-    """Column of an (lags, W) tap table with the least threshold-optimized
-    BER, and the result fields it was scored on (taps, threshold and BER).
-    ``columns(cols)`` gives the (mean, var) of the columns ``cols``, so the
-    table is built a block at a time, and only per-column scalars are kept.
+def _least_ber(params: SystemParams, lags: tuple[int, ...], grid: _Grid) -> tuple[int, dict]:
+    """Grid window with the least threshold-optimized BER on its ``lags``
+    taps, and the result fields it was scored on (window, taps, threshold
+    and BER).  The tap table is built a block at a time, and only
+    per-column scalars are kept.
 
     A branch-and-bound seeded by a scan of the column of least coarse
     bound.  Bounds cascade: the cheap coarse bound of every column first,
@@ -606,16 +611,16 @@ def _least_ber(
     molecule is ever counted (every Q * mean is 0), every column's BER is
     1/2 at threshold 0 and the tie-break picks without a scan.
     """
-    q = float(params.Q)
-    coarse = np.empty(i1.size)
+    q, n, columns = float(params.Q), grid.i1.size, grid.columns
+    coarse = np.empty(n)
     counted = False
-    for cols in _blocks(i1.size):
+    for cols in _blocks(n):
         mean, var = columns(cols)
         counted = counted or bool(np.any(q * mean))
         coarse[cols] = _coarse_floors(q, mean, var)
     if not counted:
         # no molecule is ever counted: every column decides "0", BER 1/2 at threshold 0
-        scanned = [(np.arange(i1.size), np.zeros(i1.size, dtype=int), np.full(i1.size, 0.5))]
+        scanned = [(np.arange(n), np.zeros(n, dtype=int), np.full(n, 0.5))]
     else:
         seed = int(np.argmin(coarse))
         mean, var = columns([seed])
@@ -642,12 +647,14 @@ def _least_ber(
             scanned.append((block, thresholds, values))
             incumbent = min(incumbent, values.min())
     cols, thresholds, values = (np.concatenate(parts) for parts in zip(*scanned))
-    pick = _argbest(values, i1[cols], i2[cols], maximize=False)
+    pick = _argbest(values, grid.i1[cols], grid.i2[cols], maximize=False)
     best = int(cols[pick])
     ber = BerEstimate(float(values[pick]), float(thresholds[pick]), BerSource.ANALYTICAL)
     mean, var = columns([best])
     taps = TapProfile(lags, mean[:, 0], var[:, 0])
-    return best, dict(objective_value=ber.value, taps=taps, threshold=int(thresholds[pick]), ber=ber)
+    return best, dict(
+        window=grid.window(best), objective_value=ber.value, taps=taps, threshold=int(thresholds[pick]), ber=ber
+    )
 
 
 def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> OptimizationResult:
@@ -663,9 +670,8 @@ def exhaustive_ber_search(params: SystemParams, dt: float | None = None) -> Opti
         raise EnumerationTooLarge(
             f"exhaustive BER search caps at L <= {MAX_BER_SEARCH_L}, got {params.L}"
         )
-    edges, i1, i2, columns = _window_grid(params, dt)
-    best, scored = _least_ber(params, tuple(range(params.L + 1)), i1, i2, columns)
-    return OptimizationResult(window=_grid_window(edges, i1, i2, best), method=Method.EXHAUSTIVE_BER, **scored)
+    _, scored = _least_ber(params, tuple(range(params.L + 1)), _window_grid(params, dt))
+    return OptimizationResult(method=Method.EXHAUSTIVE_BER, **scored)
 
 
 def shift_tau_search(params: SystemParams, dt: float | None = None) -> OptimizationResult:
@@ -673,10 +679,9 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
 
     The delayed window overhangs into the next symbol; that symbol's leakage
     is counted as interference alongside the L past taps.  The delays are
-    the columns of one ``_shifted_means`` table searched by ``_least_ber``;
-    tau k starts window k, so ties keep the first tau.  Refuses
-    (EnumerationTooLarge) a table over MAX_GRID_ELEMENTS, before building
-    anything: (L+2) x delays, times the N+1 sample rates each passive
+    the windows of one grid over a ``_shifted_means`` table, searched by
+    ``_least_ber``; tau k starts window k, so ties keep the first tau.  Its
+    cap counts (L+2) x delays, times the N+1 sample rates each passive
     column sums.  ``dt`` is the absorbing delay step; passive delays step by
     the sampling interval t_s, so a passive search ignores ``dt``.
     """
@@ -688,23 +693,16 @@ def shift_tau_search(params: SystemParams, dt: float | None = None) -> Optimizat
         assert params.t_s is not None and params.N is not None
         step, samples = params.t_s, params.N + 1
         n_tau = _step_count(consts.t_max, step, math.ceil)
-    if (params.L + 2) * (n_tau + 1) * samples > MAX_GRID_ELEMENTS:
-        raise EnumerationTooLarge(
-            f"shift-tau step {step:g} gives {_count_text(n_tau + 1)} delays of {params.L + 2} taps"
-            + (f" x {_count_text(samples)} samples" if samples > 1 else "")
-            + f", over the cap of {MAX_GRID_ELEMENTS:,} table elements; use a coarser step"
-        )
+    _refuse_over_cap("shift-tau", step, n_tau + 1, "delays", params.L + 2, samples)
     if params.receiver is Receiver.ABSORBING:
         taus = np.linspace(0.0, consts.t_max, n_tau + 1)
     else:
         taus = np.arange(n_tau + 1.0) * step
-    edges, i1, i2, mean = _shifted_means(params, taus)
+    *windows, mean = _shifted_means(params, taus)
     var = _tap_variance(params, mean)
-    lags = tuple(range(params.L + 1)) + (-1,)
-    best, scored = _least_ber(params, lags, i1, i2, lambda cols: (mean[:, cols], var[:, cols]))
-    return OptimizationResult(
-        window=_grid_window(edges, i1, i2, best), method=Method.SHIFT_TAU, tau=float(taus[best]), **scored
-    )
+    grid = _Grid(*windows, lambda cols: (mean[:, cols], var[:, cols]))
+    best, scored = _least_ber(params, tuple(range(params.L + 1)) + (-1,), grid)
+    return OptimizationResult(method=Method.SHIFT_TAU, tau=float(taus[best]), **scored)
 
 
 _NUMERIC_SCHEMES = {

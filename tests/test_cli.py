@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,22 @@ Q = 2000
 trial.trials = 5000
 trial.seed = 3
 """
+
+
+# ``mcdwin metrics`` on two Table-1 links, each pinned by the sha256 of its
+# CSV in ``tests/data/metrics.sha256`` (820 and 1,711 windows).  Regenerate a
+# line, only when the CSV is meant to change, with
+# ``mcdwin metrics -s <setting> ... -o <name>`` and ``sha256sum <name>``.
+METRICS_DIGESTS = Path(__file__).parent / "data" / "metrics.sha256"
+METRICS_LINKS = {
+    "metrics-ab.csv": "receiver=absorbing d_um=5 r_um=5 D=80e-12 T_s=0.2 L=4 Q=2000 search.dt=0.005",
+    "metrics-pa.csv": "receiver=passive d_um=9 r_um=1 D=80e-12 T_s=2.0 L=3 Q=2000",
+}
+
+
+def _set_flags(settings: str) -> list[str]:
+    """``-s key=value`` for each of the space-separated ``settings``."""
+    return [arg for setting in settings.split() for arg in ("-s", setting)]
 
 
 def _output_flag(command: str, out) -> list[str]:
@@ -161,6 +178,13 @@ class TestMetricsCommand:
         monkeypatch.setattr(optimizer, "_GRID_BLOCK", block)
         assert main([*argv, str(tmp_path / "blocks.csv")]) == 0
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, link", METRICS_LINKS.items(), ids=list(METRICS_LINKS))
+    def test_csv_matches_its_digest(self, name, link, tmp_path, capsys):
+        # every window, tap and metric byte of two Table-1 links
+        out = tmp_path / name
+        assert main(["metrics", *_set_flags(link), "-o", str(out)]) == 0
+        assert f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {name}" in METRICS_DIGESTS.read_text().splitlines()
 
     def test_msinar_argmax_matches_numeric_search(self, ab_cfg_file, tmp_path):
         # Q = 500 sits below q_hat here, so the emitted column and the
@@ -336,6 +360,15 @@ class TestExitCodes:
             == 3
         )
         assert "SymbolTooShort" in capsys.readouterr().err
+
+    def test_absorbing_start_past_the_symbol_names_it(self, capsys):
+        # the closed-form start lands at 36.99 s, past T_s: the refusal names
+        # the start and T_s, not the inverted window [36.9874, 16.12]
+        link = "receiver=absorbing d=1.5806e-5 r=1.4329e-6 D=3.8223e-12 T_s=16.12 L=9 Q=1"
+        assert main(["optimize", *_set_flags(link)]) == 3
+        err = capsys.readouterr().err
+        assert "DegenerateWindow: window start 36.9874 is at or past T_s=16.12" in err
+        assert "empty after clamping" not in err
 
     def test_io_error_is_4(self, ab_cfg_file):
         assert main(["metrics", "-c", ab_cfg_file, "-o", "/nonexistent-dir/x.csv"]) == 4

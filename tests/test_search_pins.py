@@ -1,9 +1,11 @@
-"""Bit-identity pins for the two least-BER window searches.
+"""Bit-identity pins for the grid window searches.
 
 ``tests/data/search_pins.json`` records, per search, the ``repr`` of the
-selected window, its objective value and tau, and of the threshold and
-BER the search returns for its winner, which must equal a fresh threshold
-scan of the winning taps.  Refactors of the search must leave every entry
+selected window and its objective value.  The two least-BER searches add
+tau and the threshold and BER they return for their winner, which must
+equal a fresh threshold scan of the winning taps; the three numeric metric
+searches (on the cases with L >= 1 and Q >= 1, where they are defined) add
+the degenerate flag.  Refactors of the searches must leave every entry
 unchanged.  Regenerate the file (only when outputs are meant to change,
 and say so in CHANGES.md) with the command below; it prints every entry
 that changed, old -> new, before writing.
@@ -16,13 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from mcdwin import exhaustive_ber_search, shift_tau_search, threshold_from_taps
+from mcdwin import Metric, exhaustive_ber_search, numeric_metric_search, shift_tau_search, threshold_from_taps
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import absorbing_params, passive_params  # noqa: E402
 
 PINS = Path(__file__).parent / "data" / "search_pins.json"
 SEARCHES = {"exhaustive": exhaustive_ber_search, "shift-tau": shift_tau_search}
+NUMERIC = {"numeric-sid": Metric.SID, "numeric-sinar": Metric.SINAR, "numeric-msinar": Metric.MSINAR}
 
 
 def _cases():
@@ -34,7 +37,22 @@ def _cases():
             yield f"passive-L{L}-Q{Q}", passive_params(T_s=2.0, L=L, Q=Q), None
 
 
+def _keyed_cases():
+    """(key, search, params, dt) of every pinned search."""
+    for name, params, dt in _cases():
+        searches = [*SEARCHES, *NUMERIC] if params.L >= 1 and params.Q >= 1 else SEARCHES
+        for search in searches:
+            yield f"{search}/{name}", search, params, dt
+
+
 def _pin(search, params, dt) -> dict:
+    if search in NUMERIC:
+        result = numeric_metric_search(params, NUMERIC[search], dt)
+        return {
+            "window": repr(result.window),
+            "objective_value": repr(result.objective_value),
+            "degenerate": repr(result.degenerate),
+        }
     result = SEARCHES[search](params, dt)
     scored = repr((result.threshold, result.ber))
     assert scored == repr(threshold_from_taps(params, result.taps))
@@ -47,18 +65,10 @@ def _pin(search, params, dt) -> dict:
 
 
 def _all_pins() -> dict:
-    return {
-        f"{search}/{name}": _pin(search, params, dt)
-        for name, params, dt in _cases()
-        for search in SEARCHES
-    }
+    return {key: _pin(search, params, dt) for key, search, params, dt in _keyed_cases()}
 
 
-CASES = [
-    pytest.param(f"{search}/{name}", search, params, dt, id=f"{search}/{name}")
-    for name, params, dt in _cases()
-    for search in SEARCHES
-]
+CASES = [pytest.param(key, search, params, dt, id=key) for key, search, params, dt in _keyed_cases()]
 
 
 @pytest.mark.parametrize("key, search, params, dt", CASES)
